@@ -13,8 +13,7 @@ Subcommands:
 Representations are file paths or gallery names (a path whose basename
 matches a gallery entry is built in memory when the file does not exist).
 Usage errors exit 64, data errors 65.  All outputs are deterministic for
-fixed flags; --seed is accepted for forward compatibility and currently
-feeds nothing.
+fixed flags.
 """
 
 from __future__ import annotations
@@ -254,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sepstab",
         description="separability certificates and separable-stability "
                     "checks for compression-body groups")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="reserved; outputs are deterministic")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_group_flags(p):

@@ -113,14 +113,6 @@ class MoebiusMap:
             return None
         return (self.a * z + self.b) / denom
 
-    def op_norm(self) -> float:
-        """Largest singular value."""
-        t = (abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2
-             + abs(self.d) ** 2)
-        dd = abs(self.det()) ** 2
-        disc = max(t * t - 4.0 * dd, 0.0)
-        return math.sqrt(max((t + math.sqrt(disc)) / 2.0, 0.0))
-
     def dist_to_pm_identity(self) -> float:
         """Operator-norm distance to the closer of +-identity."""
         one = MoebiusMap.identity()

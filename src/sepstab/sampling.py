@@ -14,15 +14,16 @@ disk certificate.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from sepstab import groups as G
 from sepstab import whitehead as W
-from sepstab.disks import Disk, isometric_disk
-from sepstab.groups import CyclicNormalForm, GroupSpec, Word, inv
+from sepstab.disks import isometric_disk
+from sepstab.groups import CyclicNormalForm, Word, inv
 from sepstab.hyperbolic import MoebiusMap, Representation, classify, fixed_points
 from sepstab.pingpong import PingPongDisks
-from sepstab.whitehead import DiscVertex, Edge, MuSpec, WhiteheadGraph
+from sepstab.whitehead import MuSpec, WhiteheadGraph
 
 MEMBERSHIP_TOL = 1e-12
 DEFAULT_MAX_PREFIX = 16
@@ -35,7 +36,6 @@ def sample_mu(rep: Representation, cnf: CyclicNormalForm,
     Pairs are ordered (repelling, attracting); the swapped pair is included
     as well, matching invariance under switching the factors.
     """
-    group = rep.group
     g_mat = rep.evaluate(cnf.letters())
     pairs: List[Tuple[complex, complex]] = []
     seen = set()
@@ -209,10 +209,9 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
     disks.require_verified()
     group = rep.group
     nav = _Navigator(rep, disks)
-    comps = {c.cid: c for c in W.standard_meridian_model(group)}
-    ball_edges: Dict[tuple, int] = {}
-    surf_edges: Dict[str, Dict[tuple, int]] = {
-        cid: {} for cid in comps if cid != "ball"}
+    surface_fids = [f.index for f in group.factors if f.kind == "surface"]
+    ball: Counter = Counter()
+    loops: Counter = Counter()
 
     for p, q in mu.sampled_pairs:
         rp = nav.first_level(p)
@@ -220,16 +219,11 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
         if rp is None or rq is None:
             continue
         if rp != rq:
-            up = _ball_vertex(group, nav, rp, p, max_prefix)
-            uq = _ball_vertex(group, nav, rq, q, max_prefix)
+            up = _ball_vertex(nav, rp, p, max_prefix)
+            uq = _ball_vertex(nav, rq, q, max_prefix)
             if up is not None and uq is not None:
-                u, v = sorted((up, uq))
-                key = (u, v, ())
-                ball_edges[key] = ball_edges.get(key, 0) + 1
-        for f in group.factors:
-            if f.kind != "surface":
-                continue
-            fid = f.index
+                ball[min(up, uq), max(up, uq)] += 1
+        for fid in surface_fids:
             sp = nav.surface_prefix(fid, p, max_prefix)
             sq = nav.surface_prefix(fid, q, max_prefix)
             if sp is None or sq is None:
@@ -238,39 +232,21 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
             reduced = G.dehn_reduce(label_word, group, fid)
             if not reduced:
                 continue  # both endpoints behind the same translate
-            cid = f"surface{fid}"
-            vert = comps[cid].vertices[0]
-            label = W._canonical_label(reduced, group, fid)
-            key = (vert, vert, label)
-            surf_edges[cid][key] = surf_edges[cid].get(key, 0) + 1
-
-    out = []
-    for cid, comp in comps.items():
-        if cid == "ball":
-            edges = tuple(Edge(u, v, lab, cnt) for (u, v, lab), cnt
-                          in sorted(ball_edges.items()))
-        else:
-            edges = tuple(Edge(u, v, lab, cnt) for (u, v, lab), cnt
-                          in sorted(surf_edges[cid].items()))
-        out.append(W.Component(comp.cid, comp.kind, comp.fid,
-                               comp.vertices, edges))
-    return WhiteheadGraph(group, tuple(out))
+            loops[fid, W._canonical_label(reduced, group, fid)] += 1
+    return W.graph_from_counts(group, ball, loops)
 
 
-def _ball_vertex(group: GroupSpec, nav: _Navigator, region,
-                 p: complex, max_prefix: int) -> Optional[DiscVertex]:
+def _ball_vertex(nav: _Navigator, region, p: complex,
+                 max_prefix: int) -> Optional[int]:
     kind, ident = region
     if kind == "free":
-        name = W._disc_name(group, group.letter_factor(ident))
-        sign = -1 if ident & 1 else +1
-        return DiscVertex("ball", name, sign)
+        return W.free_letter_vertex(nav.group, ident)
     fid = ident
     prefix = nav.surface_prefix(fid, p, max_prefix)
     if not prefix:
         return None  # a limit point of the factor itself never straddles
-    name = W._disc_name(group, fid)
-    return DiscVertex("ball", name,
-                      W.syllable_orientation(prefix, group, fid))
+    return W.ball_vertex(
+        fid, W.syllable_orientation(prefix, nav.group, fid))
 
 
 def whitehead_graph_sampled_for(rep: Representation, disks: PingPongDisks,

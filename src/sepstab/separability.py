@@ -6,16 +6,20 @@ The free-group decision: peak-reduce (any length-decreasing move, repeat;
 a local minimum is globally minimal), then breadth-first search of the
 minimal level set under length-preserving moves.  The element is separable
 exactly when some minimal form omits a generator.  Two sound shortcuts skip
-the search: an omitting reduced form settles Separable, and a connected,
-min-degree >= 2, articulation-free, strong-cutpoint-free graph settles
-NotSeparable.
+the search: an omitting reduced form settles Separable, and Whitehead's
+cut-vertex lemma settles NotSeparable.  The lemma says that the Whitehead
+graph of a cyclically reduced word in a proper free factor is disconnected
+or has a cut vertex (Whitehead 1936; Stallings, "Whitehead graphs on
+handlebodies", 1999), so a connected graph without a cut vertex certifies
+non-separability.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from sepstab import groups as G
 from sepstab import whitehead as W
@@ -106,17 +110,12 @@ def whitehead_moves(rank: int) -> List[WhiteheadMove]:
     return moves
 
 
-def _type2_moves(rank: int) -> List[WhiteheadMove]:
-    return [m for m in whitehead_moves(rank) if m.kind == "type2"]
-
-
-def _perm_moves(rank: int) -> List[WhiteheadMove]:
-    return [m for m in whitehead_moves(rank) if m.kind == "permutation"]
-
-
-def _perm_canonical(word: Word, perms: Sequence[WhiteheadMove]) -> Word:
-    """Least rotation over all signed letter permutations of the class."""
-    return _perm_canonical_with_move(word, perms)[0]
+@functools.lru_cache(maxsize=None)
+def _moves_for(rank: int):
+    """(Type II moves, permutation moves) of F_rank, in move order."""
+    moves = whitehead_moves(rank)
+    return (tuple(m for m in moves if m.kind == "type2"),
+            tuple(m for m in moves if m.kind == "permutation"))
 
 
 def _perm_canonical_with_move(word: Word, perms: Sequence[WhiteheadMove]):
@@ -138,7 +137,7 @@ def peak_reduce(word: Word, rank: int):
     the deterministic move order; peak reduction makes the local minimum
     global.
     """
-    moves = _type2_moves(rank)
+    moves, _ = _moves_for(rank)
     current = _cyclic_word(word)
     applied: List[WhiteheadMove] = []
     improved = True
@@ -178,15 +177,6 @@ class SeparabilityVerdict:
         return {"separable": 0, "not_separable": 1, "unknown": 2}[self.status]
 
 
-_MOVE_CACHE: Dict[int, tuple] = {}
-
-
-def _moves_for(rank: int):
-    if rank not in _MOVE_CACHE:
-        _MOVE_CACHE[rank] = (_type2_moves(rank), _perm_moves(rank))
-    return _MOVE_CACHE[rank]
-
-
 def is_separable_free(word: Word, group: GroupSpec) -> SeparabilityVerdict:
     """Complete decision in a purely free group (never Unknown)."""
     rank = group.free_rank
@@ -205,7 +195,7 @@ def is_separable_free(word: Word, group: GroupSpec) -> SeparabilityVerdict:
             "peak-reduced form omits a generator")
 
     # sound quick rejection from the graph of the reduced form
-    if _free_graph_certificate(reduced, group):
+    if _free_graph_certificate(reduced, rank):
         return SeparabilityVerdict(
             "not_separable", witness_word=reduced,
             witness_graph=_graph_of(reduced, group),
@@ -258,43 +248,13 @@ def _graph_of(word: Word, group: GroupSpec) -> W.WhiteheadGraph:
     return W.whitehead_graph_combinatorial(cnf, group)
 
 
-def _free_graph_certificate(word: Word, group: GroupSpec) -> bool:
-    """Connected, min-degree >= 2, articulation-free and strong-cutpoint-free
-    ball graph: a sound non-separability certificate at any length."""
-    wh = _graph_of(word, group)
-    strong = W.is_strongly_connected(wh)
-    if not all(flag for flag, _ in strong.values()):
-        return False
-    cuts = W.strong_cutpoints(wh)
-    if any(cuts.values()):
-        return False
-    ball = wh.component("ball")
-    return not _articulation_points(ball)
-
-
-def _articulation_points(comp: W.Component) -> List:
-    verts = list(comp.vertices)
-    if len(verts) <= 2:
-        return []
-    edges = [(e.u, e.v) for e in comp.edges if e.u != e.v]
-
-    def n_pieces(skip=None):
-        vs = [v for v in verts if v != skip]
-        parent = {v: v for v in vs}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-        for u, v in edges:
-            if skip in (u, v):
-                continue
-            parent[find(u)] = find(v)
-        return len({find(v) for v in vs})
-
-    base = n_pieces()
-    return [v for v in verts if n_pieces(v) > base]
+def _free_graph_certificate(word: Word, rank: int) -> bool:
+    """Cut-vertex lemma on a cyclically reduced word: its Whitehead graph,
+    on the letter ids with an edge (x_i, x_{i+1}^-1) per cyclic position,
+    is connected and has no cut vertex."""
+    n = len(word)
+    return W.is_biconnected(
+        2 * rank, [(word[i], inv(word[(i + 1) % n])) for i in range(n)])
 
 
 def is_separable(word: Word, group: GroupSpec) -> SeparabilityVerdict:

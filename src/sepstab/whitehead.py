@@ -11,19 +11,35 @@ Edges are stored one per distinct (vertex, label, vertex) triple with a
 support count; the count records how many syllable transitions or sampled
 axis pairs back the edge and only surfaces in DOT output.
 
+Both builders count edges on integer ball vertex ids and (factor, label)
+loop keys and hand the counts to ``graph_from_counts``, the one place that
+makes ``Edge`` and ``Component`` objects.  Ball vertex 2 f is the + side of
+factor f's disc and 2 f + 1 its - side; in a free group these are the
+letter ids.
+
 Strong connectedness follows the cycle-with-nontrivial-label definition on
 surface components.  Ball components have trivial label group, where the
 notion degenerates: a ball component is strongly connected when it is
-connected and every vertex lies on a cycle (equivalently min degree >= 2,
-loops counting twice).  This degeneration recovers the classical
-Whitehead-graph criteria and is an interpretation, not a quotation.
+connected with min degree >= 2, loops counting twice.  That is the degree
+form of "every vertex lies on a cycle"; the two differ only at a vertex of
+degree >= 2 whose edges are all bridges.  This degeneration recovers the
+classical Whitehead-graph criteria and is an interpretation, not a
+quotation.
+
+All analysis runs on one lowpoint DFS (``block_structure``), which yields
+the connected pieces, bridges and cut vertices.  In a strongly connected
+ball piece a split at v can only fail on a side where v keeps a single
+edge, so its strong cutpoints are exactly the endpoints of its bridges.
+Each surface component has exactly one vertex, so its cycles are its loops
+and it is strongly connected when some loop label is nontrivial.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from sepstab import groups as G
 from sepstab.groups import CyclicNormalForm, GroupSpec, Word, inv
@@ -93,8 +109,7 @@ class WhiteheadGraph:
 
 @dataclass(frozen=True)
 class MuSpec:
-    """Endpoint data: a conjugacy class or sampled axis endpoint pairs."""
-    conjugacy_class: Optional[CyclicNormalForm] = None
+    """Endpoint data: sampled axis endpoint pairs."""
     sampled_pairs: Tuple[Tuple[complex, complex], ...] = ()
 
 
@@ -157,15 +172,22 @@ def _hybrid_sequence(cnf: CyclicNormalForm, group: GroupSpec):
     return seq
 
 
-def _crossing_vertex(group: GroupSpec, item, inverse: bool) -> DiscVertex:
+def ball_vertex(fid: int, sign: int) -> int:
+    """Ball vertex id of the ``sign`` side of factor fid's disc."""
+    return 2 * fid + (sign < 0)
+
+
+def free_letter_vertex(group: GroupSpec, letter: int) -> int:
+    """Ball vertex id of a free letter: odd letters are inverses."""
+    return 2 * group.letter_factor(letter) + (letter & 1)
+
+
+def _crossing_vertex(group: GroupSpec, item, inverse: bool) -> int:
     kind, fid, payload = item
-    name = _disc_name(group, fid)
     if kind == "free":
-        letter = inv(payload) if inverse else payload
-        sign = -1 if letter & 1 else +1
-        return DiscVertex("ball", name, sign)
+        return free_letter_vertex(group, inv(payload) if inverse else payload)
     word = G.word_inverse(payload) if inverse else payload
-    return DiscVertex("ball", name, syllable_orientation(word, group, fid))
+    return ball_vertex(fid, syllable_orientation(word, group, fid))
 
 
 def _canonical_label(word: Word, group: GroupSpec, fid: int) -> Word:
@@ -173,6 +195,31 @@ def _canonical_label(word: Word, group: GroupSpec, fid: int) -> Word:
     w = G.dehn_canonical(word, group, fid)
     wi = G.dehn_canonical(G.word_inverse(word), group, fid)
     return min(w, wi)
+
+
+def graph_from_counts(group: GroupSpec,
+                      ball: Mapping[Tuple[int, int], int],
+                      loops: Mapping[Tuple[int, Word], int]) -> WhiteheadGraph:
+    """Components of the meridian model carrying the counted edges.
+
+    ``ball`` counts edges by ball vertex ids (a, b) with a <= b; ``loops``
+    counts surface loops by (factor id, canonical label).  Edges come out
+    sorted by ``Edge.key``, so both builders emit identical graphs.
+    """
+    model = standard_meridian_model(group)
+    ball_vertices = model[0].vertices
+    edges: Dict[Optional[int], List[Edge]] = {c.fid: [] for c in model}
+    for (a, b), support in ball.items():
+        u, v = sorted((ball_vertices[a], ball_vertices[b]))
+        edges[None].append(Edge(u, v, (), support))
+    loop_vertex = {c.fid: c.vertices[0] for c in model[1:]}
+    for (fid, label), support in loops.items():
+        v = loop_vertex[fid]
+        edges[fid].append(Edge(v, v, label, support))
+    return WhiteheadGraph(group, tuple(
+        Component(c.cid, c.kind, c.fid, c.vertices,
+                  tuple(sorted(edges[c.fid], key=Edge.key)))
+        for c in model))
 
 
 def whitehead_graph_combinatorial(cnf: CyclicNormalForm,
@@ -186,45 +233,20 @@ def whitehead_graph_combinatorial(cnf: CyclicNormalForm,
     other factors.
     """
     _check_cyclically_reduced(cnf, group)
-    comps = {c.cid: c for c in standard_meridian_model(group)}
-    ball_edges: Dict[tuple, int] = {}
-    surf_edges: Dict[str, Dict[tuple, int]] = {
-        cid: {} for cid in comps if cid != "ball"}
-
+    ball: Counter = Counter()
+    loops: Counter = Counter()
     seq = _hybrid_sequence(cnf, group)
     n = len(seq)
     single_surface = (n == 1 and seq[0][0] == "surface")
-    if n and not single_surface:
-        for i in range(n):
-            u = seq[i]
-            v = seq[(i + 1) % n]
-            vu = _crossing_vertex(group, u, inverse=False)
-            vv = _crossing_vertex(group, v, inverse=True)
-            uu, ww = sorted((vu, vv))
-            key = (uu, ww, ())
-            ball_edges[key] = ball_edges.get(key, 0) + 1
-        # surface loops from flanked syllables
-        for i in range(n):
-            kind, fid, payload = seq[i]
-            if kind != "surface":
-                continue
-            cid = f"surface{fid}"
-            vert = comps[cid].vertices[0]
-            label = _canonical_label(payload, group, fid)
-            key = (vert, vert, label)
-            surf_edges[cid][key] = surf_edges[cid].get(key, 0) + 1
-
-    out = []
-    for cid, comp in comps.items():
-        if cid == "ball":
-            edges = tuple(Edge(u, v, lab, cnt) for (u, v, lab), cnt
-                          in sorted(ball_edges.items()))
-        else:
-            edges = tuple(Edge(u, v, lab, cnt) for (u, v, lab), cnt
-                          in sorted(surf_edges[cid].items()))
-        out.append(Component(comp.cid, comp.kind, comp.fid,
-                             comp.vertices, edges))
-    return WhiteheadGraph(group, tuple(out))
+    if not single_surface:
+        for i, item in enumerate(seq):
+            a = _crossing_vertex(group, item, inverse=False)
+            b = _crossing_vertex(group, seq[(i + 1) % n], inverse=True)
+            ball[min(a, b), max(a, b)] += 1
+            kind, fid, payload = item
+            if kind == "surface":
+                loops[fid, _canonical_label(payload, group, fid)] += 1
+    return graph_from_counts(group, ball, loops)
 
 
 def _check_cyclically_reduced(cnf: CyclicNormalForm, group: GroupSpec):
@@ -247,130 +269,116 @@ def _check_cyclically_reduced(cnf: CyclicNormalForm, group: GroupSpec):
 # analysis
 
 
-def _adjacency(comp: Component):
-    adj: Dict[DiscVertex, List[Tuple[DiscVertex, Edge]]] = {
-        v: [] for v in comp.vertices}
-    for e in comp.edges:
-        if e.u == e.v:
-            adj[e.u].append((e.v, e))
-        else:
-            adj[e.u].append((e.v, e))
-            adj[e.v].append((e.u, e))
-    return adj
+class Blocks(NamedTuple):
+    pieces: List[List[int]]         # connected pieces, in visiting order
+    bridges: List[Tuple[int, int]]  # links whose removal splits a piece
+    cut_vertices: Set[int]          # vertices whose removal splits a piece
+    tour: List[int]                 # closed walk around each DFS tree
 
 
-def _connected_pieces(comp: Component) -> List[List[DiscVertex]]:
-    adj = _adjacency(comp)
-    seen = set()
-    pieces = []
-    for v in comp.vertices:
-        if v in seen:
-            continue
-        stack, piece = [v], []
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            piece.append(x)
-            for y, _ in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        pieces.append(sorted(piece))
-    return pieces
+def block_structure(n: int, links: Sequence[Tuple[int, int]]) -> Blocks:
+    """One lowpoint DFS (Hopcroft-Tarjan) over vertices 0..n-1 joined by
+    undirected ``links``, linear in n plus the number of links.
 
-
-def _degree(comp: Component, v: DiscVertex) -> int:
-    d = 0
-    for e in comp.edges:
-        if e.u == v and e.v == v:
-            d += 2
-        elif e.u == v or e.v == v:
-            d += 1
-    return d
-
-
-def _cycle_basis_labels(comp: Component, group: GroupSpec) -> List[Tuple[Word, List[Edge]]]:
-    """Labels of a closed-walk basis via a spanning tree.
-
-    Walking an edge from u to v contributes its label; the reverse
-    traversal contributes the inverse.  Loop edges are their own cycles.
+    Links are told apart by index, so a doubled link is never a bridge and
+    a loop changes nothing.  Neighbours are visited in link order; the tour
+    enters each vertex and comes back to its parent after each child.
     """
-    adj = _adjacency(comp)
-    potential: Dict[DiscVertex, Word] = {}
-    tree_edges = set()
-    basis = []
-    for root in comp.vertices:
-        if root in potential:
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (a, b) in enumerate(links):
+        adj[a].append((b, i))
+        adj[b].append((a, i))
+    order = [0] * n                 # DFS entry number; 0 while unvisited
+    low = [0] * n
+    out = Blocks([], [], set(), [])
+    clock = 0
+    for root in range(n):
+        if order[root]:
             continue
-        potential[root] = ()
-        stack = [root]
+        clock += 1
+        order[root] = low[root] = clock
+        piece = [root]
+        out.tour.append(root)
+        stack = [(root, -1, iter(adj[root]))]
+        root_children = 0
         while stack:
-            x = stack.pop()
-            for y, e in adj[x]:
-                if e.u == e.v:
+            x, via, neighbours = stack[-1]
+            for y, i in neighbours:
+                if i == via:
                     continue
-                if y not in potential:
-                    lab = e.label if e.u == x else G.word_inverse(e.label)
-                    potential[y] = G.word_mul(potential[x], lab)
-                    tree_edges.add(id(e))
-                    stack.append(y)
+                if not order[y]:
+                    clock += 1
+                    order[y] = low[y] = clock
+                    piece.append(y)
+                    out.tour.append(y)
+                    stack.append((y, i, iter(adj[y])))
+                    break
+                low[x] = min(low[x], order[y])
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                parent = stack[-1][0]
+                out.tour.append(parent)
+                low[parent] = min(low[parent], low[x])
+                if low[x] > order[parent]:
+                    out.bridges.append(links[via])
+                if parent == root:
+                    root_children += 1
+                elif low[x] >= order[parent]:
+                    out.cut_vertices.add(parent)
+        if root_children > 1:
+            out.cut_vertices.add(root)
+        out.pieces.append(piece)
+    return out
+
+
+def is_biconnected(n: int, links: Sequence[Tuple[int, int]]) -> bool:
+    """Connected, and removing any one vertex leaves it connected."""
+    blocks = block_structure(n, links)
+    return len(blocks.pieces) == 1 and not blocks.cut_vertices
+
+
+def _analyse(comp: Component) -> Tuple[List[int], Blocks]:
+    """Vertex degrees (a loop counts twice) and block structure, with the
+    component's vertices numbered by position."""
+    index = {v: i for i, v in enumerate(comp.vertices)}
+    degree = [0] * len(comp.vertices)
+    links = []
     for e in comp.edges:
-        if e.u == e.v:
-            basis.append((e.label, [e]))
-            continue
-        if id(e) in tree_edges:
-            continue
-        # closed walk root -> u -> v -> root
-        lab = G.word_mul(potential[e.u], e.label,
-                         G.word_inverse(potential[e.v]))
-        basis.append((lab, [e]))
-    return basis
+        a, b = index[e.u], index[e.v]
+        degree[a] += 1
+        degree[b] += 1
+        links.append((a, b))
+    return degree, block_structure(len(degree), links)
+
+
+def _strong_witness(comp: Component, group: GroupSpec, degree: List[int],
+                    blocks: Blocks, piece: List[int]) -> Optional[list]:
+    """Witness that a connected piece is strongly connected, or None: the
+    DFS tour on the ball when no vertex has degree < 2, the first loop with
+    a nontrivial label on a (one-vertex) surface component."""
+    if comp.kind == "ball":
+        if min(degree[i] for i in piece) < 2:
+            return None
+        return [comp.vertices[i] for i in blocks.tour]
+    for e in comp.edges:
+        if G.dehn_reduce(e.label, group, comp.fid):
+            return [e]
+    return None
 
 
 def is_strongly_connected(wh: WhiteheadGraph) -> Dict[str, Tuple[bool, Optional[list]]]:
     """Per-component verdict with a witness cycle when true."""
     out = {}
     for comp in wh.components:
-        out[comp.cid] = _strongly_connected_component(comp, wh.group)
+        degree, blocks = _analyse(comp)
+        witness = None
+        if len(blocks.pieces) == 1:
+            witness = _strong_witness(comp, wh.group, degree, blocks,
+                                      blocks.pieces[0])
+        out[comp.cid] = (witness is not None, witness)
     return out
-
-
-def _strongly_connected_component(comp: Component, group: GroupSpec,
-                                  allow_trivial_vertex: bool = False):
-    pieces = _connected_pieces(comp)
-    if len(pieces) != 1:
-        return False, None
-    if len(comp.vertices) == 1 and not comp.edges and allow_trivial_vertex:
-        return True, None
-    if comp.kind == "ball":
-        # connected and every vertex on a cycle: min degree >= 2
-        if any(_degree(comp, v) < 2 for v in comp.vertices):
-            return False, None
-        return True, _spanning_closed_walk(comp)
-    # surface: connected plus a cycle whose label is nontrivial
-    for lab, edges in _cycle_basis_labels(comp, group):
-        if G.dehn_reduce(lab, group, comp.fid):
-            return True, edges
-    return False, None
-
-
-def _spanning_closed_walk(comp: Component):
-    """A closed walk visiting every vertex (witness for ball components)."""
-    adj = _adjacency(comp)
-    if not comp.vertices:
-        return []
-    walk = []
-    seen = set()
-
-    def dfs(x):
-        seen.add(x)
-        walk.append(x)
-        for y, e in adj[x]:
-            if y not in seen:
-                dfs(y)
-                walk.append(x)
-    dfs(comp.vertices[0])
-    return walk
 
 
 def strong_cutpoints(wh: WhiteheadGraph) -> Dict[str, List[DiscVertex]]:
@@ -379,84 +387,21 @@ def strong_cutpoints(wh: WhiteheadGraph) -> Dict[str, List[DiscVertex]]:
     A vertex v is a strong cutpoint when the component splits as a union of
     two subgraphs meeting only at v with one side not strongly connected.
     A bare one-vertex side counts as trivially strongly connected, so in a
-    component that itself fails strong connectedness every vertex splits
-    against the whole graph and is reported.
+    piece that itself fails strong connectedness every vertex splits
+    against the whole piece and is reported; in a strongly connected piece
+    the strong cutpoints are the bridge endpoints.
     """
     out = {}
     for comp in wh.components:
-        cuts = []
-        for piece in _connected_pieces(comp):
-            if len(piece) == 1 and not any(
-                    e.u == piece[0] or e.v == piece[0] for e in comp.edges):
+        degree, blocks = _analyse(comp)
+        cuts = {i for link in blocks.bridges for i in link}
+        for piece in blocks.pieces:
+            if len(piece) == 1 and not degree[piece[0]]:
                 continue  # isolated vertex: nothing to split
-            sub = _induced(comp, set(piece))
-            strong, _ = _strongly_connected_component(sub, wh.group)
-            if not strong:
-                cuts.extend(piece)
-                continue
-            for v in piece:
-                if _is_strong_cutpoint(sub, v, wh.group):
-                    cuts.append(v)
-        out[comp.cid] = sorted(set(cuts))
+            if _strong_witness(comp, wh.group, degree, blocks, piece) is None:
+                cuts.update(piece)
+        out[comp.cid] = sorted(comp.vertices[i] for i in cuts)
     return out
-
-
-def _induced(comp: Component, vertices: set) -> Component:
-    edges = tuple(e for e in comp.edges
-                  if e.u in vertices and e.v in vertices)
-    return Component(comp.cid, comp.kind, comp.fid,
-                     tuple(sorted(vertices)), edges)
-
-
-def _is_strong_cutpoint(comp: Component, v: DiscVertex, group: GroupSpec) -> bool:
-    """Two-subgraph splits at v of a strongly connected component piece.
-
-    A split assigns each connected block of (piece minus v) wholly to one
-    side; loops at v may go either way and only ever help a side, so the
-    failing side is searched loop-free while the complement absorbs them.
-    """
-    rest = set(comp.vertices) - {v}
-    adj: Dict[DiscVertex, List[DiscVertex]] = {u: [] for u in rest}
-    for e in comp.edges:
-        if v in (e.u, e.v):
-            continue
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    blocks: List[set] = []
-    seen = set()
-    for u in sorted(rest):
-        if u in seen:
-            continue
-        stack, blk = [u], set()
-        seen.add(u)
-        while stack:
-            x = stack.pop()
-            blk.add(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        blocks.append(blk)
-    if not blocks:
-        return False
-    indices = range(len(blocks))
-    for r in range(1, len(blocks) + 1):
-        for chosen in itertools.combinations(indices, r):
-            side_vertices = {v} | set().union(*(blocks[i] for i in chosen))
-            side = _induced_loopfree(comp, side_vertices, v)
-            strong, _ = _strongly_connected_component(
-                side, group, allow_trivial_vertex=True)
-            if not strong:
-                return True
-    return False
-
-
-def _induced_loopfree(comp: Component, vertices: set, v: DiscVertex) -> Component:
-    edges = tuple(e for e in comp.edges
-                  if e.u in vertices and e.v in vertices
-                  and not (e.u == v and e.v == v))
-    return Component(comp.cid, comp.kind, comp.fid,
-                     tuple(sorted(vertices)), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from sepstab.groups import (GroupSpec, TrivialElement, canonical_class,
-                            cyclic_reduce, free_reduce, word_inverse,
-                            word_mul)
-from sepstab.separability import (is_separable, is_separable_free,
-                                  peak_reduce, whitehead_moves)
-from sepstab.whitehead import is_strongly_connected, strong_cutpoints
+                            cyclic_reduce, enumerate_elements, free_reduce,
+                            word_inverse, word_mul)
+from sepstab.separability import (_free_graph_certificate, is_separable,
+                                  is_separable_free, peak_reduce,
+                                  whitehead_moves)
+from sepstab.whitehead import (is_strongly_connected, strong_cutpoints,
+                               whitehead_graph_combinatorial)
 
 F2 = GroupSpec((), 2)
 F3 = GroupSpec((), 3)
@@ -151,6 +153,36 @@ class TestFreeDecision:
             except TrivialElement:
                 continue
             assert a == b
+
+
+def _connected(vertices, edges):
+    vertices = set(vertices)
+    if not vertices:
+        return True
+    reached, todo = set(), [min(vertices)]
+    while todo:
+        x = todo.pop()
+        if x in reached:
+            continue
+        reached.add(x)
+        todo.extend(b for e in edges for a, b in ((e.u, e.v), (e.v, e.u))
+                    if a == x)
+    return reached == vertices
+
+
+@pytest.mark.parametrize("group, max_len", [(F2, 7), (F3, 4)])
+def test_free_certificate_is_cut_vertex_test(group, max_len):
+    # the certificate holds exactly when the ball graph is connected and
+    # stays connected after removing any single vertex
+    for cnf in enumerate_elements(group, max_len):
+        ball = whitehead_graph_combinatorial(cnf, group).component("ball")
+        expected = _connected(ball.vertices, ball.edges) and all(
+            _connected(set(ball.vertices) - {v},
+                       [e for e in ball.edges if v not in (e.u, e.v)])
+            for v in ball.vertices)
+        word = cnf.letters()
+        assert _free_graph_certificate(word, group.free_rank) == expected, \
+            group.format_word(word)
 
 
 class TestChristoffelOracle:

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
-from sepstab.groups import GroupSpec, cyclic_reduce
-from sepstab.whitehead import (NotCyclicallyReduced, emit_dot,
+from sepstab import groups as G
+from sepstab.groups import GroupSpec, cyclic_reduce, enumerate_elements
+from sepstab.whitehead import (Component, DiscVertex, Edge,
+                               NotCyclicallyReduced, WhiteheadGraph, emit_dot,
                                is_strongly_connected, standard_meridian_model,
                                strong_cutpoints, whitehead_graph_combinatorial)
 
@@ -120,10 +124,113 @@ class TestStrongCutpoints:
         assert strong_cutpoints(graph_of("a b A B"))["ball"] == []
 
     def test_connected_with_articulation(self):
-        # a b b: path-shaped graph, interior vertices are strong cutpoints
+        # a b b: the path Dt1+ - Dt2- - Dt2+ - Dt1- has leaves, so it is not
+        # strongly connected and every vertex splits against the whole path
         wh = graph_of("a b b")
         cuts = {v.label() for v in strong_cutpoints(wh)["ball"]}
-        assert {"Dt1-", "Dt2+"} <= cuts or {"Dt2-", "Dt2+"} & cuts
+        assert cuts == {"Dt1+", "Dt1-", "Dt2+", "Dt2-"}
+
+    def test_bridge_endpoints_of_strong_piece(self):
+        # two triangles joined by one edge: min degree 2, so strongly
+        # connected, and only the bridge endpoints are strong cutpoints
+        v = [DiscVertex("ball", disc, side)
+             for disc in ("D1", "D2", "Dt1") for side in (+1, -1)]
+        links = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
+        edges = tuple(Edge(v[a], v[b]) for a, b in links)
+        ball = Component("ball", "ball", None, tuple(v), edges)
+        wh = WhiteheadGraph(TWO_SURF, (ball,))
+        assert is_strongly_connected(wh)["ball"][0] is True
+        assert strong_cutpoints(wh)["ball"] == sorted((v[2], v[3]))
+        assert _split_cutpoints(ball, TWO_SURF) == sorted((v[2], v[3]))
+
+    def test_leaf_makes_every_vertex_a_cutpoint(self):
+        # a triangle with a pendant edge is not strongly connected, so the
+        # triangle corners off the bridge are strong cutpoints as well
+        v = [DiscVertex("ball", disc, side)
+             for disc in ("Dt1", "Dt2") for side in (+1, -1)]
+        links = [(0, 1), (1, 2), (0, 2), (2, 3)]
+        edges = tuple(Edge(v[a], v[b]) for a, b in links)
+        ball = Component("ball", "ball", None, tuple(v), edges)
+        wh = WhiteheadGraph(F2, (ball,))
+        assert is_strongly_connected(wh)["ball"][0] is False
+        assert strong_cutpoints(wh)["ball"] == sorted(v)
+        assert _split_cutpoints(ball, F2) == sorted(v)
+
+
+def _pieces(vertices, edges):
+    """Connected pieces by breadth-first search."""
+    pieces, seen = [], set()
+    for root in vertices:
+        if root in seen:
+            continue
+        piece, todo = {root}, [root]
+        while todo:
+            x = todo.pop()
+            for e in edges:
+                for a, b in ((e.u, e.v), (e.v, e.u)):
+                    if a == x and b not in piece:
+                        piece.add(b)
+                        todo.append(b)
+        seen |= piece
+        pieces.append(piece)
+    return pieces
+
+
+def _side_strong(comp, vertices, edges, group):
+    """Strong connectedness of one side of a split, from the definition."""
+    if len(vertices) == 1 and not edges:
+        return True  # a bare vertex
+    if len(_pieces(vertices, edges)) != 1:
+        return False
+    if comp.kind == "surface":
+        # one vertex: the cycles are the loops
+        return any(G.dehn_reduce(e.label, group, comp.fid) for e in edges)
+    ends = [x for e in edges for x in (e.u, e.v)]
+    return all(ends.count(x) >= 2 for x in vertices)
+
+
+def _split_cutpoints(comp, group):
+    """Strong cutpoints by trying every split of every piece with edges at
+    every vertex v: two subgraphs covering the piece, sharing only v."""
+    cuts = set()
+    for piece in _pieces(comp.vertices, comp.edges):
+        edges = [e for e in comp.edges if e.u in piece]
+        if not edges:
+            continue
+        for v in piece:
+            rest = sorted(piece - {v})
+            loops = [e for e in edges if e.u == v and e.v == v]
+            others = [e for e in edges if e not in loops]
+            for sides in itertools.product((0, 1), repeat=len(rest)):
+                side_of = dict(zip(rest, sides))
+                side_of[v] = None
+                if any(None not in (side_of[e.u], side_of[e.v])
+                       and side_of[e.u] != side_of[e.v] for e in others):
+                    continue  # an edge would join the two sides
+                for loop_sides in itertools.product((0, 1),
+                                                    repeat=len(loops)):
+                    for s in (0, 1):
+                        verts = {v} | {x for x in rest if side_of[x] == s}
+                        side_edges = [e for e in others
+                                      if e.u in verts and e.v in verts]
+                        side_edges += [e for e, ls in zip(loops, loop_sides)
+                                       if ls == s]
+                        if not _side_strong(comp, verts, side_edges, group):
+                            cuts.add(v)
+    return sorted(cuts)
+
+
+@pytest.mark.parametrize("group, max_len", [(F2, 6), (S2Z, 3)])
+def test_strong_cutpoints_match_split_definition(group, max_len):
+    n = 0
+    for cnf in enumerate_elements(group, max_len):
+        wh = whitehead_graph_combinatorial(cnf, group)
+        cuts = strong_cutpoints(wh)
+        for comp in wh.components:
+            assert cuts[comp.cid] == _split_cutpoints(comp, group), \
+                (group.format_word(cnf.letters()), comp.cid)
+            n += 1
+    assert n > 200
 
 
 class TestDot:
