@@ -3,8 +3,10 @@
 A region is {z : A|z|^2 + 2 Re(conj(B) z) + C <= 0} with A, C real.  For
 A > 0 this is a bounded euclidean disk, for A < 0 the exterior of a circle
 (a disk containing infinity), for A = 0 a half-plane.  Möbius maps act on
-forms by congruence, so images, membership and containment are all exact
-formulas, which keeps the ping-pong inequalities honest.
+forms by one congruence, written over real coordinates so that it runs in
+floats (``Disk.image``) or in ``mpmath.iv`` intervals (the containment and
+disjointness predicates).  The predicates are interval-only: they return
+True only when interval arithmetic proves the inequality.
 """
 
 from __future__ import annotations
@@ -12,11 +14,56 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from mpmath import iv
+
 from sepstab.hyperbolic import MoebiusMap
 
 
 class DiskError(Exception):
     pass
+
+
+def _congruence(form, m: MoebiusMap, num):
+    """Form (A, Bx, By, C) of m(region) for the region with that form.
+
+    The form matrix H = [[A, B], [conj(B), C]] becomes N^H H N with
+    N = m^-1, whose float entries are exact; ``num`` (float or iv.mpf)
+    lifts them, and the form's entries must already be of that kind.
+    """
+    A, Bx, By, C = form
+    inv = m.inverse()
+    ax, ay, bx, by, cx, cy, dx, dy = (
+        num(t) for z in (inv.a, inv.b, inv.c, inv.d) for t in (z.real, z.imag))
+
+    def h(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
+        # conj(p1) (A q1 + B q2) + conj(p2) (conj(B) q1 + C q2)
+        ux = A * q1x + Bx * q2x - By * q2y
+        uy = A * q1y + Bx * q2y + By * q2x
+        vx = Bx * q1x + By * q1y + C * q2x
+        vy = Bx * q1y - By * q1x + C * q2y
+        return (p1x * ux + p1y * uy + p2x * vx + p2y * vy,
+                p1x * uy - p1y * ux + p2x * vy - p2y * vx)
+
+    A2 = h(ax, ay, cx, cy, ax, ay, cx, cy)[0]
+    B2x, B2y = h(ax, ay, cx, cy, bx, by, dx, dy)
+    C2 = h(bx, by, dx, dy, bx, by, dx, dy)[0]
+    return A2, B2x, B2y, C2
+
+
+def _iv_circle(form):
+    """(bounded, cx, cy, r) of an interval form, once the sign of A and the
+    reality of the circle are proved."""
+    A, Bx, By, C = form
+    if A > 0:
+        bounded = True
+    elif A < 0:
+        bounded = False
+    else:
+        raise DiskError("sign of A not proved (half-plane or near it)")
+    disc = Bx ** 2 + By ** 2 - A * C
+    if not disc > 0:
+        raise DiskError("form does not define a real circle")
+    return bounded, -Bx / A, -By / A, iv.sqrt(disc) / abs(A)
 
 
 class Disk:
@@ -48,6 +95,13 @@ class Disk:
         c = complex(center)
         return Disk(-1.0, c, radius * radius - abs(c) ** 2)
 
+    def complement(self) -> "Disk":
+        """The closure of the complementary region: the negated form,
+        exactly (no renormalization)."""
+        out = object.__new__(Disk)
+        out.A, out.B, out.C = -self.A, -self.B, -self.C
+        return out
+
     # -- geometry -------------------------------------------------------
 
     @property
@@ -74,66 +128,44 @@ class Disk:
         return (self.A * (z.real * z.real + z.imag * z.imag)
                 + 2.0 * (self.B.conjugate() * z).real + self.C)
 
-    def contains_point(self, z: Optional[complex], tol: float = 0.0) -> bool:
-        return self.value(z) <= tol
+    def _form(self, num):
+        return num(self.A), num(self.B.real), num(self.B.imag), num(self.C)
 
     def image(self, m: MoebiusMap) -> "Disk":
-        """The region m(disk); congruence by m^-1."""
-        inv = m.inverse()
-        a, b, c, d = inv.a, inv.b, inv.c, inv.d
-        # form matrix H = [[A, B], [conj(B), C]], H' = inv^H * H * inv
-        A, B, C = self.A, self.B, self.C
-        Bc = B.conjugate()
-        a_, b_, c_, d_ = a, b, c, d
-        A2 = (A * abs(a_) ** 2
-              + (B * a_.conjugate() * c_).real * 2.0
-              + C * abs(c_) ** 2)
-        C2 = (A * abs(b_) ** 2
-              + (B * b_.conjugate() * d_).real * 2.0
-              + C * abs(d_) ** 2)
-        B2 = (A * b_ * a_.conjugate() + B * d_ * a_.conjugate()
-              + Bc * b_ * c_.conjugate() + C * d_ * c_.conjugate())
-        return Disk(A2, B2, C2)
+        """The region m(disk), in floats."""
+        A2, B2x, B2y, C2 = _congruence(self._form(float), m, float)
+        return Disk(A2, complex(B2x, B2y), C2)
 
-    def contains_disk(self, other: "Disk", margin: float = 0.0) -> bool:
-        """True when other (plus margin) lies inside self.
+    def contains_disk(self, other: "Disk", margin: float = 0.0,
+                      m: Optional[MoebiusMap] = None) -> bool:
+        """True when interval arithmetic proves that m(other), widened by
+        margin, lies inside self (m defaults to the identity).
 
-        Only circle regions (A != 0) are compared; the gallery geometry
-        never produces exact half-planes.
+        An uncertain comparison counts as False; a sign of A that cannot be
+        proved (a half-plane, or a near one) raises DiskError.
         """
-        if self.A == 0 or other.A == 0:
-            raise DiskError("half-plane containment not supported")
-        cs, rs, cb, rb = self.center, self.radius, other.center, other.radius
-        if self.bounded:
-            if not other.bounded:
-                return False
-            return abs(cs - cb) + rb <= rs - margin
-        if other.bounded:
-            # exterior region contains a bounded disk iff disk avoids circle
-            return abs(cs - cb) >= rs + rb + margin
-        # exterior contains exterior iff the complementary disks nest
-        return abs(cs - cb) + rs <= rb - margin
+        inner = other._form(iv.mpf)
+        if m is not None:
+            inner = _congruence(inner, m, iv.mpf)
+        bs, xs, ys, rs = _iv_circle(self._form(iv.mpf))
+        bo, xo, yo, ro = _iv_circle(inner)
+        if bs and not bo:
+            return False
+        dist = iv.sqrt((xs - xo) ** 2 + (ys - yo) ** 2)
+        if bs:
+            holds = dist + ro <= rs - margin
+        elif bo:
+            # an exterior region holds a bounded disk that avoids its circle
+            holds = dist >= rs + ro + margin
+        else:
+            # exterior holds exterior iff the complementary disks nest
+            holds = dist + rs <= ro - margin
+        return holds is True
 
     def disjoint_from(self, other: "Disk", margin: float = 0.0) -> bool:
-        if self.A == 0 or other.A == 0:
-            raise DiskError("half-plane disjointness not supported")
-        cs, rs, cb, rb = self.center, self.radius, other.center, other.radius
-        if self.bounded and other.bounded:
-            return abs(cs - cb) >= rs + rb + margin
-        if not self.bounded and not other.bounded:
-            return False  # two exteriors always share far points
-        if not self.bounded:
-            ext, bnd = (cs, rs), (cb, rb)
-        else:
-            ext, bnd = (cb, rb), (cs, rs)
-        # bounded disk inside the removed hole of the exterior region
-        return abs(ext[0] - bnd[0]) + bnd[1] <= ext[1] - margin
-
-    def boundary_points(self, n: int):
-        c, r = self.center, self.radius
-        return [c + r * complex(math.cos(2 * math.pi * k / n),
-                                math.sin(2 * math.pi * k / n))
-                for k in range(n)]
+        """other lies in the complement of self, proved as for
+        ``contains_disk``."""
+        return self.complement().contains_disk(other, margin)
 
     def __repr__(self):
         if self.A == 0:

@@ -5,11 +5,15 @@ share a single factor disk.  The verified inequalities:
 
   * distinct disks are pairwise disjoint with margin;
   * each letter maps the complement of its inverse's disk strictly into its
-    own disk (closed form on disk images, a 256-point boundary sample, and
-    an interval-arithmetic recheck of the containment inequality);
+    own disk, for bounded and exterior disks alike;
   * surface factors additionally preserve a fitted round circle inside the
     factor disk and have all generator isometric disks inside it, and their
     relator residual must be below 1e-8.
+
+Every disk inequality is proved in interval arithmetic by the one path in
+``sepstab.disks``: a mapped region's form is the congruence of the float
+matrix, evaluated in intervals, and nothing is sampled.  Only the relator
+residual and circle preservation are float tolerances.
 
 A passing certificate witnesses discreteness, faithfulness and the
 free-product structure for the letters checked; for surface factors this is
@@ -19,19 +23,14 @@ and relator conditions pin down numerically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import mpmath
-
 from sepstab.disks import Disk, DiskError, isometric_disk
 from sepstab.groups import GroupSpec, inv
-from sepstab.hyperbolic import (MoebiusMap, Representation, classify,
-                                fixed_points)
+from sepstab.hyperbolic import Representation, classify, fixed_points
 
 DEFAULT_MARGIN = 1e-6
-BOUNDARY_SAMPLES = 256
 RELATOR_RESIDUAL_MAX = 1e-8
 
 
@@ -78,87 +77,6 @@ class PingPongDisks:
     def require_verified(self):
         if self.certificate is None or not self.certificate.ok:
             raise UnverifiedDisks("ping-pong certificate absent or failing")
-
-
-# ---------------------------------------------------------------------------
-# interval helpers (complex intervals as coordinate boxes)
-
-
-def _iv(x: float):
-    return mpmath.iv.mpf(x)
-
-
-class _IvComplex:
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    @staticmethod
-    def of(z: complex) -> "_IvComplex":
-        return _IvComplex(_iv(z.real), _iv(z.imag))
-
-    def __add__(self, o):
-        return _IvComplex(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return _IvComplex(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, o):
-        return _IvComplex(self.re * o.re - self.im * o.im,
-                          self.re * o.im + self.im * o.re)
-
-    def conj(self):
-        return _IvComplex(self.re, -self.im)
-
-    def abs2(self):
-        return self.re * self.re + self.im * self.im
-
-    def abs(self):
-        s = self.abs2()
-        if s.a < 0:  # rounding can push the lower endpoint just below zero
-            s = mpmath.iv.mpf([0, s.b])
-        return mpmath.iv.sqrt(s)
-
-
-def _interval_containment(m: MoebiusMap, src_ext_of: Disk, target: Disk,
-                          margin: float) -> bool:
-    """Interval recheck that m(complement of src_ext_of) fits in target.
-
-    Both disks bounded (the gallery certificates only use bounded disks for
-    this path); falls back to False when interval bounds cannot confirm.
-    """
-    if not (src_ext_of.bounded and target.bounded):
-        return True  # closed-form + sampling are authoritative here
-    minv = m.inverse()
-    a, b, c, d = (_IvComplex.of(minv.a), _IvComplex.of(minv.b),
-                  _IvComplex.of(minv.c), _IvComplex.of(minv.d))
-    # exterior form of the source: -|z-c0|^2 + r0^2 <= 0 outside
-    c0 = _IvComplex.of(src_ext_of.center)
-    r0 = _iv(src_ext_of.radius)
-    A = -_iv(1.0)
-    B = c0
-    C = r0 * r0 - c0.abs2()
-    A2 = (A * a.abs2() + _iv(2.0) * (B * a.conj() * c).re + C * c.abs2())
-    C2 = (A * b.abs2() + _iv(2.0) * (B * b.conj() * d).re + C * d.abs2())
-    B2 = (a.conj() * b * _IvComplex(A, _iv(0.0))
-          + a.conj() * d * B
-          + c.conj() * b * B.conj()
-          + c.conj() * d * _IvComplex(C, _iv(0.0)))
-    disc = B2.abs2() - A2 * C2
-    if not disc > 0:
-        return False
-    # image is a bounded disk only if A2 > 0
-    if not A2 > 0:
-        return False
-    center = _IvComplex(-B2.re / A2, -B2.im / A2)
-    radius = mpmath.iv.sqrt(disc) / A2
-    tc = _IvComplex.of(target.center)
-    tr = _iv(target.radius)
-    lhs = (center - tc).abs() + radius
-    rhs = tr - _iv(margin)
-    return lhs < rhs
 
 
 # ---------------------------------------------------------------------------
@@ -220,29 +138,10 @@ def ping_pong_verify(rep: Representation, disks: PingPongDisks,
         tgt = disks.disk_for_letter(group, letter)
         name = group.letter_name(letter)
         try:
-            if src.bounded:
-                image = Disk.exterior(src.center, src.radius).image(m)
-            else:
-                image = Disk.interior(src.center, src.radius).image(m)
-            if not tgt.contains_disk(image, margin):
+            if not tgt.contains_disk(src.complement(), margin, m):
                 failures.append(f"mapping inequality fails for {name}")
-                continue
         except DiskError:
             failures.append(f"mapping inequality degenerate for {name}")
-            continue
-        # boundary sample
-        bad = 0
-        for z in src.boundary_points(BOUNDARY_SAMPLES):
-            w = m.moebius(z)
-            if w is None or not tgt.contains_point(w, -margin * abs(tgt.A)):
-                bad += 1
-        if bad:
-            failures.append(
-                f"boundary sample fails for {name} at {bad} points")
-            continue
-        if not _interval_containment(m, src, tgt, margin):
-            if src.bounded and tgt.bounded:
-                failures.append(f"interval recheck fails for {name}")
 
     # surface-factor conditions
     circles: Dict[int, Tuple[complex, float]] = {}
@@ -278,21 +177,17 @@ def ping_pong_verify(rep: Representation, disks: PingPongDisks,
         if not fdisk.bounded:
             failures.append(f"factor {fid} disk must be bounded")
             continue
-        if abs(center - fdisk.center) + radius >= fdisk.radius - margin:
+        circle_disk = Disk.interior(center, radius)
+        if not fdisk.contains_disk(circle_disk, margin):
             failures.append(f"invariant circle not inside factor {fid} disk")
         # generators preserve the circle and their isometric disks fit
-        npts = 64
         for lid in letters:
             mm = rep.image(lid)
-            worst = 0.0
-            for k in range(npts):
-                z = center + radius * complex(math.cos(2 * math.pi * k / npts),
-                                              math.sin(2 * math.pi * k / npts))
-                w = mm.moebius(z)
-                if w is None:
-                    worst = float("inf")
-                    break
-                worst = max(worst, abs(abs(w - center) - radius))
+            try:
+                moved = circle_disk.image(mm)
+                worst = abs(moved.center - center) + abs(moved.radius - radius)
+            except DiskError:  # the image is a line
+                worst = float("inf")
             if worst > 1e-9 * max(1.0, radius):
                 failures.append(
                     f"{group.letter_name(lid)} moves the invariant circle "

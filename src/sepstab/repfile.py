@@ -16,19 +16,21 @@ Structured text, hand-editable, with three blocks:
       name example
 
 Numbers are emitted with repr(float), which round-trips exactly, so
-parse -> emit -> parse is the identity.  Unknown keys are rejected with a
-line/column diagnostic.  Generator matrices are renormalized to determinant
+parse -> emit -> parse is the identity.  Unknown keys, non-finite numbers,
+non-positive radii, non-integer genera or ranks and groups that GroupSpec
+refuses are rejected with a line/column diagnostic.  Generator matrices are renormalized to determinant
 one when the determinant is within 1e-6 of one and rejected otherwise.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from sepstab.disks import Disk
-from sepstab.groups import GroupSpec
+from sepstab.disks import Disk, DiskError
+from sepstab.groups import GroupError, GroupSpec
 from sepstab.hyperbolic import MoebiusMap, Representation
 from sepstab.pingpong import PingPongDisks
 
@@ -58,9 +60,19 @@ _COMPLEX = r"\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)"
 
 def _parse_float(tok: str, line_no: int, col: int) -> float:
     try:
-        return float(tok)
+        x = float(tok)
     except ValueError:
         raise RepFileError(f"bad number {tok!r}", line_no, col)
+    if not math.isfinite(x):
+        raise RepFileError(f"non-finite number {tok!r}", line_no, col)
+    return x
+
+
+def _parse_count(tok: str, line_no: int) -> int:
+    if not tok.isdecimal():
+        raise RepFileError(f"expected a non-negative integer, got {tok!r}",
+                           line_no)
+    return int(tok)
 
 
 def parse_rep(text: str) -> RepFile:
@@ -71,7 +83,7 @@ def parse_rep(text: str) -> RepFile:
     gen_lines: List[Tuple[int, str]] = []
     disk_lines: List[Tuple[int, str]] = []
     meta: Dict[str, str] = {}
-    group_done = False
+    group_line = 0
 
     for idx, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -82,14 +94,16 @@ def parse_rep(text: str) -> RepFile:
             if name not in ("group", "generators", "disks", "meta"):
                 raise RepFileError(f"unknown section {name!r}", idx)
             section = name
+            if name == "group":
+                group_line = idx
             continue
         body = line.strip()
         if section == "group":
             parts = body.split()
             if parts[0] == "surface" and len(parts) == 2:
-                genera.append(int(_parse_float(parts[1], idx, 1)))
+                genera.append(_parse_count(parts[1], idx))
             elif parts[0] == "free" and len(parts) == 2:
-                free_rank = int(_parse_float(parts[1], idx, 1))
+                free_rank = _parse_count(parts[1], idx)
             else:
                 raise RepFileError(f"unknown group key {parts[0]!r}", idx)
         elif section == "generators":
@@ -104,7 +118,10 @@ def parse_rep(text: str) -> RepFile:
 
     if not genera and not free_rank:
         raise RepFileError("missing group section", max(1, len(lines)))
-    group = GroupSpec(tuple(genera), free_rank)
+    try:
+        group = GroupSpec(tuple(genera), free_rank)
+    except GroupError as exc:
+        raise RepFileError(str(exc), group_line)
 
     images: Dict[str, MoebiusMap] = {}
     for idx, body in gen_lines:
@@ -149,7 +166,10 @@ def parse_rep(text: str) -> RepFile:
             cx = _parse_float(m.group(3), idx, 1)
             cy = _parse_float(m.group(4), idx, 1)
             r = _parse_float(m.group(5), idx, 1)
-            disk = Disk.interior(complex(cx, cy), r)
+            try:
+                disk = Disk.interior(complex(cx, cy), r)
+            except DiskError as exc:
+                raise RepFileError(str(exc), idx)
             if m.group(2) is not None:
                 surf_index = int(m.group(2))
                 surface_fids = [f.index for f in group.factors

@@ -198,14 +198,6 @@ def qg_constants(path: Sequence[H3Point], window: int,
 # the margin checker
 
 
-def _classify_banded(m: MoebiusMap) -> Tuple[str, float]:
-    """(kind, |tr^2 - 4|) with the parabolic band split at the exact and
-    fuzzy tolerances."""
-    tr2 = m.trace() ** 2
-    band = abs(tr2 - 4.0)
-    return classify(m), band
-
-
 def stability_margin(rep: Representation,
                      params: Optional[StabilityParams] = None,
                      base: Optional[H3Point] = None,
@@ -240,7 +232,8 @@ def stability_margin(rep: Representation,
         letters = cnf.letters()
         length = cnf.cyclic_length
         m = rep.evaluate(letters)
-        kind, band = _classify_banded(m)
+        kind = classify(m)
+        band = abs(m.trace() ** 2 - 4.0)
         tl = translation_length(m)
         ratio = tl / length
         flags: List[str] = []

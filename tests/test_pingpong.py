@@ -1,6 +1,10 @@
+import cmath
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sepstab.disks import Disk, DiskError, isometric_disk
 from sepstab.gallery import build, octagon_generators
@@ -15,16 +19,16 @@ F2 = GroupSpec((), 2)
 class TestDisks:
     def test_interior_membership(self):
         d = Disk.interior(1 + 1j, 2.0)
-        assert d.contains_point(1 + 1j)
-        assert d.contains_point(2.5 + 1j)
-        assert not d.contains_point(4 + 1j)
-        assert not d.contains_point(None)
+        assert d.value(1 + 1j) <= 0
+        assert d.value(2.5 + 1j) <= 0
+        assert not d.value(4 + 1j) <= 0
+        assert not d.value(None) <= 0
 
     def test_exterior_membership(self):
         d = Disk.exterior(0, 1.0)
-        assert not d.contains_point(0.5)
-        assert d.contains_point(3)
-        assert d.contains_point(None)
+        assert not d.value(0.5) <= 0
+        assert d.value(3) <= 0
+        assert d.value(None) <= 0
 
     def test_image_matches_pointwise(self):
         rng = random.Random(2)
@@ -42,21 +46,129 @@ class TestDisks:
                 w = m.moebius(z)
                 if w is None:
                     continue
-                assert Dm.contains_point(w, 1e-9) == D.contains_point(z)
+                assert (Dm.value(w) <= 1e-9) == (D.value(z) <= 0)
 
     def test_containment_cases(self):
         assert Disk.interior(0, 3).contains_disk(Disk.interior(1, 1), 0.5)
         assert not Disk.interior(0, 3).contains_disk(Disk.interior(2.5, 1))
         assert Disk.exterior(0, 1).contains_disk(Disk.interior(5, 2), 0.5)
         assert not Disk.exterior(0, 1).contains_disk(Disk.interior(0.5, 0.2))
+        assert Disk.exterior(0, 1).contains_disk(Disk.exterior(0.5, 2), 0.2)
+        assert not Disk.exterior(0, 1).contains_disk(Disk.exterior(0.5, 1.2))
+        assert not Disk.interior(0, 100).contains_disk(Disk.exterior(0, 1))
+        # z -> -1/z carries |z| >= 2 onto |z| <= 1/2
+        assert Disk.interior(0, 1).contains_disk(
+            Disk.exterior(0, 2), 0.4, MoebiusMap(0, 1, -1, 0))
+        assert not Disk.interior(0, 1).contains_disk(
+            Disk.exterior(0, 2), 0.6, MoebiusMap(0, 1, -1, 0))
 
     def test_disjointness(self):
         assert Disk.interior(0, 1).disjoint_from(Disk.interior(3, 1), 0.5)
         assert not Disk.interior(0, 1).disjoint_from(Disk.interior(1.5, 1))
+        assert not Disk.exterior(0, 1).disjoint_from(Disk.exterior(9, 1))
+        assert Disk.interior(0, 1).disjoint_from(Disk.exterior(0.5, 3), 0.5)
+        assert not Disk.interior(0, 1).disjoint_from(Disk.exterior(0, 0.9))
+        assert Disk.exterior(0, 3).disjoint_from(Disk.interior(0.5, 1), 0.5)
+        assert not Disk.exterior(0, 3).disjoint_from(Disk.interior(2, 1.5))
+
+    def test_complement_negates_form_exactly(self):
+        d = Disk.interior(0.3 + 0.1j, 0.7)
+        e = d.complement()
+        assert (e.A, e.B, e.C) == (-d.A, -d.B, -d.C)
+        assert not e.bounded and e.value(None) <= 0
+
+    def test_unproved_sign_of_A_raises(self):
+        # z -> 1/(z - 1) sends the unit circle onto the line Re w = -1/2
+        with pytest.raises(DiskError):
+            Disk.interior(0, 5).contains_disk(
+                Disk.interior(0, 1), 0.0, MoebiusMap(0, 1, 1, -1))
 
     def test_isometric_disk_requires_c(self):
         with pytest.raises(DiskError):
             isometric_disk(MoebiusMap(2, 0, 0, 0.5))
+
+
+# -- the predicates against a float boundary sample -------------------------
+
+_coord = st.floats(-3.0, 3.0)
+_disks = st.builds(
+    lambda x, y, r, ext: (Disk.exterior if ext else Disk.interior)(
+        complex(x, y), r),
+    _coord, _coord, st.floats(0.2, 2.0), st.booleans())
+_entries = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _maps(draw):
+    a, b, c, d = (draw(_entries) for _ in range(4))
+    assume(abs(a * d - b * c) >= 0.5)
+    return MoebiusMap(a, b, c, d)
+
+
+@st.composite
+def _relative_disks(draw, ref: Disk):
+    """A disk placed and sized in units of ref's radius, either kind."""
+    r = ref.radius
+    offset = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    kind = Disk.exterior if draw(st.booleans()) else Disk.interior
+    return kind(ref.center + r * offset, r * draw(st.floats(0.2, 3.0)))
+
+
+def _float_slack(outer: Disk, inner: Disk, margin: float) -> float:
+    """How far inner, widened by margin, sits inside outer, from float
+    centres and radii (negative: it does not)."""
+    d = abs(outer.center - inner.center)
+    ro, ri = outer.radius, inner.radius
+    if outer.bounded:
+        return ro - margin - d - ri if inner.bounded else -math.inf
+    if inner.bounded:
+        return d - ro - ri - margin
+    return ri - margin - d - ro
+
+
+def _sample_inside(outer: Disk, region: Disk, m: MoebiusMap) -> bool:
+    """256 boundary points of region and one point inside it, mapped by m,
+    have outer's form value <= 0 (up to float rounding)."""
+    c, r = region.center, region.radius
+    pts = [c + r * cmath.exp(2j * math.pi * k / 256) for k in range(256)]
+    pts.append(c if region.bounded else None)
+    for z in pts:
+        w = m.moebius(z)
+        tol = 0.0 if w is None else 1e-9 * (1.0 + abs(w) ** 2)
+        if outer.value(w) > tol:
+            return False
+    return True
+
+
+def _check(outer: Disk, inner: Disk, m: MoebiusMap, margin: float,
+           proved: bool):
+    image = inner.image(m)
+    if proved:
+        assert _sample_inside(outer, inner, m)
+    scale = max(1.0, abs(image.center) + image.radius)
+    if _float_slack(outer, image, margin) >= 1e-3 * scale:
+        assert proved
+
+
+class TestDiskPredicateProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), _disks, _maps(), st.floats(0.0, 0.1))
+    def test_contains_disk_under_map(self, data, inner, m, margin_units):
+        image = inner.image(m)
+        assume(image.A != 0 and 1e-2 <= image.radius
+               and abs(image.center) + image.radius <= 100.0)
+        outer = data.draw(_relative_disks(image))
+        margin = margin_units * image.radius
+        _check(outer, inner, m, margin,
+               outer.contains_disk(inner, margin, m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), _disks, st.floats(0.0, 0.1))
+    def test_disjoint_from(self, data, disk, margin_units):
+        other = data.draw(_relative_disks(disk))
+        margin = margin_units * disk.radius
+        _check(disk.complement(), other, MoebiusMap.identity(), margin,
+               disk.disjoint_from(other, margin))
 
 
 class TestPingPong:
@@ -88,6 +200,33 @@ class TestPingPong:
         cert = ping_pong_verify(rep, disks)
         assert not cert.ok
         assert any("not disjoint" in f for f in cert.failures)
+
+    @pytest.mark.parametrize("name", ["schottky2", "s2-times-z"])
+    def test_small_scale_conjugate_verifies(self, name):
+        # a similarity changes no inequality, so the scale must not matter
+        s = 1e-3
+        h = MoebiusMap(s ** .5, 0, 0, s ** -.5)
+        rep, disks = build(name)
+        cert = ping_pong_verify(rep.conjugated(h), PingPongDisks(
+            free={k: d.image(h) for k, d in disks.free.items()},
+            factor={k: d.image(h) for k, d in disks.factor.items()}))
+        assert cert.ok, cert.failures
+
+    @pytest.mark.parametrize("lam,ok", [(5.0, True), (3.9, False)])
+    def test_exterior_source_disk(self, lam, ok):
+        # a: z -> lam z with D(a) = {|z| > 2}, D(A) = {|z| < 1/2}, so the
+        # inequality for A maps the complement of an exterior region
+        a = MoebiusMap(lam ** .5, 0, 0, lam ** -.5)
+        hb = MoebiusMap(1, -1, 1, 1)    # 0 -> -1, inf -> 1
+        b = hb * MoebiusMap(10.0, 0, 0, 0.1) * hb.inverse()
+        disks = PingPongDisks(free={
+            0: Disk.exterior(0, 2), 1: Disk.interior(0, 0.5),
+            2: Disk.interior(1, 0.3), 3: Disk.interior(-1, 0.3)}, factor={})
+        cert = ping_pong_verify(Representation(F2, [a, b]), disks)
+        assert cert.ok == ok
+        if not ok:
+            assert cert.failures == ["mapping inequality fails for a",
+                                     "mapping inequality fails for A"]
 
     def test_disk_count_mismatch(self):
         rep, _ = build("schottky2")

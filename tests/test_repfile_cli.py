@@ -86,6 +86,22 @@ class TestCli:
         assert run_cli("separable", "zz")[0] == 65
         assert run_cli("check-stability", "/no/such/file.rep")[0] == 65
 
+    @pytest.mark.parametrize("old,new,line", [
+        ("radius 1.9000000000000001", "radius -1", 11),
+        ("(9.625, 0.0)", "(nan, 0.0)", 9),
+        ("surface 2", "surface 1", 1),
+        ("radius 1.1733333333333191", "radius nan", 12),
+        ("surface 2", "surface 2.5", 2),
+    ])
+    def test_malformed_rep_is_65_with_line(self, tmp_path, old, new, line):
+        text = gallery_text("s2-times-z")
+        assert old in text
+        path = tmp_path / "bad.rep"
+        path.write_text(text.replace(old, new, 1))
+        code, _, err = run_cli("check-stability", str(path), "--depth", "2")
+        assert code == 65
+        assert f"line {line}," in err and "Traceback" not in err
+
     def test_whitehead_writes_dot(self, tmp_path):
         out = tmp_path / "g.dot"
         code, stdout, _ = run_cli("whitehead", "a b", "--dot", str(out))
