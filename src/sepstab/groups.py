@@ -10,6 +10,7 @@ cheap and makes words hashable value types.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -66,6 +67,10 @@ class GroupSpec:
     """
 
     def __init__(self, surface_genera: Sequence[int] = (), free_rank: int = 0):
+        if not isinstance(free_rank, numbers.Integral) or free_rank < 0:
+            raise GroupError(f"free rank must be a non-negative integer, "
+                             f"not {free_rank!r}")
+        free_rank = int(free_rank)
         factors = []
         for g in surface_genera:
             factors.append(FactorSpec("surface", len(factors), genus=int(g)))

@@ -16,13 +16,22 @@ separable set only strengthens a Pass) but can only block with
 Inconclusive, never Fail.
 
 Pair distances are computed in local frames, dist(x, rho(w[i:j]) x), so
-window products stay short and no global drift accumulates.
+window products stay short and no global drift accumulates.  The path of
+g^N is periodic: offset i + |g| reads the same letters as offset i over a
+window that is no longer, so its distances are a prefix of offset i's and
+the sweep measures one period of offsets, |g| * W products per class.  The
+fit at N // 2 powers reuses those rows, cut to the shorter path; it can
+therefore differ from the fit at N powers only while
+|g| * (N // 2) < |g| - 1 + W (see ROADMAP item 5).  The fit over all
+classes keeps, per combinatorial length c, only the least distance and the
+least distance above ZERO_DIST, which determine qg_fit exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from sepstab import groups as G
 from sepstab import separability as S
@@ -33,6 +42,7 @@ from sepstab.hyperbolic import (H3Point, MoebiusMap, Representation, apply,
 PARABOLIC_EXACT = 1e-12
 PARABOLIC_FUZZY = 1e-6
 TREND_TOL = 1e-9
+ZERO_DIST = 1e-12         # qg_fit: a pair this close spans no distance
 
 
 class StabilityError(Exception):
@@ -127,19 +137,58 @@ def orbit_path(rep: Representation, cnf: CyclicNormalForm, powers: int,
     return pts
 
 
-def _qg_pairs_local(rep: Representation, letters: Word, window: int,
-                    base: H3Point) -> List[Tuple[int, float]]:
-    """(combinatorial, hyperbolic) distances for index pairs up to window,
-    each measured as dist(base, rho(subword) base)."""
-    n = len(letters)
-    pairs = []
-    for i in range(n):
+def _qg_rows(rep: Representation, letters: Word, n: int, window: int,
+             base: H3Point) -> List[List[float]]:
+    """Row i holds dist(base, rho(path[i:i+c]) base) for c = 1..min(window,
+    n - i), for the offsets i < min(|g|, n) of the length-n letter path of
+    g^N whose period is ``letters``.
+
+    Row i + |g| of the whole path would be a prefix of row i, so these
+    rows hold every (c, d) pair of the path.
+    """
+    period = len(letters)
+    images = [rep.image(x) for x in letters]
+    rows = []
+    for i in range(min(period, n)):
         m = MoebiusMap.identity()
-        top = min(window, n - i)
-        for c in range(1, top + 1):
-            m = (m * rep.image(letters[i + c - 1])).renormalized()
-            pairs.append((c, dist(base, apply(m, base))))
-    return pairs
+        row = []
+        for c in range(1, min(window, n - i) + 1):
+            m = (m * images[(i + c - 1) % period]).renormalized()
+            row.append(dist(base, apply(m, base)))
+        rows.append(row)
+    return rows
+
+
+def _qg_pairs(rows: Sequence[List[float]], n: int) -> List[Tuple[int, float]]:
+    """The (c, d) pairs of the length-n path, from the rows of a path of the
+    same period that is at least n letters long."""
+    return [(c, d) for i, row in enumerate(rows[:n])
+            for c, d in enumerate(row[:n - i], 1)]
+
+
+def _fold_least(least: Dict[int, List[Optional[float]]],
+                pairs: Iterable[Tuple[int, float]]):
+    """Fold pairs into least[c] = [least d, least d above ZERO_DIST].
+
+    qg_fit over _least_pairs(least) equals qg_fit over every pair folded
+    in, because IEEE division, multiplication and addition are monotone:
+    min d / c is min(d / c); for c >= a the largest (c - a) / d is at the
+    least d above ZERO_DIST (for c < a it is negative and cannot raise the
+    fitted slope above 0); and the least d is the hardest feasibility case.
+    """
+    for c, d in pairs:
+        cur = least.get(c)
+        if cur is None:
+            least[c] = cur = [d, None]
+        elif d < cur[0]:
+            cur[0] = d
+        if d > ZERO_DIST and (cur[1] is None or d < cur[1]):
+            cur[1] = d
+
+
+def _least_pairs(least: Dict[int, List[Optional[float]]]
+                 ) -> List[Tuple[int, float]]:
+    return [(c, d) for c, ds in least.items() for d in ds if d is not None]
 
 
 def qg_fit(pairs: Sequence[Tuple[int, float]], window: int,
@@ -157,8 +206,9 @@ def qg_fit(pairs: Sequence[Tuple[int, float]], window: int,
     threshold = max(1, min(window // 2, max_c // 2))
     ratios = [d / c for c, d in pairs if c >= threshold]
     worst = min(ratios) if ratios else 0.0
-    a_est = min(max((c for c, d in pairs if d <= 1e-12), default=0.0), a_max)
-    k_candidates = [(c - a_est) / d for c, d in pairs if d > 1e-12]
+    a_est = min(max((c for c, d in pairs if d <= ZERO_DIST), default=0.0),
+                a_max)
+    k_candidates = [(c - a_est) / d for c, d in pairs if d > ZERO_DIST]
     k_est = max(k_candidates) if k_candidates else 0.0
     k_est = max(k_est, 0.0)
     for c, d in pairs:  # feasibility re-check of the fitted envelope
@@ -217,7 +267,7 @@ def stability_margin(rep: Representation,
     fail_witness: Optional[ElementRecord] = None
     fail_reason = ""
     blockers: List[Tuple[ElementRecord, str]] = []
-    all_pairs: List[Tuple[int, float]] = []
+    least: Dict[int, List[Optional[float]]] = {}
     n_sep = n_unk = 0
 
     for cnf in elements:
@@ -263,17 +313,17 @@ def stability_margin(rep: Representation,
                                       "non-loxodromic image"))
             continue
 
-        full = letters * params.powers
-        pairs = _qg_pairs_local(rep, full, params.window, base)
-        all_pairs.extend(pairs)
+        n = length * params.powers
+        rows = _qg_rows(rep, letters, n, params.window, base)
+        pairs = _qg_pairs(rows, n)
+        _fold_least(least, pairs)
         k_est, a_est, worst = qg_fit(pairs, params.window, params.a_max)
         rec.k_est, rec.a_est, rec.worst_qg = k_est, a_est, worst
 
         if worst < params.margin or ratio < params.margin:
-            half = letters * max(1, params.powers // 2)
-            _, _, worst_half = qg_fit(
-                _qg_pairs_local(rep, half, params.window, base),
-                params.window, params.a_max)
+            half = length * max(1, params.powers // 2)
+            _, _, worst_half = qg_fit(_qg_pairs(rows, half),
+                                      params.window, params.a_max)
             rec.worst_qg_half = worst_half
             decreasing = worst < worst_half - TREND_TOL
             if certified and worst < params.margin and decreasing:
@@ -296,8 +346,9 @@ def stability_margin(rep: Representation,
         records.append(rec)
 
     margin = min((r.ratio for r in records), default=float("inf"))
-    if all_pairs:
-        k_global, a_global, _ = qg_fit(all_pairs, params.window, params.a_max)
+    if least:
+        k_global, a_global, _ = qg_fit(_least_pairs(least), params.window,
+                                       params.a_max)
     else:
         k_global = a_global = 0.0
 

@@ -30,6 +30,13 @@ class TestGroupSpec:
         with pytest.raises(GroupError):
             GroupSpec((1,), 1)  # genus below two
 
+    @pytest.mark.parametrize("rank", [-1, -3, 1.0, 1.5, "1", None])
+    def test_rejects_bad_free_rank(self, rank):
+        with pytest.raises(GroupError, match="free rank"):
+            GroupSpec((2, 2), rank)
+        with pytest.raises(GroupError, match="free rank"):
+            GroupSpec((), rank)
+
     def test_allows_two_surfaces_with_free_part(self):
         g = GroupSpec((2, 3), 1)
         assert g.n_letters == 2 * (4 + 6 + 1)

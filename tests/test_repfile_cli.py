@@ -86,6 +86,12 @@ class TestCli:
         assert run_cli("separable", "zz")[0] == 65
         assert run_cli("check-stability", "/no/such/file.rep")[0] == 65
 
+    def test_negative_rank_is_65(self):
+        code, _, err = run_cli("separable", "a1.1 a2.1", "--genera", "2,2",
+                               "--rank", "-1")
+        assert code == 65
+        assert "free rank" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("old,new,line", [
         ("radius 1.9000000000000001", "radius -1", 11),
         ("(9.625, 0.0)", "(nan, 0.0)", 9),

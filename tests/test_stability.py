@@ -1,13 +1,17 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from sepstab import stability
 from sepstab.gallery import build
-from sepstab.groups import GroupSpec, cyclic_reduce
-from sepstab.hyperbolic import (H3Point, MoebiusMap, Representation,
-                                loxodromic_with_axis)
-from sepstab.stability import (PathTooShort, StabilityParams, orbit_path,
-                               qg_constants, stability_margin, sweep)
+from sepstab.groups import GroupSpec, TrivialElement, cyclic_reduce
+from sepstab.hyperbolic import (H3Point, MoebiusMap, Representation, apply,
+                                dist, loxodromic_with_axis)
+from sepstab.stability import (PathTooShort, StabilityError, StabilityParams,
+                               orbit_path, qg_constants, qg_fit,
+                               stability_margin, sweep)
 
 F2 = GroupSpec((), 2)
 
@@ -86,6 +90,100 @@ class TestQgConstants:
         _, _, worst, _ = qg_constants(path, 24)
         assert worst > 0
         assert abs(worst - 3.6838864320533786) < 1e-6
+
+
+def _all_offsets_pairs(rep, path, window, base):
+    """Reference kernel: every offset of the whole path, no periodicity."""
+    n = len(path)
+    pairs = []
+    for i in range(n):
+        m = MoebiusMap.identity()
+        for c in range(1, min(window, n - i) + 1):
+            m = (m * rep.image(path[i + c - 1])).renormalized()
+            pairs.append((c, dist(base, apply(m, base))))
+    return pairs
+
+
+def _fit(pairs, window, a_max=50.0):
+    try:
+        return qg_fit(pairs, window, a_max)
+    except StabilityError:
+        return "infeasible"
+
+
+class TestPeriodicKernel:
+    REPS = {name: build(name)[0] for name in ("schottky2", "s2-times-z")}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(REPS)), st.data(),
+           st.integers(1, 5), st.integers(2, 30))
+    @example("schottky2", None, 1, 30)       # n < W
+    @example("s2-times-z", None, 3, 24)      # W <= n < |g| - 1 + W
+    @example("schottky2", None, 5, 2)        # long path
+    def test_one_period_matches_all_offsets(self, name, data, powers,
+                                            window):
+        rep = self.REPS[name]
+        group = rep.group
+        if data is None:
+            word = {"schottky2": (0, 2, 2, 1, 3),
+                    "s2-times-z": (0, 2, 8, 4, 8, 6, 8, 8)}[name]
+        else:
+            word = tuple(data.draw(st.lists(
+                st.integers(0, group.n_letters - 1), min_size=1,
+                max_size=8)))
+        try:
+            cnf, _ = cyclic_reduce(word, group)
+        except TrivialElement:
+            assume(False)
+        letters = cnf.letters()
+        base = H3Point(0, 1)
+        n = len(letters) * powers
+        half = len(letters) * max(1, powers // 2)
+        rows = stability._qg_rows(rep, letters, n, window, base)
+        pairs = stability._qg_pairs(rows, n)
+        reference = _all_offsets_pairs(rep, letters * powers, window, base)
+        assert set(pairs) == set(reference)
+        assert _fit(pairs, window) == _fit(reference, window)
+        assert _fit(stability._qg_pairs(rows, half), window) == _fit(
+            _all_offsets_pairs(rep, letters * max(1, powers // 2), window,
+                               base), window)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.tuples(
+        st.integers(1, 40),
+        st.one_of(st.sampled_from([0.0, 5e-324, 1e-13, 1e-12, 2e-12]),
+                  st.floats(0.0, 60.0))), min_size=1, max_size=30),
+        min_size=1, max_size=4),
+        st.integers(2, 40), st.sampled_from([0.5, 3.0, 7.5, 50.0]))
+    # the slope comes from the least d above ZERO_DIST of a c whose least d
+    # is below it; the envelope's 1e-9 slack keeps that pair feasible
+    @example([[(40, 1e-12), (40, 1.000000000001e-12)]], 40, 0.5)
+    def test_least_state_fits_like_raw_pairs(self, chunks, window, a_max):
+        least = {}
+        for chunk in chunks:
+            stability._fold_least(least, chunk)
+        raw = [pair for chunk in chunks for pair in chunk]
+        reduced = stability._least_pairs(least)
+        assert len(reduced) <= 2 * len({c for c, _ in raw})
+        assert _fit(reduced, window, a_max) == _fit(raw, window, a_max)
+
+    @pytest.mark.parametrize("name,depth", [("schottky2", 4),
+                                            ("s2-times-z", 2)])
+    def test_dist_calls_bounded_by_one_period(self, monkeypatch, name,
+                                              depth):
+        calls = []
+
+        def counting_dist(p, q):
+            calls.append(None)
+            return dist(p, q)
+        monkeypatch.setattr(stability, "dist", counting_dist)
+        rep, _ = build(name)
+        params = StabilityParams(depth=depth)
+        report = stability_margin(rep, params)
+        swept = [r for r in report.records
+                 if "non_loxodromic" not in r.flags]
+        assert swept
+        assert 0 < len(calls) <= sum(r.length * params.window for r in swept)
 
 
 class TestStabilityMargin:
