@@ -73,6 +73,9 @@ class GroupSpec:
         free_rank = int(free_rank)
         factors = []
         for g in surface_genera:
+            if not isinstance(g, numbers.Integral):
+                raise GroupError(f"surface genus must be an integer, "
+                                 f"not {g!r}")
             factors.append(FactorSpec("surface", len(factors), genus=int(g)))
         for _ in range(free_rank):
             factors.append(FactorSpec("free", len(factors)))

@@ -1,15 +1,23 @@
 """Whitehead graphs sampled from limit sets of verified reference
 representations.
 
-Endpoint pairs are axis endpoints of conjugates h g h^-1 over all reduced
-words h up to a depth bound.  Each endpoint is located in the first-level
-ping-pong region it falls in (a free-letter disk or a surface factor disk);
-pairs straddling two distinct regions contribute ball edges, and pairs
-whose endpoints sit behind distinct surface-group translates of a factor's
-complementary region contribute labeled loops on that factor's component.
-Surface prefixes are recovered by inverse iteration through the generator
+Endpoint pairs are the axis endpoints h(fix g) of the conjugates h g h^-1,
+h reduced with |h| up to a depth bound: g is classified and solved once,
+and h = x h' moves h'(fix g) by one Moebius point action per endpoint.
+Each endpoint is located in the first-level ping-pong region it falls in
+(a free-letter disk or a surface factor disk); pairs straddling two
+distinct regions contribute ball edges, and pairs whose endpoints sit
+behind distinct surface-group translates of a factor's complementary
+region contribute labeled loops on that factor's component.  Surface
+prefixes are recovered by inverse iteration through the generator
 isometric disks, so the construction consumes only numeric data plus the
 disk certificate.
+
+Each distinct point (at 1e-12 granularity) is navigated once per graph,
+and inverse iteration looks up every point it strips to: k strips onto a
+known point with prefix r give the k letters then r if k + |r| <= cap + 1,
+and none otherwise, as the uncached loop under the same cap.  A stripped
+point is stored only when its outcome does not depend on the budget left.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from sepstab import groups as G
 from sepstab import whitehead as W
 from sepstab.disks import isometric_disk
 from sepstab.groups import CyclicNormalForm, Word, inv
-from sepstab.hyperbolic import MoebiusMap, Representation, classify, fixed_points
+from sepstab.hyperbolic import Representation, classify, fixed_points
 from sepstab.pingpong import PingPongDisks
 from sepstab.whitehead import MuSpec, WhiteheadGraph
 
@@ -31,126 +39,106 @@ DEFAULT_MAX_PREFIX = 16
 
 def sample_mu(rep: Representation, cnf: CyclicNormalForm,
               depth: int) -> MuSpec:
-    """Axis endpoint pairs of h g h^-1 for reduced h with |h| <= depth.
+    """Axis endpoint pairs h(fix g) for reduced h with |h| <= depth.
 
     Pairs are ordered (repelling, attracting); the swapped pair is included
-    as well, matching invariance under switching the factors.
+    as well, matching invariance under switching the factors.  A pair with
+    an endpoint at infinity is skipped.  With g = w^k, w primitive, no
+    h = h' w^{+-1} is walked: it repeats h'(fix g) up to amplified rounding.
     """
-    g_mat = rep.evaluate(cnf.letters())
+    word = cnf.letters()
+    g_mat = rep.evaluate(word)
+    if classify(g_mat) != "loxodromic":
+        return MuSpec()
+    fps = fixed_points(g_mat)
+    if len(fps) != 2:
+        return MuSpec()
+    period = next(p for p in range(1, len(word) + 1)
+                  if word == word[:p] * (len(word) // p))
+    roots = {word[:period], G.word_inverse(word[:period])}
+    images = [rep.image(x) for x in range(rep.group.n_letters)]
     pairs: List[Tuple[complex, complex]] = []
     seen = set()
 
-    for h_mat, h_inv in _conjugators(rep, depth):
-        m = h_mat * g_mat * h_inv
-        if classify(m) != "loxodromic":
-            continue
-        fps = fixed_points(m)
-        if len(fps) != 2 or fps[0] is None or fps[1] is None:
-            continue
-        rep_fix, att_fix = fps
-        key = (round(rep_fix.real, 9), round(rep_fix.imag, 9),
-               round(att_fix.real, 9), round(att_fix.imag, 9))
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append((rep_fix, att_fix))
-        pairs.append((att_fix, rep_fix))
+    def visit(h: Word, r, a):
+        # (r, a) = h(fix g); h grows by prepending, so h = x h'
+        if r is not None and a is not None:
+            key = _key(r, 1e9) + _key(a, 1e9)
+            if key not in seen:
+                seen.add(key)
+                pairs.extend(((r, a), (a, r)))
+        if len(h) < depth:
+            for x, m in enumerate(images):
+                xh = (x,) + h
+                if (not h or x != inv(h[0])) and xh not in roots:
+                    visit(xh, m.moebius(r), m.moebius(a))
+
+    visit((), fps[0], fps[1])
     return MuSpec(sampled_pairs=tuple(pairs))
 
 
-def _conjugators(rep: Representation, depth: int):
-    """Matrices (and inverses) of all reduced words up to the depth bound,
-    cached on the representation."""
-    cache = getattr(rep, "_conjugator_cache", None)
-    if cache is None:
-        cache = rep._conjugator_cache = {}
-    mats = cache.get(depth)
-    if mats is not None:
-        return mats
-    group = rep.group
-    mats = []
-
-    def dfs(h_word: Word, h_mat: MoebiusMap):
-        mats.append((h_mat, h_mat.inverse()))
-        if len(h_word) == depth:
-            return
-        for x in range(group.n_letters):
-            if h_word and h_word[-1] == inv(x):
-                continue
-            dfs(h_word + (x,), h_mat * rep.image(x))
-
-    dfs((), MoebiusMap.identity())
-    cache[depth] = mats
-    return mats
+def _key(p: complex, scale: float = 1e12):
+    """A point's cell on the 1/scale grid; a point off the grid (infinite,
+    nan or too large) keys as itself, which no cell equals."""
+    try:
+        return (round(p.real * scale), round(p.imag * scale))
+    except (OverflowError, ValueError):
+        return (p, None)
 
 
 class _Navigator:
-    """First-level region classification and surface-prefix recovery.
+    """First-level regions and surface prefixes of the points of one graph.
 
-    Disk forms and inverse generator matrices are flattened to plain float
-    and complex tuples; prefixes and regions are memoized per point, which
-    matters because every endpoint is looked at several times per graph.
+    Disk forms and inverse generator matrices are flattened to float and
+    complex tuples.  The cap is fixed: a memoized cap miss needs its cap.
     """
 
-    def __init__(self, rep: Representation, disks: PingPongDisks):
-        self.rep = rep
+    def __init__(self, rep: Representation, disks: PingPongDisks, cap: int):
         self.group = rep.group
-        self.disks = disks
-        self._factor_forms = []       # (fid, A, Bre, Bim, C)
-        for fid, disk in sorted(disks.factor.items()):
-            self._factor_forms.append(
-                (fid, disk.A, disk.B.real, disk.B.imag, disk.C))
-        self._free_forms = []         # (letter, A, Bre, Bim, C)
-        for letter, disk in sorted(disks.free.items()):
-            self._free_forms.append(
-                (letter, disk.A, disk.B.real, disk.B.imag, disk.C))
+        self.cap = cap
+        self.surface_fids = [f.index for f in self.group.factors
+                             if f.kind == "surface"]
+        self._free_forms = [(letter, d.A, d.B.real, d.B.imag, d.C)
+                            for letter, d in sorted(disks.free.items())]
+        self._factor_forms = {fid: (d.A, d.B.real, d.B.imag, d.C)
+                              for fid, d in sorted(disks.factor.items())}
         self._nav: Dict[int, list] = {}   # fid -> [(letter, form, inv matrix)]
-        for f in self.group.factors:
-            if f.kind != "surface":
-                continue
-            entries = []
-            for letter in self.group.factor_letters(f.index):
-                idisk = isometric_disk(rep.image(letter).inverse())
+        for fid in self.surface_fids:
+            entries = self._nav[fid] = []
+            for letter in self.group.factor_letters(fid):
                 minv = rep.image(letter).inverse()
+                idisk = isometric_disk(minv)
                 entries.append((letter,
                                 (idisk.A, idisk.B.real, idisk.B.imag, idisk.C),
                                 (minv.a, minv.b, minv.c, minv.d)))
-            self._nav[f.index] = entries
-        self._region_cache: Dict[tuple, object] = {}
-        self._prefix_cache: Dict[tuple, Optional[Word]] = {}
+        self._prefix_cache = {fid: {} for fid in self.surface_fids}
+        self._records: Dict[tuple, tuple] = {}
 
-    @staticmethod
-    def _key(p: complex):
-        return (round(p.real, 12), round(p.imag, 12))
-
-    @staticmethod
-    def _form_value(form, x: float, y: float) -> float:
-        A, bre, bim, C = form
-        return A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C
+    def record(self, p: complex):
+        """(first-level region, prefix per surface factor), navigated once
+        per distinct point; (None, None) outside every region."""
+        key = _key(p)
+        rec = self._records.get(key)
+        if rec is None:
+            region = self.first_level(p)
+            prefixes = None if region is None else tuple(
+                self.surface_prefix(fid, p, key) for fid in self.surface_fids)
+            rec = self._records[key] = (region, prefixes)
+        return rec
 
     def first_level(self, p: complex):
         """('free', letter) | ('surface', fid) | None."""
-        key = self._key(p)
-        try:
-            return self._region_cache[key]
-        except KeyError:
-            pass
         x, y = p.real, p.imag
-        out = None
-        for fid, A, bre, bim, C in self._factor_forms:
+        for fid, (A, bre, bim, C) in self._factor_forms.items():
             if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
-                out = ("surface", fid)
-                break
-        if out is None:
-            for letter, A, bre, bim, C in self._free_forms:
-                if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
-                    out = ("free", letter)
-                    break
-        self._region_cache[key] = out
-        return out
+                return ("surface", fid)
+        for letter, A, bre, bim, C in self._free_forms:
+            if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
+                return ("free", letter)
+        return None
 
     def surface_prefix(self, fid: int, p: complex,
-                       cap: int = DEFAULT_MAX_PREFIX) -> Optional[Word]:
+                       key: Optional[tuple] = None) -> Optional[Word]:
         """Maximal factor-fid prefix of the point's infinite word.
 
         () when the point already lies outside the factor disk; None when
@@ -161,28 +149,26 @@ class _Navigator:
         prefixes are never longer than the conjugating depth plus one
         syllable.
         """
-        key = (fid, self._key(p))
-        try:
-            return self._prefix_cache[key]
-        except KeyError:
-            pass
-        fdisk = next(f for f in self._factor_forms if f[0] == fid)
-        _, fA, fbre, fbim, fC = fdisk
-        entries = self._nav[fid]
+        cache = self._prefix_cache[fid]
+        key = _key(p) if key is None else key
+        if key in cache:
+            return cache[key]
+        fA, fbre, fbim, fC = self._factor_forms[fid]
         prefix: List[int] = []
+        stripped = []           # keys of the points after 1, 2, ... strips
         q = p
-        result: Optional[Word]
+        budget_free = True      # False when the outcome is a cap miss
         while True:
             x, y = q.real, q.imag
             if fA * (x * x + y * y) + 2.0 * (fbre * x + fbim * y) + fC > MEMBERSHIP_TOL:
                 result = tuple(prefix)
                 break
-            if len(prefix) > cap:
-                result = None
+            if len(prefix) > self.cap:
+                result, budget_free = None, False
                 break
             best, best_mat, best_val = None, None, MEMBERSHIP_TOL
-            for letter, form, mat in entries:
-                val = self._form_value(form, x, y)
+            for letter, (A, bre, bim, C), mat in self._nav[fid]:
+                val = A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C
                 if val < best_val:
                     best, best_mat, best_val = letter, mat, val
             if best is None:
@@ -195,7 +181,21 @@ class _Navigator:
                 result = None
                 break
             q = (a * q + b) / denom
-        self._prefix_cache[key] = result
+            qkey = _key(q)
+            if qkey in cache:
+                rest = cache[qkey]
+                if rest is None:
+                    result = None
+                elif len(prefix) + len(rest) <= self.cap + 1:
+                    result = tuple(prefix) + rest
+                else:
+                    result, budget_free = None, False
+                break
+            stripped.append(qkey)
+        if budget_free:
+            for k, qkey in enumerate(stripped, 1):
+                cache[qkey] = None if result is None else result[k:]
+        cache[key] = result
         return result
 
 
@@ -208,53 +208,52 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
     """
     disks.require_verified()
     group = rep.group
-    nav = _Navigator(rep, disks)
-    surface_fids = [f.index for f in group.factors if f.kind == "surface"]
-    ball: Counter = Counter()
-    loops: Counter = Counter()
+    nav = _Navigator(rep, disks, max_prefix)
+    slot = {fid: i for i, fid in enumerate(nav.surface_fids)}
+    ball, loops = Counter(), Counter()
+    vertices: Dict[tuple, int] = {}   # (fid, prefix) -> ball vertex id
+    labels: Dict[tuple, Word] = {}    # (fid, Dehn-reduced word) -> label
+
+    def vertex_of(region, prefixes) -> Optional[int]:
+        kind, ident = region
+        if kind == "free":
+            return W.free_letter_vertex(group, ident)
+        prefix = prefixes[slot[ident]]
+        if not prefix:
+            return None  # a limit point of the factor itself never straddles
+        if (ident, prefix) not in vertices:
+            vertices[ident, prefix] = W.ball_vertex(
+                ident, W.syllable_orientation(prefix, group, ident))
+        return vertices[ident, prefix]
 
     for p, q in mu.sampled_pairs:
-        rp = nav.first_level(p)
-        rq = nav.first_level(q)
+        rp, sps = nav.record(p)
+        rq, sqs = nav.record(q)
         if rp is None or rq is None:
             continue
         if rp != rq:
-            up = _ball_vertex(nav, rp, p, max_prefix)
-            uq = _ball_vertex(nav, rq, q, max_prefix)
+            up = vertex_of(rp, sps)
+            uq = vertex_of(rq, sqs)
             if up is not None and uq is not None:
                 ball[min(up, uq), max(up, uq)] += 1
-        for fid in surface_fids:
-            sp = nav.surface_prefix(fid, p, max_prefix)
-            sq = nav.surface_prefix(fid, q, max_prefix)
-            if sp is None or sq is None:
-                continue
-            label_word = G.word_mul(G.word_inverse(sp), sq)
-            reduced = G.dehn_reduce(label_word, group, fid)
+        for fid, sp, sq in zip(nav.surface_fids, sps, sqs):
+            if sp is None or sq is None or sp == sq:
+                continue  # sp == sq: both endpoints behind the same translate
+            reduced = G.dehn_reduce(G.word_mul(G.word_inverse(sp), sq),
+                                    group, fid)
             if not reduced:
-                continue  # both endpoints behind the same translate
-            loops[fid, W._canonical_label(reduced, group, fid)] += 1
+                continue
+            if (fid, reduced) not in labels:
+                labels[fid, reduced] = W._canonical_label(reduced, group, fid)
+            loops[fid, labels[fid, reduced]] += 1
     return W.graph_from_counts(group, ball, loops)
-
-
-def _ball_vertex(nav: _Navigator, region, p: complex,
-                 max_prefix: int) -> Optional[int]:
-    kind, ident = region
-    if kind == "free":
-        return W.free_letter_vertex(nav.group, ident)
-    fid = ident
-    prefix = nav.surface_prefix(fid, p, max_prefix)
-    if not prefix:
-        return None  # a limit point of the factor itself never straddles
-    return W.ball_vertex(
-        fid, W.syllable_orientation(prefix, nav.group, fid))
 
 
 def whitehead_graph_sampled_for(rep: Representation, disks: PingPongDisks,
                                 cnf: CyclicNormalForm,
                                 depth: int) -> WhiteheadGraph:
-    cap = depth + cnf.cyclic_length + 2
     return whitehead_graph_sampled(rep, disks, sample_mu(rep, cnf, depth),
-                                   max_prefix=cap)
+                                   max_prefix=depth + cnf.cyclic_length + 2)
 
 
 def graphs_agree(a: WhiteheadGraph, b: WhiteheadGraph) -> bool:

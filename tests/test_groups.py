@@ -37,6 +37,13 @@ class TestGroupSpec:
         with pytest.raises(GroupError, match="free rank"):
             GroupSpec((), rank)
 
+    @pytest.mark.parametrize("genus", [2.7, 2.0, "2"])
+    def test_rejects_non_integer_genus(self, genus):
+        with pytest.raises(GroupError, match="surface genus"):
+            GroupSpec((genus,), 1)
+        with pytest.raises(GroupError, match="surface genus"):
+            GroupSpec((2, genus), 1)
+
     def test_allows_two_surfaces_with_free_part(self):
         g = GroupSpec((2, 3), 1)
         assert g.n_letters == 2 * (4 + 6 + 1)

@@ -108,6 +108,23 @@ class TestFixedPoints:
             fixed_points(MoebiusMap.identity())
 
 
+class TestBoundaryAction:
+    """None encodes infinity on both sides of the boundary action."""
+
+    def test_infinity_goes_to_a_over_c(self):
+        m = MoebiusMap(3, 2, 1, 1)
+        assert m.moebius(None) == m.a / m.c
+
+    def test_affine_map_fixes_infinity(self):
+        assert MoebiusMap(2, 1, 0, 0.5).moebius(None) is None
+
+    def test_pole_goes_to_infinity(self):
+        m = MoebiusMap(2, 1, 1, -1)  # pole at z = 1
+        assert m.moebius(1) is None
+        assert abs(m.inverse().moebius(None) - 1) < 1e-12
+        assert m.moebius(2) is not None
+
+
 class TestDist:
     def test_vertical_geodesic(self):
         assert abs(dist(H3Point(0, 1), H3Point(0, math.e)) - 1.0) < 1e-12
