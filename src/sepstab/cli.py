@@ -19,6 +19,7 @@ fixed flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import List, Optional
@@ -181,16 +182,19 @@ def _cmd_check_stability(args) -> int:
     print(f"verdict: {report.verdict}")
     if args.csv:
         _write_csv(args.csv, ST.CSV_COLUMNS, ST.report_csv_rows(report))
-        print(f"wrote {args.csv}")
     return report.exit_code()
 
 
 def _write_csv(path: str, header, rows) -> None:
+    """Write a CSV to ``path`` and say so; to stdout when path is empty."""
     import csv
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with (open(path, "w", encoding="utf-8", newline="") if path
+          else contextlib.nullcontext(sys.stdout)) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+    if path:
+        print(f"wrote {path}")
 
 
 def _family(name: str):
@@ -210,24 +214,8 @@ def _cmd_sweep(args) -> int:
         grid = [float(x) for x in args.grid.split(",") if x]
     except ValueError:
         raise _CliError(f"bad --grid {args.grid!r}", EX_USAGE)
-    params = None
-    if any(v is not None for v in (args.depth, args.powers, args.window,
-                                   args.margin)):
-        params = _params_from_flags(args, GroupSpec((), 2))
-    rows = ST.sweep(family, grid, params)
-    import csv
-    import io
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(ST.SWEEP_COLUMNS)
-    w.writerows(rows)
-    text = buf.getvalue()
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"wrote {args.csv}")
-    else:
-        sys.stdout.write(text)
+    params = _params_from_flags(args, GroupSpec((), 2))
+    _write_csv(args.csv, ST.SWEEP_COLUMNS, ST.sweep(family, grid, params))
     return 0
 
 

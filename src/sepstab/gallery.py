@@ -64,9 +64,9 @@ def octagon_generators() -> Tuple[MoebiusMap, MoebiusMap, MoebiusMap, MoebiusMap
             pairing(4), pairing(5).inverse())
 
 
-def _schottky_pair(lam: float = 5.0):
-    a = loxodromic_with_axis(-8.0, -2.0, lam)
-    b = loxodromic_with_axis(2.0, 8.0, lam)
+def _schottky_pair():
+    a = loxodromic_with_axis(-8.0, -2.0, 5.0)
+    b = loxodromic_with_axis(2.0, 8.0, 5.0)
     return a, b
 
 
@@ -94,28 +94,27 @@ def pinched_a() -> Tuple[Representation, PingPongDisks]:
     return rep, _schottky_disks(good)
 
 
-def _surface_with_t(t_axis: Tuple[float, float], t_lam: float,
-                    factor_radius: float = 1.9):
+def _surface_with_t(t_axis: Tuple[float, float]):
     group = GroupSpec((2,), 1)
     a1, b1, a2, b2 = octagon_generators()
-    t = loxodromic_with_axis(t_axis[0], t_axis[1], t_lam)
+    t = loxodromic_with_axis(t_axis[0], t_axis[1], 4.0)
     rep = Representation(group, [a1, b1, a2, b2, t])
     t_letter = group.gen_base(1)
     it, iti = isometric_disk(t), isometric_disk(t.inverse())
     disks = PingPongDisks(
         free={t_letter: Disk.interior(iti.center, iti.radius * DISK_GROW),
               t_letter + 1: Disk.interior(it.center, it.radius * DISK_GROW)},
-        factor={0: Disk.interior(0.0, factor_radius)},
+        factor={0: Disk.interior(0.0, 1.9)},
     )
     return rep, disks
 
 
 def s2_times_z() -> Tuple[Representation, PingPongDisks]:
-    return _surface_with_t((6.0, 10.0), 4.0)
+    return _surface_with_t((6.0, 10.0))
 
 
 def fuchsian_genus2() -> Tuple[Representation, PingPongDisks]:
-    return _surface_with_t((20.0, 24.0), 4.0)
+    return _surface_with_t((20.0, 24.0))
 
 
 BUILDERS = {

@@ -83,7 +83,9 @@ class GroupSpec:
             raise GroupError(
                 "need a nontrivial free product: at least two factors "
                 "(a lone surface group or a lone Z is out of scope)")
-        n_surface = sum(1 for f in factors if f.kind == "surface")
+        # surface factors come first: the k-th surface factor has fid k - 1
+        # and the k-th free factor fid n_surface + k - 1
+        self.n_surface = n_surface = len(factors) - free_rank
         if n_surface == 2 and free_rank == 0:
             raise UniquelyFreelyDecomposable(
                 "two surface factors with no free part are refused; this "
@@ -123,24 +125,20 @@ class GroupSpec:
 
     def _build_names(self) -> list[str]:
         names = []
-        n_surface = sum(1 for f in self.factors if f.kind == "surface")
-        surf_seen = 0
-        free_seen = 0
         for f in self.factors:
             if f.kind == "surface":
-                surf_seen += 1
                 for j in range(1, f.genus + 1):
                     for base in ("a", "b"):
-                        if n_surface == 1:
+                        if self.n_surface == 1:
                             pos = f"{base}{j}"
                         else:
-                            pos = f"{base}{surf_seen}.{j}"
+                            pos = f"{base}{f.index + 1}.{j}"
                         names.append(pos)
                         names.append(pos[0].upper() + pos[1:])
             else:
-                free_seen += 1
-                names.append(f"t{free_seen}")
-                names.append(f"T{free_seen}")
+                k = f.index - self.n_surface + 1
+                names.append(f"t{k}")
+                names.append(f"T{k}")
         return names
 
     def letter_name(self, letter: int) -> str:
@@ -175,9 +173,6 @@ class GroupSpec:
     def letter_factor(self, letter: int) -> int:
         return self._letter_factor[letter]
 
-    def is_surface_letter(self, letter: int) -> bool:
-        return self.factors[self._letter_factor[letter]].kind == "surface"
-
     def gen_base(self, fid: int) -> int:
         """First letter id belonging to factor ``fid``."""
         return self._gen_base[fid]
@@ -190,7 +185,7 @@ class GroupSpec:
         return self._relators[fid]
 
     def _build_relator(self, f: FactorSpec) -> Word:
-        base = 2 * sum(ff.n_generators for ff in self.factors[:f.index])
+        base = self._gen_base[f.index]
         rel = []
         for j in range(f.genus):
             a = base + 4 * j
@@ -294,17 +289,10 @@ def dehn_reduce(word: Word, group: GroupSpec, fid: int) -> Word:
         w = nxt
 
 
-def is_trivial_in_factor(word: Word, group: GroupSpec, fid: int) -> bool:
-    if group.factors[fid].kind == "free":
-        return not free_reduce(word)
-    return not dehn_reduce(word, group, fid)
-
-
 _SPELL_CAP = 4096
 
 
-def dehn_spellings(word: Word, group: GroupSpec, fid: int,
-                   cap: int = _SPELL_CAP) -> set:
+def dehn_spellings(word: Word, group: GroupSpec, fid: int) -> set:
     """All minimal-length spellings reachable by half-relator swaps.
 
     Bounded closure; surface-group conjugacy in full is out of scope, so a
@@ -315,7 +303,7 @@ def dehn_spellings(word: Word, group: GroupSpec, fid: int,
     seen = {start}
     frontier = [start]
     half = table.half
-    while frontier and len(seen) < cap:
+    while frontier and len(seen) < _SPELL_CAP:
         w = frontier.pop()
         n = len(w)
         for i in range(n - half + 1):
@@ -355,9 +343,6 @@ class CyclicNormalForm:
 
     def letters(self) -> Word:
         return tuple(itertools.chain.from_iterable(w for _, w in self.syllables))
-
-    def is_trivial(self) -> bool:
-        return not self.syllables
 
     def single_factor(self) -> Optional[int]:
         fids = {fid for fid, _ in self.syllables}
@@ -443,14 +428,6 @@ def _cyclic_dehn_reduce(word: Word, group: GroupSpec, fid: int):
                     changed = True
                     break
     return w, conj
-
-
-def cyclic_length(word: Word, group: GroupSpec) -> int:
-    try:
-        cnf, _ = cyclic_reduce(word, group)
-    except TrivialElement:
-        return 0
-    return cnf.cyclic_length
 
 
 # ---------------------------------------------------------------------------

@@ -90,17 +90,17 @@ class MoebiusMap:
     def trace(self) -> complex:
         return self.a + self.d
 
-    def eq_up_to_sign(self, other: "MoebiusMap", tol: float = EQ_TOL) -> bool:
+    def eq_up_to_sign(self, other: "MoebiusMap") -> bool:
         """Entrywise equality up to global sign, relative to entry size."""
         plus = max(abs(self.a - other.a), abs(self.b - other.b),
                    abs(self.c - other.c), abs(self.d - other.d))
         minus = max(abs(self.a + other.a), abs(self.b + other.b),
                     abs(self.c + other.c), abs(self.d + other.d))
         scale = max(1.0, abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-        return min(plus, minus) <= tol * scale
+        return min(plus, minus) <= EQ_TOL * scale
 
-    def is_identity(self, tol: float = EQ_TOL) -> bool:
-        return self.eq_up_to_sign(MoebiusMap.identity(), tol)
+    def is_identity(self) -> bool:
+        return self.eq_up_to_sign(MoebiusMap.identity())
 
     def moebius(self, z: Optional[complex]) -> Optional[complex]:
         """Boundary action on C u {inf}; None encodes inf."""
@@ -183,21 +183,20 @@ def fixed_points(m: MoebiusMap):
     return _order_fixed(m, (z1, z2))
 
 
-def _deriv_mod(m: MoebiusMap, z: Optional[complex]) -> float:
-    """|m'(z)| with the round-sphere convention at infinity."""
-    if z is None:
-        if abs(m.c) == 0:
-            return 1.0 / abs(m.a) ** 2
-        return float("inf")
-    return 1.0 / abs(m.c * z + m.d) ** 2
-
-
 def _order_fixed(m: MoebiusMap, pts):
-    """Order a fixed pair as (repelling, attracting) by derivative modulus."""
-    d0, d1 = _deriv_mod(m, pts[0]), _deriv_mod(m, pts[1])
-    if d0 > d1:
-        return (pts[0], pts[1])
-    return (pts[1], pts[0])
+    """Order a fixed pair as (repelling, attracting).
+
+    |m'(z)| = |cz + d|^-2, so the repelling point has the smaller |cz + d|.
+    At infinity the stand-in is |a| when c == 0 (m' = a^-2 in the chart
+    1/z) and 0 otherwise.  Nothing is divided, so a float root at which
+    cz + d rounds to 0 is ordered as well.
+    """
+    def size(z: Optional[complex]) -> float:
+        if z is None:
+            return abs(m.a) if m.c == 0 else 0.0
+        return abs(m.c * z + m.d)
+
+    return pts if size(pts[0]) < size(pts[1]) else (pts[1], pts[0])
 
 
 # ---------------------------------------------------------------------------

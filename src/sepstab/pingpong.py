@@ -3,7 +3,8 @@
 Free letters carry a Schottky disk pair; all letters of one surface factor
 share a single factor disk.  The verified inequalities:
 
-  * distinct disks are pairwise disjoint with margin;
+  * distinct disks are pairwise disjoint, with the slack DISK_MARGIN that
+    every disk inequality carries;
   * each letter maps the complement of its inverse's disk strictly into its
     own disk, for bounded and exterior disks alike;
   * surface factors additionally preserve a fitted round circle inside the
@@ -30,7 +31,7 @@ from sepstab.disks import Disk, DiskError, isometric_disk
 from sepstab.groups import GroupSpec, inv
 from sepstab.hyperbolic import Representation, classify, fixed_points
 
-DEFAULT_MARGIN = 1e-6
+DISK_MARGIN = 1e-6        # every disk inequality holds with this slack
 RELATOR_RESIDUAL_MAX = 1e-8
 
 
@@ -49,7 +50,6 @@ class UnverifiedDisks(PingPongError):
 @dataclass
 class PingPongCertificate:
     ok: bool
-    margin: float
     failures: List[str] = field(default_factory=list)
     surface_circles: Dict[int, Tuple[complex, float]] = field(default_factory=dict)
 
@@ -97,8 +97,8 @@ def _fit_circle(p: complex, q: complex, r: complex):
     return center, abs(p - center)
 
 
-def ping_pong_verify(rep: Representation, disks: PingPongDisks,
-                     margin: float = DEFAULT_MARGIN) -> PingPongCertificate:
+def ping_pong_verify(rep: Representation,
+                     disks: PingPongDisks) -> PingPongCertificate:
     """Check the Klein-combination inequalities; attaches and returns the
     certificate."""
     group = rep.group
@@ -126,7 +126,7 @@ def ping_pong_verify(rep: Representation, disks: PingPongDisks,
     for i, (ni, di) in enumerate(named):
         for nj, dj in named[i + 1:]:
             try:
-                if not di.disjoint_from(dj, margin):
+                if not di.disjoint_from(dj, DISK_MARGIN):
                     failures.append(f"disks {ni} and {nj} are not disjoint")
             except DiskError:
                 failures.append(f"disjointness of {ni}, {nj} undecidable")
@@ -138,7 +138,7 @@ def ping_pong_verify(rep: Representation, disks: PingPongDisks,
         tgt = disks.disk_for_letter(group, letter)
         name = group.letter_name(letter)
         try:
-            if not tgt.contains_disk(src.complement(), margin, m):
+            if not tgt.contains_disk(src.complement(), DISK_MARGIN, m):
                 failures.append(f"mapping inequality fails for {name}")
         except DiskError:
             failures.append(f"mapping inequality degenerate for {name}")
@@ -178,7 +178,7 @@ def ping_pong_verify(rep: Representation, disks: PingPongDisks,
             failures.append(f"factor {fid} disk must be bounded")
             continue
         circle_disk = Disk.interior(center, radius)
-        if not fdisk.contains_disk(circle_disk, margin):
+        if not fdisk.contains_disk(circle_disk, DISK_MARGIN):
             failures.append(f"invariant circle not inside factor {fid} disk")
         # generators preserve the circle and their isometric disks fit
         for lid in letters:
@@ -198,12 +198,12 @@ def ping_pong_verify(rep: Representation, disks: PingPongDisks,
                 failures.append(
                     f"{group.letter_name(lid)} has no isometric disk")
                 continue
-            if not fdisk.contains_disk(idisk, margin):
+            if not fdisk.contains_disk(idisk, DISK_MARGIN):
                 failures.append(
                     f"isometric disk of {group.letter_name(lid)} leaves "
                     f"factor {fid} disk")
 
-    cert = PingPongCertificate(ok=not failures, margin=margin,
-                               failures=failures, surface_circles=circles)
+    cert = PingPongCertificate(ok=not failures, failures=failures,
+                               surface_circles=circles)
     disks.certificate = cert
     return cert

@@ -171,12 +171,10 @@ def parse_rep(text: str) -> RepFile:
             except DiskError as exc:
                 raise RepFileError(str(exc), idx)
             if m.group(2) is not None:
-                surf_index = int(m.group(2))
-                surface_fids = [f.index for f in group.factors
-                                if f.kind == "surface"]
-                if not 1 <= surf_index <= len(surface_fids):
+                surf_index = int(m.group(2))  # surface factor k has fid k - 1
+                if not 1 <= surf_index <= group.n_surface:
                     raise RepFileError(f"no surface factor {m.group(2)}", idx)
-                factor[surface_fids[surf_index - 1]] = disk
+                factor[surf_index - 1] = disk
                 disk_params[f"factor {surf_index}"] = (cx, cy, r)
             else:
                 name = m.group(1)
@@ -199,9 +197,8 @@ def emit_rep(repfile: RepFile) -> str:
     rep = repfile.rep
     group = rep.group
     out: List[str] = ["group"]
-    for f in group.factors:
-        if f.kind == "surface":
-            out.append(f"  surface {f.genus}")
+    for genus in group.surface_genera:
+        out.append(f"  surface {genus}")
     if group.free_rank:
         out.append(f"  free {group.free_rank}")
     out.append("generators")
@@ -220,9 +217,7 @@ def emit_rep(repfile: RepFile) -> str:
             return f"  {key} center ({cx!r}, {cy!r}) radius {r!r}"
 
         for fid in sorted(repfile.disks.factor):
-            surf_index = sum(1 for ff in group.factors[:fid]
-                             if ff.kind == "surface") + 1
-            out.append(disk_line(f"factor {surf_index}",
+            out.append(disk_line(f"factor {fid + 1}",
                                  repfile.disks.factor[fid]))
         for letter in sorted(repfile.disks.free):
             out.append(disk_line(group.letter_name(letter),

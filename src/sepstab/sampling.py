@@ -34,7 +34,6 @@ from sepstab.pingpong import PingPongDisks
 from sepstab.whitehead import MuSpec, WhiteheadGraph
 
 MEMBERSHIP_TOL = 1e-12
-DEFAULT_MAX_PREFIX = 16
 
 
 def sample_mu(rep: Representation, cnf: CyclicNormalForm,
@@ -96,27 +95,27 @@ class _Navigator:
     def __init__(self, rep: Representation, disks: PingPongDisks, cap: int):
         self.group = rep.group
         self.cap = cap
-        self.surface_fids = [f.index for f in self.group.factors
-                             if f.kind == "surface"]
+        self.surface_fids = range(self.group.n_surface)  # surface factors first
         self._free_forms = [(letter, d.A, d.B.real, d.B.imag, d.C)
                             for letter, d in sorted(disks.free.items())]
         self._factor_forms = {fid: (d.A, d.B.real, d.B.imag, d.C)
                               for fid, d in sorted(disks.factor.items())}
-        self._nav: Dict[int, list] = {}   # fid -> [(letter, form, inv matrix)]
+        self._nav: List[list] = []   # by fid: [(letter, form, inv matrix)]
         for fid in self.surface_fids:
-            entries = self._nav[fid] = []
+            entries = []
             for letter in self.group.factor_letters(fid):
                 minv = rep.image(letter).inverse()
                 idisk = isometric_disk(minv)
                 entries.append((letter,
                                 (idisk.A, idisk.B.real, idisk.B.imag, idisk.C),
                                 (minv.a, minv.b, minv.c, minv.d)))
-        self._prefix_cache = {fid: {} for fid in self.surface_fids}
+            self._nav.append(entries)
+        self._prefix_cache = [{} for _ in self._nav]
         self._records: Dict[tuple, tuple] = {}
 
     def record(self, p: complex):
-        """(first-level region, prefix per surface factor), navigated once
-        per distinct point; (None, None) outside every region."""
+        """(first-level region, prefixes by surface factor id), navigated
+        once per distinct point; (None, None) outside every region."""
         key = _key(p)
         rec = self._records.get(key)
         if rec is None:
@@ -200,8 +199,7 @@ class _Navigator:
 
 
 def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
-                            mu: MuSpec,
-                            max_prefix: int = DEFAULT_MAX_PREFIX) -> WhiteheadGraph:
+                            mu: MuSpec, max_prefix: int) -> WhiteheadGraph:
     """Whitehead graph of sampled endpoint pairs for the standard system.
 
     Requires a passing ping-pong certificate on the disks.
@@ -209,7 +207,6 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
     disks.require_verified()
     group = rep.group
     nav = _Navigator(rep, disks, max_prefix)
-    slot = {fid: i for i, fid in enumerate(nav.surface_fids)}
     ball, loops = Counter(), Counter()
     vertices: Dict[tuple, int] = {}   # (fid, prefix) -> ball vertex id
     labels: Dict[tuple, Word] = {}    # (fid, Dehn-reduced word) -> label
@@ -218,7 +215,7 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
         kind, ident = region
         if kind == "free":
             return W.free_letter_vertex(group, ident)
-        prefix = prefixes[slot[ident]]
+        prefix = prefixes[ident]
         if not prefix:
             return None  # a limit point of the factor itself never straddles
         if (ident, prefix) not in vertices:
@@ -253,7 +250,7 @@ def whitehead_graph_sampled_for(rep: Representation, disks: PingPongDisks,
                                 cnf: CyclicNormalForm,
                                 depth: int) -> WhiteheadGraph:
     return whitehead_graph_sampled(rep, disks, sample_mu(rep, cnf, depth),
-                                   max_prefix=depth + cnf.cyclic_length + 2)
+                                   depth + cnf.cyclic_length + 2)
 
 
 def graphs_agree(a: WhiteheadGraph, b: WhiteheadGraph) -> bool:

@@ -180,7 +180,7 @@ class SeparabilityVerdict:
 def is_separable_free(word: Word, group: GroupSpec) -> SeparabilityVerdict:
     """Complete decision in a purely free group (never Unknown)."""
     rank = group.free_rank
-    if any(f.kind != "free" for f in group.factors):
+    if group.n_surface:
         raise SeparabilityError("is_separable_free needs a free group spec")
     w0 = _cyclic_word(word)
     if not w0:
@@ -264,7 +264,7 @@ def is_separable(word: Word, group: GroupSpec) -> SeparabilityVerdict:
     factor; NotSeparable when every Whitehead-graph component is strongly
     connected without strong cutpoints; Unknown otherwise.
     """
-    if all(f.kind == "free" for f in group.factors):
+    if not group.n_surface:
         return is_separable_free(word, group)
     cnf, _ = G.cyclic_reduce(word, group)  # raises TrivialElement
     fids_used = {fid for fid, _ in cnf.syllables}

@@ -8,7 +8,7 @@ most L, traces the letter path of g^N from a basepoint, and measures
     effective compactness test (a separable element with a non-loxodromic
     image refutes stability outright);
   * quasi-geodesic constants of the orbit path over subsegments up to a
-    window W.
+    window W; the fit over all classes must stay within K_MAX and A_MAX.
 
 A Pass is therefore "certified at depth (L, N, W)", never more.  Elements
 whose separability is Unknown are swept as well (a superset of the
@@ -22,7 +22,7 @@ window that is no longer, so its distances are a prefix of offset i's and
 the sweep measures one period of offsets, |g| * W products per class.  The
 fit at N // 2 powers reuses those rows, cut to the shorter path; it can
 therefore differ from the fit at N powers only while
-|g| * (N // 2) < |g| - 1 + W (see ROADMAP item 5).  The fit over all
+|g| * (N // 2) < |g| - 1 + W (see ROADMAP item 6).  The fit over all
 classes keeps, per combinatorial length c, only the least distance and the
 least distance above ZERO_DIST, which determine qg_fit exactly.
 """
@@ -35,7 +35,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 
 from sepstab import groups as G
 from sepstab import separability as S
-from sepstab.groups import CyclicNormalForm, GroupSpec, TrivialElement, Word
+from sepstab.groups import GroupSpec, Word
 from sepstab.hyperbolic import (H3Point, MoebiusMap, Representation, apply,
                                 classify, dist, translation_length)
 
@@ -43,6 +43,8 @@ PARABOLIC_EXACT = 1e-12
 PARABOLIC_FUZZY = 1e-6
 TREND_TOL = 1e-9
 ZERO_DIST = 1e-12         # qg_fit: a pair this close spans no distance
+K_MAX = 100.0             # a pass needs the global QG fit within these caps
+A_MAX = 50.0
 
 
 class StabilityError(Exception):
@@ -59,8 +61,6 @@ class StabilityParams:
     powers: int = 16          # N: powers of g traced
     window: int = 24          # W: subsegment length for QG checks
     margin: float = 0.02      # eps0: translation/QG ratio threshold
-    k_max: float = 100.0
-    a_max: float = 50.0
 
     def __post_init__(self):
         if self.depth < 1 or self.powers < 2 or self.window < 2:
@@ -70,8 +70,7 @@ class StabilityParams:
 
     @staticmethod
     def defaults_for(group: GroupSpec) -> "StabilityParams":
-        mixed = any(f.kind == "surface" for f in group.factors)
-        return StabilityParams(depth=5 if mixed else 8)
+        return StabilityParams(depth=5 if group.n_surface else 8)
 
 
 @dataclass
@@ -114,27 +113,7 @@ class StabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# orbit paths and quasi-geodesic constants
-
-
-def orbit_path(rep: Representation, cnf: CyclicNormalForm, powers: int,
-               base: H3Point) -> List[H3Point]:
-    """Images of the prefixes of the letter sequence of g^powers at base.
-
-    Global coordinates; fine for modest lengths, while the stability sweep
-    itself uses local-frame distances.
-    """
-    if cnf.is_trivial():
-        raise TrivialElement("orbit path needs a nontrivial element")
-    if powers < 1:
-        raise StabilityError("powers must be >= 1")
-    letters = cnf.letters() * powers
-    pts = [base]
-    m = MoebiusMap.identity()
-    for x in letters:
-        m = (m * rep.image(x)).renormalized()
-        pts.append(apply(m, base))
-    return pts
+# quasi-geodesic constants
 
 
 def _qg_rows(rep: Representation, letters: Word, n: int, window: int,
@@ -217,42 +196,13 @@ def qg_fit(pairs: Sequence[Tuple[int, float]], window: int,
     return k_est, a_est, worst
 
 
-def qg_constants(path: Sequence[H3Point], window: int,
-                 a_max: float = 50.0):
-    """(k_est, a_est, worst_ratio, argmin pair) over subsegments of a path."""
-    if len(path) < 2:
-        raise PathTooShort("need at least two points")
-    pairs = []
-    tagged = []
-    n = len(path)
-    for i in range(n):
-        for j in range(i + 1, min(i + window, n - 1) + 1):
-            c = j - i
-            d = dist(path[i], path[j])
-            pairs.append((c, d))
-            tagged.append((c, d, (i, j)))
-    k_est, a_est, worst = qg_fit(pairs, window, a_max)
-    argmin = None
-    max_c = max(c for c, _ in pairs)
-    threshold = max(1, min(window // 2, max_c // 2))
-    best = None
-    for c, d, ij in tagged:
-        if c >= threshold:
-            r = d / c
-            if best is None or r < best:
-                best, argmin = r, ij
-    return k_est, a_est, worst, argmin
-
-
 # ---------------------------------------------------------------------------
 # the margin checker
 
 
 def stability_margin(rep: Representation,
                      params: Optional[StabilityParams] = None,
-                     base: Optional[H3Point] = None,
-                     elements: Optional[Iterable[CyclicNormalForm]] = None
-                     ) -> StabilityReport:
+                     base: Optional[H3Point] = None) -> StabilityReport:
     """Sweep separable (and separability-unknown) classes to the depth
     bound; verdict per the compactness margin and QG constants."""
     group = rep.group
@@ -260,8 +210,6 @@ def stability_margin(rep: Representation,
         params = StabilityParams.defaults_for(group)
     if base is None:
         base = H3Point(0.0, 1.0)
-    if elements is None:
-        elements = G.enumerate_elements(group, params.depth)
 
     records: List[ElementRecord] = []
     fail_witness: Optional[ElementRecord] = None
@@ -270,7 +218,7 @@ def stability_margin(rep: Representation,
     least: Dict[int, List[Optional[float]]] = {}
     n_sep = n_unk = 0
 
-    for cnf in elements:
+    for cnf in G.enumerate_elements(group, params.depth):
         verdict = S.is_separable(cnf.letters(), group)
         if verdict.status == "not_separable":
             continue
@@ -317,13 +265,13 @@ def stability_margin(rep: Representation,
         rows = _qg_rows(rep, letters, n, params.window, base)
         pairs = _qg_pairs(rows, n)
         _fold_least(least, pairs)
-        k_est, a_est, worst = qg_fit(pairs, params.window, params.a_max)
+        k_est, a_est, worst = qg_fit(pairs, params.window, A_MAX)
         rec.k_est, rec.a_est, rec.worst_qg = k_est, a_est, worst
 
         if worst < params.margin or ratio < params.margin:
             half = length * max(1, params.powers // 2)
             _, _, worst_half = qg_fit(_qg_pairs(rows, half),
-                                      params.window, params.a_max)
+                                      params.window, A_MAX)
             rec.worst_qg_half = worst_half
             decreasing = worst < worst_half - TREND_TOL
             if certified and worst < params.margin and decreasing:
@@ -348,7 +296,7 @@ def stability_margin(rep: Representation,
     margin = min((r.ratio for r in records), default=float("inf"))
     if least:
         k_global, a_global, _ = qg_fit(_least_pairs(least), params.window,
-                                       params.a_max)
+                                       A_MAX)
     else:
         k_global = a_global = 0.0
 
@@ -357,7 +305,7 @@ def stability_margin(rep: Representation,
     elif blockers:
         witness, reason = blockers[0]
         verdict = "inconclusive"
-    elif k_global > params.k_max or a_global > params.a_max:
+    elif k_global > K_MAX or a_global > A_MAX:
         verdict, witness = "inconclusive", None
         reason = (f"QG constants ({k_global:.3g}, {a_global:.3g}) exceed "
                   f"caps")

@@ -118,14 +118,9 @@ class MuSpec:
 
 
 def _disc_name(group: GroupSpec, fid: int) -> str:
-    f = group.factors[fid]
-    if f.kind == "surface":
-        surf_index = sum(1 for ff in group.factors[:fid]
-                         if ff.kind == "surface") + 1
-        return f"D{surf_index}"
-    free_index = sum(1 for ff in group.factors[:fid]
-                     if ff.kind == "free") + 1
-    return f"Dt{free_index}"
+    if fid < group.n_surface:
+        return f"D{fid + 1}"
+    return f"Dt{fid - group.n_surface + 1}"
 
 
 def standard_meridian_model(group: GroupSpec) -> List[Component]:
@@ -159,19 +154,6 @@ def syllable_orientation(word: Word, group: GroupSpec, fid: int) -> int:
     return 1 if w <= wi else -1
 
 
-def _hybrid_sequence(cnf: CyclicNormalForm, group: GroupSpec):
-    """Cyclic crossing sequence: free syllables at letter level, each
-    surface syllable as one oriented crossing of its factor disc."""
-    seq = []
-    for fid, w in cnf.syllables:
-        if group.factors[fid].kind == "free":
-            for x in w:
-                seq.append(("free", fid, x))
-        else:
-            seq.append(("surface", fid, w))
-    return seq
-
-
 def ball_vertex(fid: int, sign: int) -> int:
     """Ball vertex id of the ``sign`` side of factor fid's disc."""
     return 2 * fid + (sign < 0)
@@ -180,14 +162,6 @@ def ball_vertex(fid: int, sign: int) -> int:
 def free_letter_vertex(group: GroupSpec, letter: int) -> int:
     """Ball vertex id of a free letter: odd letters are inverses."""
     return 2 * group.letter_factor(letter) + (letter & 1)
-
-
-def _crossing_vertex(group: GroupSpec, item, inverse: bool) -> int:
-    kind, fid, payload = item
-    if kind == "free":
-        return free_letter_vertex(group, inv(payload) if inverse else payload)
-    word = G.word_inverse(payload) if inverse else payload
-    return ball_vertex(fid, syllable_orientation(word, group, fid))
 
 
 def _canonical_label(word: Word, group: GroupSpec, fid: int) -> Word:
@@ -235,17 +209,26 @@ def whitehead_graph_combinatorial(cnf: CyclicNormalForm,
     _check_cyclically_reduced(cnf, group)
     ball: Counter = Counter()
     loops: Counter = Counter()
-    seq = _hybrid_sequence(cnf, group)
-    n = len(seq)
-    single_surface = (n == 1 and seq[0][0] == "surface")
-    if not single_surface:
-        for i, item in enumerate(seq):
-            a = _crossing_vertex(group, item, inverse=False)
-            b = _crossing_vertex(group, seq[(i + 1) % n], inverse=True)
-            ball[min(a, b), max(a, b)] += 1
-            kind, fid, payload = item
-            if kind == "surface":
-                loops[fid, _canonical_label(payload, group, fid)] += 1
+    sylls = cnf.syllables
+    if len(sylls) == 1 and group.factors[sylls[0][0]].kind == "surface":
+        return graph_from_counts(group, ball, loops)
+    # the cyclic crossing sequence, free syllables at letter level and each
+    # surface syllable as one oriented crossing of its factor disc; a
+    # crossing is (its vertex, the vertex of the same crossing reversed)
+    crossings = []
+    for fid, w in sylls:
+        if group.factors[fid].kind == "free":
+            crossings.extend((free_letter_vertex(group, x),
+                              free_letter_vertex(group, inv(x))) for x in w)
+            continue
+        # syllable_orientation of w and of w^-1, and _canonical_label of w
+        wc = G.dehn_canonical(w, group, fid)
+        wi = G.dehn_canonical(G.word_inverse(w), group, fid)
+        crossings.append((ball_vertex(fid, 1 if wc <= wi else -1),
+                          ball_vertex(fid, 1 if wi <= wc else -1)))
+        loops[fid, min(wc, wi)] += 1
+    for (a, _), (_, b) in zip(crossings, crossings[1:] + crossings[:1]):
+        ball[min(a, b), max(a, b)] += 1
     return graph_from_counts(group, ball, loops)
 
 

@@ -181,7 +181,7 @@ class TestCyclicReduce:
                 continue
             lhs = rep.evaluate(word_mul(word_inverse(conj), cnf.letters(), conj))
             rhs = rep.evaluate(w)
-            assert lhs.eq_up_to_sign(rhs, 1e-9)
+            assert lhs.eq_up_to_sign(rhs)
 
 
 class TestEnumeration:
@@ -226,3 +226,30 @@ class TestEnumeration:
         keys = {c.letters() for c in enumerate_elements(F2, 3)}
         for k in keys:
             assert canonical_class(word_inverse(k), F2) in keys
+
+
+# Conjugate pairs that enumerate_elements(S2Z, 4) yields both of, each with
+# a conjugator x such that x v x^-1 = u in the surface factor.
+# canonical_spelling respells each linear run of a rotation on its own, so
+# it is not a class invariant.
+DUPLICATE_CLASSES = (("a1 B1 A1 b1", "b1 a1 B1 A1", "B1"),
+                     ("a1 b1 A1 B2", "b1 a2 B2 A2", "b2 B1"),
+                     ("a1 b1 A2 B2", "a1 B2 A2 b1", "a1 b1 A1"),
+                     ("a1 B1 A2 b1", "a1 b2 A2 B2", "a1 B1 A1"),
+                     ("A1 B1 a2 b1", "A1 b2 a2 B2", "B1"))
+
+
+class TestDuplicateClasses:
+    @pytest.mark.parametrize("u, v, x", DUPLICATE_CLASSES)
+    def test_pairs_are_conjugate(self, u, v, x):
+        u, v, x = words(S2Z, u, v, x)
+        assert not dehn_reduce(word_mul(x, v, word_inverse(x),
+                                        word_inverse(u)), S2Z, 0)
+
+    @pytest.mark.xfail(strict=True, reason="enumerate_elements yields these "
+                       "conjugacy classes twice (see ROADMAP item 4)")
+    def test_one_representative_per_class(self):
+        got = {S2Z.format_word(c.letters())
+               for c in enumerate_elements(S2Z, 4)}
+        assert [(u, v) for u, v, _ in DUPLICATE_CLASSES
+                if u in got and v in got] == []

@@ -2,8 +2,10 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
+from sepstab.gallery import build
 from sepstab.groups import GroupSpec
 from sepstab.hyperbolic import (H3Point, HyperbolicError, IdentityMap,
                                 MoebiusMap, Representation, apply, classify,
@@ -106,6 +108,29 @@ class TestFixedPoints:
     def test_identity_raises(self):
         with pytest.raises(IdentityMap):
             fixed_points(MoebiusMap.identity())
+
+    def test_root_where_cz_plus_d_rounds_to_zero(self):
+        # h g h^-1 on schottky2 with h = a b a, g = a B a B: entries ~1e8,
+        # and at the float root z2 the float c z2 + d is exactly 0
+        rep, _ = build("schottky2")
+        grp = rep.group
+        h = rep.evaluate(grp.parse_word("a b a"))
+        m = h * rep.evaluate(grp.parse_word("a B a B")) * h.inverse()
+        roots = fixed_points(m)
+        # the reference: the roots of m at 50 digits, ordered by
+        # |m'(z)| = |ad - bc| |cz + d|^-2 (the float determinant rounds to 0)
+        with mpmath.workdps(50):
+            a, b, c, d = (mpmath.mpc(x) for x in (m.a, m.b, m.c, m.d))
+            disc = mpmath.sqrt((d - a) ** 2 + 4 * b * c)
+            derivs = sorted(((abs(a * d - b * c) / abs(c * z + d) ** 2, z)
+                             for z in ((a - d + s * disc) / (2 * c)
+                                       for s in (1, -1))),
+                            key=lambda t: t[0], reverse=True)
+        assert 8.6e7 < derivs[0][0] < 8.8e7
+        for got, (_, want) in zip(roots, derivs):
+            assert abs(got - complex(want)) < 1e-9
+        assert abs(roots[0] - (-1.84226577272)) < 1e-10
+        assert abs(roots[1] - (-1.84236223264)) < 1e-10
 
 
 class TestBoundaryAction:
@@ -210,7 +235,7 @@ class TestEvaluate:
             k = rng.randrange(1, 63)
             whole = rep.evaluate(w)
             split = (rep.evaluate(w[:k]) * rep.evaluate(w[k:])).renormalized()
-            assert whole.eq_up_to_sign(split, 1e-9)
+            assert whole.eq_up_to_sign(split)
 
     def test_fuchsian_relator_residual(self):
         from sepstab.gallery import build
@@ -229,4 +254,4 @@ class TestEvaluate:
                       for _ in range(rng.randrange(12)))
             nf = normal_form(w, grp)
             flat = tuple(x for _, syl in nf for x in syl)
-            assert rep.evaluate(w).eq_up_to_sign(rep.evaluate(flat), 1e-9)
+            assert rep.evaluate(w).eq_up_to_sign(rep.evaluate(flat))

@@ -5,6 +5,10 @@ import sys
 import pytest
 
 from sepstab import gallery
+from sepstab.disks import Disk
+from sepstab.groups import GroupSpec
+from sepstab.hyperbolic import MoebiusMap, Representation
+from sepstab.pingpong import PingPongDisks
 from sepstab.repfile import RepFile, RepFileError, emit_rep, parse_rep
 
 
@@ -60,6 +64,31 @@ class TestRepFile:
         rf = parse_rep(text)
         for m in rf.rep.generator_images():
             assert abs(m.det() - 1.0) < 1e-12
+
+    def test_two_surface_factors_and_letter_names(self):
+        # S2 * S3 * Z: surface factor k is fid k - 1, the free factor fid 2
+        group = GroupSpec((2, 3), 1)
+        assert [group.letter_name(2 * k) for k in range(11)] == [
+            "a1.1", "b1.1", "a1.2", "b1.2", "a2.1", "b2.1", "a2.2", "b2.2",
+            "a2.3", "b2.3", "t1"]
+        rep = Representation(group, [MoebiusMap.identity()] * 11)
+        disks = PingPongDisks(
+            free={20: Disk.interior(5, 1), 21: Disk.interior(-5, 1)},
+            factor={0: Disk.interior(0, 1.5), 1: Disk.interior(10j, 2.5)})
+        text = emit_rep(RepFile(rep=rep, disks=disks))
+        assert text.split("disks\n")[1] == (
+            "  factor 1 center (0.0, -0.0) radius 1.5\n"
+            "  factor 2 center (0.0, 10.0) radius 2.5\n"
+            "  t1 center (5.0, -0.0) radius 1.0\n"
+            "  T1 center (-5.0, 0.0) radius 1.0\n")
+        back = parse_rep(text)
+        assert {fid: d.radius for fid, d in back.disks.factor.items()} == {
+            0: 1.5, 1: 2.5}
+        assert sorted(back.disks.free) == [20, 21]
+        assert emit_rep(back) == text
+        with pytest.raises(RepFileError) as err:
+            parse_rep(text.replace("factor 2", "factor 3"))
+        assert "no surface factor 3" in str(err.value)
 
     def test_schottky_residuals_vacuous(self):
         rf = parse_rep(gallery_text("schottky2"))

@@ -7,8 +7,8 @@ from sepstab.groups import GroupSpec, cyclic_reduce, enumerate_elements, inv
 from sepstab.hyperbolic import (MoebiusMap, Representation, classify,
                                 fixed_points, loxodromic_with_axis)
 from sepstab.pingpong import UnverifiedDisks, ping_pong_verify
-from sepstab.sampling import (DEFAULT_MAX_PREFIX, MEMBERSHIP_TOL, _Navigator,
-                              graphs_agree, sample_mu, whitehead_graph_sampled,
+from sepstab.sampling import (MEMBERSHIP_TOL, _Navigator, graphs_agree,
+                              sample_mu, whitehead_graph_sampled,
                               whitehead_graph_sampled_for)
 from sepstab.whitehead import MuSpec, whitehead_graph_combinatorial
 
@@ -32,10 +32,10 @@ class TestSampling:
     def test_unverified_disks_rejected(self):
         rep, disks = build("s2-times-z")  # fresh, no certificate
         with pytest.raises(UnverifiedDisks):
-            whitehead_graph_sampled(rep, disks, MuSpec(sampled_pairs=()))
+            whitehead_graph_sampled(rep, disks, MuSpec(sampled_pairs=()), 3)
 
     def test_empty_mu_gives_empty_graph(self):
-        wh = whitehead_graph_sampled(REP, DISKS, MuSpec(sampled_pairs=()))
+        wh = whitehead_graph_sampled(REP, DISKS, MuSpec(sampled_pairs=()), 3)
         assert all(not c.edges for c in wh.components)
 
     def test_points_off_the_key_grid(self):
@@ -43,12 +43,12 @@ class TestSampling:
         # bounded first-level disk, so their pairs are dropped
         far = (complex("inf"), complex("nan"), complex(1e300, -1e300))
         pairs = tuple((z, 0.5 + 0j) for z in far)
-        wh = whitehead_graph_sampled(REP, DISKS, MuSpec(sampled_pairs=pairs))
+        wh = whitehead_graph_sampled(REP, DISKS, MuSpec(sampled_pairs=pairs),
+                                     3)
         assert all(not c.edges for c in wh.components)
 
     def test_depth_zero_free_letter(self):
-        wh = whitehead_graph_sampled(REP, DISKS,
-                                     sample_mu(REP, cnf_of("t1"), 0))
+        wh = whitehead_graph_sampled_for(REP, DISKS, cnf_of("t1"), 0)
         ball = wh.component("ball")
         assert [(e.u.label(), e.v.label()) for e in ball.edges] == [
             ("Dt1-", "Dt1+")]
@@ -302,7 +302,8 @@ class TestStripMemo:
             return word is None or len(word) > graph_cap
 
         differ = 0
-        for memo, plain, graph_cap in self._lookups(DEFAULT_MAX_PREFIX):
+        # cap 16, about twice the largest graph cap of these classes
+        for memo, plain, graph_cap in self._lookups(16):
             if memo != plain:
                 differ += 1
                 assert noise(memo, graph_cap) and noise(plain, graph_cap)

@@ -10,10 +10,43 @@ from sepstab.groups import GroupSpec, TrivialElement, cyclic_reduce
 from sepstab.hyperbolic import (H3Point, MoebiusMap, Representation, apply,
                                 dist, loxodromic_with_axis)
 from sepstab.stability import (PathTooShort, StabilityError, StabilityParams,
-                               orbit_path, qg_constants, qg_fit,
-                               stability_margin, sweep)
+                               qg_fit, stability_margin, sweep)
 
 F2 = GroupSpec((), 2)
+
+
+# ---------------------------------------------------------------------------
+# references: the orbit path in global coordinates and the QG constants
+# over all of its subsegments, which the local-frame sweep must match
+
+
+def orbit_path(rep, cnf, powers, base):
+    """Images of the prefixes of the letter sequence of g^powers at base."""
+    letters = cnf.letters() * powers
+    pts = [base]
+    m = MoebiusMap.identity()
+    for x in letters:
+        m = (m * rep.image(x)).renormalized()
+        pts.append(apply(m, base))
+    return pts
+
+
+def qg_constants(path, window, a_max=50.0):
+    """(k_est, a_est, worst_ratio, argmin pair) over subsegments of a path."""
+    if len(path) < 2:
+        raise PathTooShort("need at least two points")
+    tagged = [(j - i, dist(path[i], path[j]), (i, j))
+              for i in range(len(path))
+              for j in range(i + 1, min(i + window, len(path) - 1) + 1)]
+    k_est, a_est, worst = qg_fit([(c, d) for c, d, _ in tagged], window,
+                                 a_max)
+    max_c = max(c for c, _, _ in tagged)
+    threshold = max(1, min(window // 2, max_c // 2))
+    best = argmin = None
+    for c, d, ij in tagged:
+        if c >= threshold and (best is None or d / c < best):
+            best, argmin = d / c, ij
+    return k_est, a_est, worst, argmin
 
 
 class TestOrbitPath:
@@ -254,6 +287,27 @@ class TestStabilityMargin:
         rep, _ = build("s2-times-z")
         report = stability_margin(rep, StabilityParams(depth=3, margin=0.02))
         assert report.verdict in ("pass", "inconclusive")
+
+
+class TestVerdictBranches:
+    """F2 with b = loxodromic_with_axis(2, 8, 5) and a short translation a,
+    swept at depth 2: each a reaches one verdict branch with witness a."""
+
+    @pytest.mark.parametrize("p, q, lam, verdict, flags", [
+        (-1, 3, 1.005, "fail", ("decreasing_qg",)),
+        # the axis of a passes through the base point: no decreasing trend
+        (-1, 1, 1.005, "inconclusive", ("below_margin",)),
+        # |tr^2 - 4| ~ 4e-8
+        (-1, 3, 1.0001, "inconclusive", ("parabolic_adjacent",
+                                         "below_margin")),
+    ])
+    def test_branch(self, p, q, lam, verdict, flags):
+        rep = Representation(F2, [loxodromic_with_axis(p, q, lam),
+                                  loxodromic_with_axis(2, 8, 5)])
+        report = stability_margin(rep, StabilityParams(depth=2))
+        assert report.verdict == verdict
+        assert report.witness.spelling == "a"
+        assert report.witness.flags == flags
 
 
 class TestSweep:

@@ -39,8 +39,14 @@ class TestMeridianModel:
 
     def test_two_surfaces_layout(self):
         comps = standard_meridian_model(TWO_SURF)
-        assert len(comps[0].vertices) == 6
+        assert [v.label() for v in comps[0].vertices] == [
+            "D1+", "D1-", "D2+", "D2-", "Dt1+", "Dt1-"]
         assert [c.cid for c in comps] == ["ball", "surface0", "surface1"]
+        assert [v.label() for c in comps[1:] for v in c.vertices] == [
+            "D1", "D2"]
+        comps = standard_meridian_model(GroupSpec((2, 3), 2))
+        assert [v.label() for v in comps[0].vertices][4:] == [
+            "Dt1+", "Dt1-", "Dt2+", "Dt2-"]
 
 
 class TestCombinatorial:
@@ -112,6 +118,27 @@ class TestCombinatorial:
             cnf, _ = cyclic_reduce(inv_word, grp)
             wh_inv = whitehead_graph_combinatorial(cnf, grp)
             assert wh.edge_multiset() == wh_inv.edge_multiset()
+
+
+def test_two_canonical_spellings_per_surface_syllable(monkeypatch):
+    """Each surface syllable of a class with more than one syllable costs
+    one dehn_canonical call for w and one for w^-1."""
+    calls = []
+    canonical = G.dehn_canonical
+
+    def counting(word, group, fid):
+        calls.append(word)
+        return canonical(word, group, fid)
+    monkeypatch.setattr(G, "dehn_canonical", counting)
+    syllables = 0
+    for group, max_len in ((S2Z, 4), (TWO_SURF, 3)):
+        for cnf in enumerate_elements(group, max_len):
+            if len(cnf.syllables) > 1:
+                syllables += sum(1 for fid, _ in cnf.syllables
+                                 if group.factors[fid].kind == "surface")
+            whitehead_graph_combinatorial(cnf, group)
+    assert syllables > 1000
+    assert len(calls) == 2 * syllables
 
 
 class TestStrongCutpoints:
