@@ -115,7 +115,7 @@ def _cmd_whitehead(args) -> int:
     strong = W.is_strongly_connected(wh)
     cuts = W.strong_cutpoints(wh)
     for comp in wh.components:
-        flag, _ = strong[comp.cid]
+        flag = strong[comp.cid]
         cut_names = ",".join(v.label() for v in cuts[comp.cid]) or "-"
         print(f"{comp.cid}: vertices={len(comp.vertices)} "
               f"edges={len(comp.edges)} strongly_connected={flag} "

@@ -344,10 +344,6 @@ class CyclicNormalForm:
     def letters(self) -> Word:
         return tuple(itertools.chain.from_iterable(w for _, w in self.syllables))
 
-    def single_factor(self) -> Optional[int]:
-        fids = {fid for fid, _ in self.syllables}
-        return fids.pop() if len(fids) == 1 else None
-
 
 def _merge_syllables(sylls: list, group: GroupSpec) -> list:
     """Merge adjacent same-factor syllables and drop factor identities."""

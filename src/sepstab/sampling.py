@@ -219,8 +219,9 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
         if not prefix:
             return None  # a limit point of the factor itself never straddles
         if (ident, prefix) not in vertices:
-            vertices[ident, prefix] = W.ball_vertex(
-                ident, W.syllable_orientation(prefix, group, ident))
+            wc, wi = W.canonical_pair(prefix, group, ident)
+            vertices[ident, prefix] = W.ball_vertex(ident,
+                                                    1 if wc <= wi else -1)
         return vertices[ident, prefix]
 
     for p, q in mu.sampled_pairs:
@@ -241,7 +242,8 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
             if not reduced:
                 continue
             if (fid, reduced) not in labels:
-                labels[fid, reduced] = W._canonical_label(reduced, group, fid)
+                labels[fid, reduced] = min(
+                    W.canonical_pair(reduced, group, fid))
             loops[fid, labels[fid, reduced]] += 1
     return W.graph_from_counts(group, ball, loops)
 

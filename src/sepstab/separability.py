@@ -32,31 +32,16 @@ class SeparabilityError(Exception):
 
 @dataclass(frozen=True)
 class WhiteheadMove:
-    """A letter permutation or a Type II move (multiplier, cut set)."""
+    """A Whitehead automorphism as its action table: images[x] is the
+    image word of letter x."""
     kind: str                      # "permutation" | "type2"
-    perm: Tuple[int, ...] = ()     # letter -> letter table (permutation)
-    multiplier: int = -1           # type2 multiplier letter a
-    cut: frozenset = frozenset()   # type2 set Z with a in Z, a^-1 not in Z
-
-    def apply_letter(self, x: int) -> Word:
-        if self.kind == "permutation":
-            return (self.perm[x],)
-        a = self.multiplier
-        if x == a or x == inv(a):
-            return (x,)
-        out = []
-        if inv(x) in self.cut:
-            out.append(inv(a))
-        out.append(x)
-        if x in self.cut:
-            out.append(a)
-        return tuple(out)
+    images: Tuple[Word, ...]
 
     def apply(self, word: Word) -> Word:
-        out = []
+        out: List[int] = []
         for x in word:
-            out.extend(self.apply_letter(x))
-        return G.free_reduce(tuple(out))
+            out += self.images[x]
+        return G.free_reduce(out)
 
 
 def _cyclic_word(word: Word) -> Word:
@@ -78,15 +63,14 @@ def whitehead_moves(rank: int) -> List[WhiteheadMove]:
     Type II moves, deduplicated by their action on the letters."""
     if rank < 2:
         raise SeparabilityError("rank must be at least 2")
-    letters = list(range(2 * rank))
+    letters = range(2 * rank)
     moves: List[WhiteheadMove] = []
-    seen_actions: Set[tuple] = set()
+    seen: Set[tuple] = set()
 
-    def add(move: WhiteheadMove):
-        action = tuple(move.apply_letter(x) for x in letters)
-        if action not in seen_actions:
-            seen_actions.add(action)
-            moves.append(move)
+    def add(kind: str, images: Tuple[Word, ...]):
+        if images not in seen:
+            seen.add(images)
+            moves.append(WhiteheadMove(kind, images))
 
     # signed permutations: permute generator indices, flip any signs
     for perm in itertools.permutations(range(rank)):
@@ -96,17 +80,19 @@ def whitehead_moves(rank: int) -> List[WhiteheadMove]:
                 j, f = perm[i], flips[i]
                 table[2 * i] = 2 * j + f
                 table[2 * i + 1] = 2 * j + (1 - f)
-            add(WhiteheadMove("permutation", perm=tuple(table)))
+            add("permutation", tuple((y,) for y in table))
 
-    # Type II moves: multiplier a, cut Z with a in Z, a^-1 not in Z
+    # Type II moves: multiplier a, cut Z with a in Z, a^-1 not in Z;
+    # x goes to a^-1 x if x^-1 is in Z, then x a if x is in Z
     for a in letters:
         others = [x for x in letters if x not in (a, inv(a))]
         for mask in range(1 << len(others)):
-            cut = {a}
-            for i, x in enumerate(others):
-                if mask >> i & 1:
-                    cut.add(x)
-            add(WhiteheadMove("type2", multiplier=a, cut=frozenset(cut)))
+            cut = {a} | {x for i, x in enumerate(others) if mask >> i & 1}
+            add("type2", tuple(
+                (x,) if x in (a, inv(a))
+                else ((inv(a),) if inv(x) in cut else ()) + (x,)
+                + ((a,) if x in cut else ())
+                for x in letters))
     return moves
 
 
@@ -166,6 +152,8 @@ class SeparabilityVerdict:
     omitted_generator: Optional[int] = None
     omitted_factor: Optional[int] = None
     single_factor: Optional[int] = None
+    # set by the mixed graph certificate only: the graph it read.  Free
+    # verdicts carry none; build the graph of witness_word when needed.
     witness_graph: Optional[W.WhiteheadGraph] = None
     reason: str = ""
 
@@ -198,7 +186,6 @@ def is_separable_free(word: Word, group: GroupSpec) -> SeparabilityVerdict:
     if _free_graph_certificate(reduced, rank):
         return SeparabilityVerdict(
             "not_separable", witness_word=reduced,
-            witness_graph=_graph_of(reduced, group),
             reason="connected, cutpoint-free graph at minimal length")
 
     # exhaustive level-set search under length-preserving moves,
@@ -224,7 +211,6 @@ def is_separable_free(word: Word, group: GroupSpec) -> SeparabilityVerdict:
                 frontier.append((canon, path + [mv, p]))
     return SeparabilityVerdict(
         "not_separable", witness_word=reduced,
-        witness_graph=_graph_of(reduced, group),
         reason="no minimal-length orbit element omits a generator")
 
 
@@ -241,11 +227,6 @@ def _checked_separable(original: Word, moves, witness_word, omitted,
     return SeparabilityVerdict(
         "separable", witness_moves=list(moves), witness_word=witness_word,
         omitted_generator=omitted, reason=reason)
-
-
-def _graph_of(word: Word, group: GroupSpec) -> W.WhiteheadGraph:
-    cnf, _ = G.cyclic_reduce(word, group)
-    return W.whitehead_graph_combinatorial(cnf, group)
 
 
 def _free_graph_certificate(word: Word, rank: int) -> bool:
@@ -268,10 +249,9 @@ def is_separable(word: Word, group: GroupSpec) -> SeparabilityVerdict:
         return is_separable_free(word, group)
     cnf, _ = G.cyclic_reduce(word, group)  # raises TrivialElement
     fids_used = {fid for fid, _ in cnf.syllables}
-    single = cnf.single_factor()
-    if single is not None:
+    if len(fids_used) == 1:
         return SeparabilityVerdict(
-            "separable", single_factor=single,
+            "separable", single_factor=next(iter(fids_used)),
             reason="single-syllable class lies in one factor")
     missing = [f.index for f in group.factors if f.index not in fids_used]
     if missing:
@@ -282,7 +262,7 @@ def is_separable(word: Word, group: GroupSpec) -> SeparabilityVerdict:
     wh = W.whitehead_graph_combinatorial(cnf, group)
     strong = W.is_strongly_connected(wh)
     cuts = W.strong_cutpoints(wh)
-    if all(flag for flag, _ in strong.values()) and not any(cuts.values()):
+    if all(strong.values()) and not any(cuts.values()):
         return SeparabilityVerdict(
             "not_separable", witness_graph=wh,
             reason="every component strongly connected without strong "

@@ -84,8 +84,6 @@ class ElementRecord:
     ratio: float                 # trans_len / length
     worst_qg: float
     worst_qg_half: Optional[float] = None
-    k_est: float = 0.0
-    a_est: float = 0.0
     flags: Tuple[str, ...] = ()
 
 
@@ -265,8 +263,8 @@ def stability_margin(rep: Representation,
         rows = _qg_rows(rep, letters, n, params.window, base)
         pairs = _qg_pairs(rows, n)
         _fold_least(least, pairs)
-        k_est, a_est, worst = qg_fit(pairs, params.window, A_MAX)
-        rec.k_est, rec.a_est, rec.worst_qg = k_est, a_est, worst
+        _, _, worst = qg_fit(pairs, params.window, A_MAX)
+        rec.worst_qg = worst
 
         if worst < params.margin or ratio < params.margin:
             half = length * max(1, params.powers // 2)

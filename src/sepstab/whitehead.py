@@ -146,12 +146,12 @@ def standard_meridian_model(group: GroupSpec) -> List[Component]:
 # combinatorial construction
 
 
-def syllable_orientation(word: Word, group: GroupSpec, fid: int) -> int:
-    """Canonical crossing sign of a surface syllable: +1 when the syllable's
-    canonical spelling is lexicographically no larger than its inverse's."""
-    w = G.dehn_canonical(word, group, fid)
-    wi = G.dehn_canonical(G.word_inverse(word), group, fid)
-    return 1 if w <= wi else -1
+def canonical_pair(word: Word, group: GroupSpec, fid: int) -> Tuple[Word, Word]:
+    """Canonical spellings (of w, of w^-1) of a surface syllable w.  The
+    crossing of w has sign +1 when the first is no larger than the second,
+    and min of the pair labels the loop of {w, w^-1}."""
+    return (G.dehn_canonical(word, group, fid),
+            G.dehn_canonical(G.word_inverse(word), group, fid))
 
 
 def ball_vertex(fid: int, sign: int) -> int:
@@ -162,13 +162,6 @@ def ball_vertex(fid: int, sign: int) -> int:
 def free_letter_vertex(group: GroupSpec, letter: int) -> int:
     """Ball vertex id of a free letter: odd letters are inverses."""
     return 2 * group.letter_factor(letter) + (letter & 1)
-
-
-def _canonical_label(word: Word, group: GroupSpec, fid: int) -> Word:
-    """Canonical representative among the spellings of {g, g^-1}."""
-    w = G.dehn_canonical(word, group, fid)
-    wi = G.dehn_canonical(G.word_inverse(word), group, fid)
-    return min(w, wi)
 
 
 def graph_from_counts(group: GroupSpec,
@@ -221,9 +214,7 @@ def whitehead_graph_combinatorial(cnf: CyclicNormalForm,
             crossings.extend((free_letter_vertex(group, x),
                               free_letter_vertex(group, inv(x))) for x in w)
             continue
-        # syllable_orientation of w and of w^-1, and _canonical_label of w
-        wc = G.dehn_canonical(w, group, fid)
-        wi = G.dehn_canonical(G.word_inverse(w), group, fid)
+        wc, wi = canonical_pair(w, group, fid)
         crossings.append((ball_vertex(fid, 1 if wc <= wi else -1),
                           ball_vertex(fid, 1 if wi <= wc else -1)))
         loops[fid, min(wc, wi)] += 1
@@ -256,7 +247,6 @@ class Blocks(NamedTuple):
     pieces: List[List[int]]         # connected pieces, in visiting order
     bridges: List[Tuple[int, int]]  # links whose removal splits a piece
     cut_vertices: Set[int]          # vertices whose removal splits a piece
-    tour: List[int]                 # closed walk around each DFS tree
 
 
 def block_structure(n: int, links: Sequence[Tuple[int, int]]) -> Blocks:
@@ -264,8 +254,8 @@ def block_structure(n: int, links: Sequence[Tuple[int, int]]) -> Blocks:
     undirected ``links``, linear in n plus the number of links.
 
     Links are told apart by index, so a doubled link is never a bridge and
-    a loop changes nothing.  Neighbours are visited in link order; the tour
-    enters each vertex and comes back to its parent after each child.
+    a loop changes nothing.  Neighbours are visited in link order, which
+    fixes the order of pieces and bridges.
     """
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     for i, (a, b) in enumerate(links):
@@ -273,7 +263,7 @@ def block_structure(n: int, links: Sequence[Tuple[int, int]]) -> Blocks:
         adj[b].append((a, i))
     order = [0] * n                 # DFS entry number; 0 while unvisited
     low = [0] * n
-    out = Blocks([], [], set(), [])
+    out = Blocks([], [], set())
     clock = 0
     for root in range(n):
         if order[root]:
@@ -281,7 +271,6 @@ def block_structure(n: int, links: Sequence[Tuple[int, int]]) -> Blocks:
         clock += 1
         order[root] = low[root] = clock
         piece = [root]
-        out.tour.append(root)
         stack = [(root, -1, iter(adj[root]))]
         root_children = 0
         while stack:
@@ -293,7 +282,6 @@ def block_structure(n: int, links: Sequence[Tuple[int, int]]) -> Blocks:
                     clock += 1
                     order[y] = low[y] = clock
                     piece.append(y)
-                    out.tour.append(y)
                     stack.append((y, i, iter(adj[y])))
                     break
                 low[x] = min(low[x], order[y])
@@ -302,7 +290,6 @@ def block_structure(n: int, links: Sequence[Tuple[int, int]]) -> Blocks:
                 if not stack:
                     continue
                 parent = stack[-1][0]
-                out.tour.append(parent)
                 low[parent] = min(low[parent], low[x])
                 if low[x] > order[parent]:
                     out.bridges.append(links[via])
@@ -336,31 +323,24 @@ def _analyse(comp: Component) -> Tuple[List[int], Blocks]:
     return degree, block_structure(len(degree), links)
 
 
-def _strong_witness(comp: Component, group: GroupSpec, degree: List[int],
-                    blocks: Blocks, piece: List[int]) -> Optional[list]:
-    """Witness that a connected piece is strongly connected, or None: the
-    DFS tour on the ball when no vertex has degree < 2, the first loop with
-    a nontrivial label on a (one-vertex) surface component."""
+def _strong(comp: Component, group: GroupSpec, degree: List[int],
+            piece: List[int]) -> bool:
+    """Whether a connected piece is strongly connected: on the ball, no
+    vertex of degree < 2; on a (one-vertex) surface component, some loop
+    with a nontrivial label."""
     if comp.kind == "ball":
-        if min(degree[i] for i in piece) < 2:
-            return None
-        return [comp.vertices[i] for i in blocks.tour]
-    for e in comp.edges:
-        if G.dehn_reduce(e.label, group, comp.fid):
-            return [e]
-    return None
+        return min(degree[i] for i in piece) >= 2
+    return any(G.dehn_reduce(e.label, group, comp.fid) for e in comp.edges)
 
 
-def is_strongly_connected(wh: WhiteheadGraph) -> Dict[str, Tuple[bool, Optional[list]]]:
-    """Per-component verdict with a witness cycle when true."""
+def is_strongly_connected(wh: WhiteheadGraph) -> Dict[str, bool]:
+    """Per-component verdict: the component is one connected piece and
+    that piece is strongly connected."""
     out = {}
     for comp in wh.components:
         degree, blocks = _analyse(comp)
-        witness = None
-        if len(blocks.pieces) == 1:
-            witness = _strong_witness(comp, wh.group, degree, blocks,
-                                      blocks.pieces[0])
-        out[comp.cid] = (witness is not None, witness)
+        out[comp.cid] = (len(blocks.pieces) == 1
+                         and _strong(comp, wh.group, degree, blocks.pieces[0]))
     return out
 
 
@@ -381,7 +361,7 @@ def strong_cutpoints(wh: WhiteheadGraph) -> Dict[str, List[DiscVertex]]:
         for piece in blocks.pieces:
             if len(piece) == 1 and not degree[piece[0]]:
                 continue  # isolated vertex: nothing to split
-            if _strong_witness(comp, wh.group, degree, blocks, piece) is None:
+            if not _strong(comp, wh.group, degree, piece):
                 cuts.update(piece)
         out[comp.cid] = sorted(comp.vertices[i] for i in cuts)
     return out

@@ -38,7 +38,7 @@ def _graph_defective(word, group):
     cnf, _ = cyclic_reduce(word, group)
     wh = whitehead_graph_combinatorial(cnf, group)
     strong = is_strongly_connected(wh)
-    if not all(flag for flag, _ in strong.values()):
+    if not all(strong.values()):
         return True
     return any(strong_cutpoints(wh).values())
 

@@ -1,11 +1,13 @@
+import itertools
 import math
 import random
 
 import pytest
 
+from sepstab import whitehead as W
 from sepstab.groups import (GroupSpec, TrivialElement, canonical_class,
                             cyclic_reduce, enumerate_elements, free_reduce,
-                            word_inverse, word_mul)
+                            inv, word_inverse, word_mul)
 from sepstab.separability import (_free_graph_certificate, is_separable,
                                   is_separable_free, peak_reduce,
                                   whitehead_moves)
@@ -17,7 +19,53 @@ F3 = GroupSpec((), 3)
 S2Z = GroupSpec((2,), 1)
 
 
+def _reference_moves(rank):
+    """(kind, action) of every Whitehead move of F_rank, deduplicated by
+    action in enumeration order: signed permutations as letter tables,
+    then Type II moves (a, Z) by multiplier and mask, each applied letter
+    by letter with the textbook rule."""
+    letters = range(2 * rank)
+
+    def type2_letter(a, cut, x):
+        if x == a or x == inv(a):
+            return (x,)
+        out = []
+        if inv(x) in cut:
+            out.append(inv(a))
+        out.append(x)
+        if x in cut:
+            out.append(a)
+        return tuple(out)
+
+    candidates = []
+    for perm in itertools.permutations(range(rank)):
+        for flips in itertools.product((0, 1), repeat=rank):
+            table = {}
+            for i, (j, f) in enumerate(zip(perm, flips)):
+                table[2 * i], table[2 * i + 1] = 2 * j + f, 2 * j + 1 - f
+            candidates.append(("permutation",
+                               tuple((table[x],) for x in letters)))
+    for a in letters:
+        others = [x for x in letters if x not in (a, inv(a))]
+        for mask in range(1 << len(others)):
+            cut = {a} | {x for i, x in enumerate(others) if mask >> i & 1}
+            candidates.append(("type2", tuple(type2_letter(a, cut, x)
+                                              for x in letters)))
+    out, seen = [], set()
+    for kind, action in candidates:
+        if action not in seen:
+            seen.add(action)
+            out.append((kind, action))
+    return out
+
+
 class TestMoves:
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_moves_match_reference_in_order(self, rank):
+        # peak reduction is first-improvement, so the order decides witnesses
+        assert [(m.kind, m.images) for m in whitehead_moves(rank)] == \
+            _reference_moves(rank)
+
     def test_rank2_counts(self):
         moves = whitehead_moves(2)
         type2 = [m for m in moves if m.kind == "type2"]
@@ -32,7 +80,7 @@ class TestMoves:
     def test_identity_permutation_included(self):
         moves = whitehead_moves(2)
         identity = [m for m in moves if m.kind == "permutation"
-                    and m.perm == (0, 1, 2, 3)]
+                    and m.images == ((0,), (1,), (2,), (3,))]
         assert len(identity) == 1
 
     def test_moves_are_invertible(self):
@@ -153,6 +201,25 @@ class TestFreeDecision:
             except TrivialElement:
                 continue
             assert a == b
+
+
+def test_free_verdicts_build_no_graph(monkeypatch):
+    # a free verdict reads only the letter-level certificate graph; the
+    # Whitehead graph of its minimal form is built on demand by callers
+    calls = []
+    build = W.whitehead_graph_combinatorial
+
+    def counting(cnf, group):
+        calls.append(cnf)
+        return build(cnf, group)
+    monkeypatch.setattr(W, "whitehead_graph_combinatorial", counting)
+    not_separable = 0
+    for group, max_len in ((F2, 6), (F3, 4)):
+        for cnf in enumerate_elements(group, max_len):
+            verdict = is_separable(cnf.letters(), group)
+            not_separable += verdict.status == "not_separable"
+    assert not_separable > 100
+    assert calls == []
 
 
 def _connected(vertices, edges):
@@ -276,7 +343,7 @@ class TestMixed:
             wh = whitehead_graph_combinatorial(cnf, S2Z)
             strong = is_strongly_connected(wh)
             cuts = strong_cutpoints(wh)
-            good = all(f for f, _ in strong.values()) \
+            good = all(strong.values()) \
                 and not any(cuts.values())
             assert not good
 

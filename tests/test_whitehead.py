@@ -54,14 +54,13 @@ class TestCombinatorial:
         wh = graph_of("a")
         assert edge_pairs(wh) == [("Dt1-", "Dt1+")]
         strong = is_strongly_connected(wh)
-        assert strong["ball"][0] is False  # isolated b vertices
+        assert strong["ball"] is False  # isolated b vertices
 
     def test_commutator_four_cycle(self):
         wh = graph_of("a b A B")
         assert len(wh.component("ball").edges) == 4
         strong = is_strongly_connected(wh)
-        assert strong["ball"][0] is True
-        assert strong["ball"][1]  # witness cycle present
+        assert strong["ball"] is True
         assert strong_cutpoints(wh)["ball"] == []
 
     def test_mixed_word_edges(self):
@@ -74,8 +73,8 @@ class TestCombinatorial:
     def test_surface_loop_strongly_connected(self):
         wh = graph_of("a1 t1", S2Z)
         strong = is_strongly_connected(wh)
-        assert strong["surface0"][0] is True   # nontrivial label
-        assert strong["ball"][0] is False      # two disjoint edges
+        assert strong["surface0"] is True   # nontrivial label
+        assert strong["ball"] is False      # two disjoint edges
 
     def test_pure_surface_word_has_no_edges(self):
         wh = graph_of("a1 b1", S2Z)
@@ -90,7 +89,7 @@ class TestCombinatorial:
             degs[e.u.label()] = degs.get(e.u.label(), 0) + 1
             degs[e.v.label()] = degs.get(e.v.label(), 0) + 1
         assert set(degs.values()) == {2}
-        assert is_strongly_connected(wh)["ball"][0] is True
+        assert is_strongly_connected(wh)["ball"] is True
         assert strong_cutpoints(wh)["ball"] == []
 
     def test_requires_cyclically_reduced(self):
@@ -166,7 +165,7 @@ class TestStrongCutpoints:
         edges = tuple(Edge(v[a], v[b]) for a, b in links)
         ball = Component("ball", "ball", None, tuple(v), edges)
         wh = WhiteheadGraph(TWO_SURF, (ball,))
-        assert is_strongly_connected(wh)["ball"][0] is True
+        assert is_strongly_connected(wh)["ball"] is True
         assert strong_cutpoints(wh)["ball"] == sorted((v[2], v[3]))
         assert _split_cutpoints(ball, TWO_SURF) == sorted((v[2], v[3]))
 
@@ -179,7 +178,7 @@ class TestStrongCutpoints:
         edges = tuple(Edge(v[a], v[b]) for a, b in links)
         ball = Component("ball", "ball", None, tuple(v), edges)
         wh = WhiteheadGraph(F2, (ball,))
-        assert is_strongly_connected(wh)["ball"][0] is False
+        assert is_strongly_connected(wh)["ball"] is False
         assert strong_cutpoints(wh)["ball"] == sorted(v)
         assert _split_cutpoints(ball, F2) == sorted(v)
 
