@@ -12,14 +12,16 @@ Subcommands:
 
 Representations are file paths or gallery names (a path whose basename
 matches a gallery entry is built in memory when the file does not exist).
-Usage errors exit 64, data errors 65.  All outputs are deterministic for
-fixed flags.
+Usage errors exit 64, data errors 65 (a malformed group, word or
+representation, a word trivial in the group, invalid stability flags).
+All outputs are deterministic for fixed flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 from typing import List, Optional
@@ -51,10 +53,7 @@ def _group_from_flags(args) -> GroupSpec:
         except ValueError:
             raise _CliError(f"bad --genera {args.genera!r}", EX_USAGE)
     rank = args.rank if args.rank is not None else (0 if genera else 2)
-    try:
-        return GroupSpec(tuple(genera), rank)
-    except GroupError as exc:
-        raise _CliError(str(exc), EX_DATA)
+    return GroupSpec(tuple(genera), rank)
 
 
 def _load_rep(arg: str):
@@ -76,10 +75,7 @@ def _load_rep(arg: str):
 
 
 def _parse_word(group: GroupSpec, text: str):
-    try:
-        word = group.parse_word(text)
-    except GroupError as exc:
-        raise _CliError(str(exc), EX_DATA)
+    word = group.parse_word(text)
     if not G.free_reduce(word):
         raise _CliError("the trivial word is not classified", EX_DATA)
     return word
@@ -107,10 +103,7 @@ def _cmd_separable(args) -> int:
 def _cmd_whitehead(args) -> int:
     group = _group_from_flags(args)
     word = _parse_word(group, args.word)
-    try:
-        cnf, _ = G.cyclic_reduce(word, group)
-    except G.TrivialElement:
-        raise _CliError("trivial element", EX_DATA)
+    cnf, _ = G.cyclic_reduce(word, group)
     wh = W.whitehead_graph_combinatorial(cnf, group)
     strong = W.is_strongly_connected(wh)
     cuts = W.strong_cutpoints(wh)
@@ -144,16 +137,13 @@ def _write_dot(wh: W.WhiteheadGraph, path: str) -> List[str]:
 
 
 def _params_from_flags(args, group: GroupSpec) -> ST.StabilityParams:
-    params = ST.StabilityParams.defaults_for(group)
-    if args.depth is not None:
-        params.depth = args.depth
-    if args.powers is not None:
-        params.powers = args.powers
-    if args.window is not None:
-        params.window = args.window
-    if args.margin is not None:
-        params.margin = args.margin
-    return params
+    """The group's defaults with the given flags; validated like any
+    ``StabilityParams`` (raises ``StabilityError``)."""
+    given = {name: getattr(args, name)
+             for name in ("depth", "powers", "window", "margin")
+             if getattr(args, name) is not None}
+    return dataclasses.replace(ST.StabilityParams.defaults_for(group),
+                               **given)
 
 
 def _cmd_check_stability(args) -> int:
@@ -296,7 +286,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ST.StabilityError as exc:
+    except (GroupError, ST.StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
 

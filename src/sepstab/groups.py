@@ -96,13 +96,10 @@ class GroupSpec:
 
         # letter tables
         self._letter_factor: list[int] = []
-        self._letter_sym: list[int] = []     # generator index within factor
         self._gen_base: list[int] = []       # first letter id of each factor
         for f in self.factors:
             self._gen_base.append(len(self._letter_factor))
-            for s in range(f.n_generators):
-                self._letter_factor.extend([f.index, f.index])
-                self._letter_sym.extend([s, s])
+            self._letter_factor.extend([f.index] * (2 * f.n_generators))
         self.n_letters = len(self._letter_factor)
         self._names = self._build_names()
         self._name_to_letter = {n: i for i, n in enumerate(self._names)}

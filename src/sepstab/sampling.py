@@ -13,11 +13,13 @@ prefixes are recovered by inverse iteration through the generator
 isometric disks, so the construction consumes only numeric data plus the
 disk certificate.
 
-Each distinct point (at 1e-12 granularity) is navigated once per graph,
-and inverse iteration looks up every point it strips to: k strips onto a
-known point with prefix r give the k letters then r if k + |r| <= cap + 1,
-and none otherwise, as the uncached loop under the same cap.  A stripped
-point is stored only when its outcome does not depend on the budget left.
+Each axis is sampled once and each endpoint is navigated once.  Inverse
+iteration stores the prefix of every navigated point (at 1e-12
+granularity) and looks up every point it strips to: the walk prepends
+letters, so the first strip of h(xi) = x(h'(xi)) usually lands on the
+navigated h'(xi).  k strips onto a known point with prefix r give the k
+letters then r if k + |r| <= cap + 1, and none otherwise, as the uncached
+loop under the same cap.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ def sample_mu(rep: Representation, cnf: CyclicNormalForm,
               depth: int) -> MuSpec:
     """Axis endpoint pairs h(fix g) for reduced h with |h| <= depth.
 
-    Pairs are ordered (repelling, attracting); the swapped pair is included
-    as well, matching invariance under switching the factors.  A pair with
-    an endpoint at infinity is skipped.  With g = w^k, w primitive, no
-    h = h' w^{+-1} is walked: it repeats h'(fix g) up to amplified rounding.
+    Each axis gives one pair, ordered (repelling, attracting); the graph
+    builder treats a pair as unordered.  A pair with an endpoint at
+    infinity is skipped.  With g = w^k, w primitive, no h = h' w^{+-1} is
+    walked: it repeats h'(fix g) up to amplified rounding.
     """
     word = cnf.letters()
     g_mat = rep.evaluate(word)
@@ -65,7 +67,7 @@ def sample_mu(rep: Representation, cnf: CyclicNormalForm,
             key = _key(r, 1e9) + _key(a, 1e9)
             if key not in seen:
                 seen.add(key)
-                pairs.extend(((r, a), (a, r)))
+                pairs.append((r, a))
         if len(h) < depth:
             for x, m in enumerate(images):
                 xh = (x,) + h
@@ -111,19 +113,15 @@ class _Navigator:
                                 (minv.a, minv.b, minv.c, minv.d)))
             self._nav.append(entries)
         self._prefix_cache = [{} for _ in self._nav]
-        self._records: Dict[tuple, tuple] = {}
 
     def record(self, p: complex):
-        """(first-level region, prefixes by surface factor id), navigated
-        once per distinct point; (None, None) outside every region."""
-        key = _key(p)
-        rec = self._records.get(key)
-        if rec is None:
-            region = self.first_level(p)
-            prefixes = None if region is None else tuple(
-                self.surface_prefix(fid, p, key) for fid in self.surface_fids)
-            rec = self._records[key] = (region, prefixes)
-        return rec
+        """(first-level region, prefixes by surface factor id); (None, None)
+        outside every region."""
+        region = self.first_level(p)
+        if region is None:
+            return None, None
+        return region, tuple(self.surface_prefix(fid, p)
+                             for fid in self.surface_fids)
 
     def first_level(self, p: complex):
         """('free', letter) | ('surface', fid) | None."""
@@ -136,8 +134,7 @@ class _Navigator:
                 return ("free", letter)
         return None
 
-    def surface_prefix(self, fid: int, p: complex,
-                       key: Optional[tuple] = None) -> Optional[Word]:
+    def surface_prefix(self, fid: int, p: complex) -> Optional[Word]:
         """Maximal factor-fid prefix of the point's infinite word.
 
         () when the point already lies outside the factor disk; None when
@@ -149,21 +146,19 @@ class _Navigator:
         syllable.
         """
         cache = self._prefix_cache[fid]
-        key = _key(p) if key is None else key
+        key = _key(p)
         if key in cache:
             return cache[key]
         fA, fbre, fbim, fC = self._factor_forms[fid]
         prefix: List[int] = []
-        stripped = []           # keys of the points after 1, 2, ... strips
         q = p
-        budget_free = True      # False when the outcome is a cap miss
         while True:
             x, y = q.real, q.imag
             if fA * (x * x + y * y) + 2.0 * (fbre * x + fbim * y) + fC > MEMBERSHIP_TOL:
                 result = tuple(prefix)
                 break
             if len(prefix) > self.cap:
-                result, budget_free = None, False
+                result = None
                 break
             best, best_mat, best_val = None, None, MEMBERSHIP_TOL
             for letter, (A, bre, bim, C), mat in self._nav[fid]:
@@ -183,17 +178,11 @@ class _Navigator:
             qkey = _key(q)
             if qkey in cache:
                 rest = cache[qkey]
-                if rest is None:
+                if rest is None or len(prefix) + len(rest) > self.cap + 1:
                     result = None
-                elif len(prefix) + len(rest) <= self.cap + 1:
-                    result = tuple(prefix) + rest
                 else:
-                    result, budget_free = None, False
+                    result = tuple(prefix) + rest
                 break
-            stripped.append(qkey)
-        if budget_free:
-            for k, qkey in enumerate(stripped, 1):
-                cache[qkey] = None if result is None else result[k:]
         cache[key] = result
         return result
 

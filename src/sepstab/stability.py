@@ -45,6 +45,7 @@ TREND_TOL = 1e-9
 ZERO_DIST = 1e-12         # qg_fit: a pair this close spans no distance
 K_MAX = 100.0             # a pass needs the global QG fit within these caps
 A_MAX = 50.0
+BASE_POINT = H3Point(0.0, 1.0)  # orbit paths start here
 
 
 class StabilityError(Exception):
@@ -114,24 +115,25 @@ class StabilityReport:
 # quasi-geodesic constants
 
 
-def _qg_rows(rep: Representation, letters: Word, n: int, window: int,
-             base: H3Point) -> List[List[float]]:
-    """Row i holds dist(base, rho(path[i:i+c]) base) for c = 1..min(window,
-    n - i), for the offsets i < min(|g|, n) of the length-n letter path of
-    g^N whose period is ``letters``.
+def _qg_rows(rep: Representation, letters: Word, n: int,
+             window: int) -> List[List[float]]:
+    """Row i holds dist(o, rho(path[i:i+c]) o), o = BASE_POINT, for
+    c = 1..min(window, n - i), for the offsets i < min(|g|, n) of the
+    length-n letter path of g^N whose period is ``letters``.
 
     Row i + |g| of the whole path would be a prefix of row i, so these
     rows hold every (c, d) pair of the path.
     """
     period = len(letters)
     images = [rep.image(x) for x in letters]
+    o = BASE_POINT
     rows = []
     for i in range(min(period, n)):
         m = MoebiusMap.identity()
         row = []
         for c in range(1, min(window, n - i) + 1):
             m = (m * images[(i + c - 1) % period]).renormalized()
-            row.append(dist(base, apply(m, base)))
+            row.append(dist(o, apply(m, o)))
         rows.append(row)
     return rows
 
@@ -199,15 +201,13 @@ def qg_fit(pairs: Sequence[Tuple[int, float]], window: int,
 
 
 def stability_margin(rep: Representation,
-                     params: Optional[StabilityParams] = None,
-                     base: Optional[H3Point] = None) -> StabilityReport:
+                     params: Optional[StabilityParams] = None
+                     ) -> StabilityReport:
     """Sweep separable (and separability-unknown) classes to the depth
     bound; verdict per the compactness margin and QG constants."""
     group = rep.group
     if params is None:
         params = StabilityParams.defaults_for(group)
-    if base is None:
-        base = H3Point(0.0, 1.0)
 
     records: List[ElementRecord] = []
     fail_witness: Optional[ElementRecord] = None
@@ -260,7 +260,7 @@ def stability_margin(rep: Representation,
             continue
 
         n = length * params.powers
-        rows = _qg_rows(rep, letters, n, params.window, base)
+        rows = _qg_rows(rep, letters, n, params.window)
         pairs = _qg_pairs(rows, n)
         _fold_least(least, pairs)
         _, _, worst = qg_fit(pairs, params.window, A_MAX)
@@ -303,10 +303,10 @@ def stability_margin(rep: Representation,
     elif blockers:
         witness, reason = blockers[0]
         verdict = "inconclusive"
-    elif k_global > K_MAX or a_global > A_MAX:
+    elif k_global > K_MAX:  # qg_fit already caps a_global at A_MAX
         verdict, witness = "inconclusive", None
-        reason = (f"QG constants ({k_global:.3g}, {a_global:.3g}) exceed "
-                  f"caps")
+        reason = (f"QG constants (K={k_global:.6g}, A={a_global:.6g}) "
+                  f"exceed the caps (K_MAX={K_MAX:g}, A_MAX={A_MAX:g})")
     else:
         verdict, witness, reason = "pass", None, ""
 

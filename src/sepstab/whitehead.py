@@ -109,7 +109,8 @@ class WhiteheadGraph:
 
 @dataclass(frozen=True)
 class MuSpec:
-    """Endpoint data: sampled axis endpoint pairs."""
+    """Endpoint data: sampled axis endpoint pairs, one unordered pair per
+    axis."""
     sampled_pairs: Tuple[Tuple[complex, complex], ...] = ()
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from sepstab import gallery
+from sepstab.cli import main
 from sepstab.disks import Disk
 from sepstab.groups import GroupSpec
 from sepstab.hyperbolic import MoebiusMap, Representation
@@ -120,6 +121,29 @@ class TestCli:
                                "--rank", "-1")
         assert code == 65
         assert "free rank" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ("check-stability", "schottky2"), ("sweep", "--grid", "2")])
+    @pytest.mark.parametrize("flags", [
+        ("--depth", "0"), ("--depth", "2", "--powers", "1"),
+        ("--depth", "2", "--window", "1"), ("--depth", "2", "--margin", "-1"),
+    ])
+    def test_invalid_stability_flags_are_65(self, capsys, command, flags):
+        # flags are validated like StabilityParams: no sweep runs
+        assert main([*command, *flags]) == 65
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["separable", "whitehead"])
+    @pytest.mark.parametrize("word", ["a1 b1 A1 B1 a2 b2 A2 B2",
+                                      "t1 a1 b1 A1 B1 a2 b2 A2 B2 T1"])
+    def test_word_trivial_in_a_surface_factor_is_65(self, capsys, command,
+                                                    word):
+        # exit 1 would read "not separable"
+        assert main([command, word, "--genera", "2", "--rank", "1"]) == 65
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert "identity" in err
 
     @pytest.mark.parametrize("old,new,line", [
         ("radius 1.9000000000000001", "radius -1", 11),

@@ -169,10 +169,10 @@ class TestPeriodicKernel:
         except TrivialElement:
             assume(False)
         letters = cnf.letters()
-        base = H3Point(0, 1)
+        base = stability.BASE_POINT
         n = len(letters) * powers
         half = len(letters) * max(1, powers // 2)
-        rows = stability._qg_rows(rep, letters, n, window, base)
+        rows = stability._qg_rows(rep, letters, n, window)
         pairs = stability._qg_pairs(rows, n)
         reference = _all_offsets_pairs(rep, letters * powers, window, base)
         assert set(pairs) == set(reference)
@@ -246,15 +246,16 @@ class TestStabilityMargin:
         assert abs(tr2 - 4.0) <= 1e-12 and not m.is_identity()
 
     def test_basepoint_robustness(self):
-        rep, _ = build("schottky2")
+        # conjugating by h measures the orbit of h^-1(BASE_POINT) = (5+2j, 3)
+        h = MoebiusMap(1, -(5 + 2j), 0, 3)
+        assert dist(apply(h.inverse(), stability.BASE_POINT),
+                    H3Point(5 + 2j, 3)) < 1e-12
         params = StabilityParams(depth=4)
-        a = stability_margin(rep, params, base=H3Point(0, 1))
-        b = stability_margin(rep, params, base=H3Point(5 + 2j, 3))
-        assert a.verdict == b.verdict == "pass"
-        repP, _ = build("pinched-a")
-        a = stability_margin(repP, params, base=H3Point(0, 1))
-        b = stability_margin(repP, params, base=H3Point(5 + 2j, 3))
-        assert a.verdict == b.verdict == "fail"
+        for name, verdict in (("schottky2", "pass"), ("pinched-a", "fail")):
+            rep, _ = build(name)
+            a = stability_margin(rep, params)
+            b = stability_margin(rep.conjugated(h), params)
+            assert a.verdict == b.verdict == verdict
 
     def test_conjugation_invariance(self):
         import random
@@ -291,7 +292,14 @@ class TestStabilityMargin:
 
 class TestVerdictBranches:
     """F2 with b = loxodromic_with_axis(2, 8, 5) and a short translation a,
-    swept at depth 2: each a reaches one verdict branch with witness a."""
+    swept at depth 2: each a reaches one verdict branch, with witness a or,
+    at the QG cap, with none."""
+
+    @staticmethod
+    def report(p, q, lam, margin=0.02):
+        rep = Representation(F2, [loxodromic_with_axis(p, q, lam),
+                                  loxodromic_with_axis(2, 8, 5)])
+        return stability_margin(rep, StabilityParams(depth=2, margin=margin))
 
     @pytest.mark.parametrize("p, q, lam, verdict, flags", [
         (-1, 3, 1.005, "fail", ("decreasing_qg",)),
@@ -302,12 +310,19 @@ class TestVerdictBranches:
                                          "below_margin")),
     ])
     def test_branch(self, p, q, lam, verdict, flags):
-        rep = Representation(F2, [loxodromic_with_axis(p, q, lam),
-                                  loxodromic_with_axis(2, 8, 5)])
-        report = stability_margin(rep, StabilityParams(depth=2))
+        report = self.report(p, q, lam)
         assert report.verdict == verdict
         assert report.witness.spelling == "a"
         assert report.witness.flags == flags
+
+    @pytest.mark.parametrize("lam, k", [(1.002, "250.25"), (1.005, "100.25")])
+    def test_qg_cap(self, lam, k):
+        # at margin 1e-3 every ratio clears the margin; the global fit does
+        # not, and the reason shows by how much
+        report = self.report(-1, 1, lam, margin=1e-3)
+        assert report.verdict == "inconclusive" and report.witness is None
+        assert report.reason == (f"QG constants (K={k}, A=0) exceed the caps "
+                                 f"(K_MAX=100, A_MAX=50)")
 
 
 class TestSweep:
