@@ -4,7 +4,6 @@ analysis and a PSL(2,C) numeric substrate."""
 
 from sepstab.groups import (
     CyclicNormalForm,
-    FactorSpec,
     GroupError,
     GroupSpec,
     LetterOutOfRange,
@@ -21,7 +20,6 @@ from sepstab.groups import (
 
 __all__ = [
     "CyclicNormalForm",
-    "FactorSpec",
     "GroupError",
     "GroupSpec",
     "LetterOutOfRange",

@@ -13,7 +13,8 @@ Subcommands:
 Representations are file paths or gallery names (a path whose basename
 matches a gallery entry is built in memory when the file does not exist).
 Usage errors exit 64, data errors 65 (a malformed group, word or
-representation, a word trivial in the group, invalid stability flags).
+representation, a word trivial in the group, invalid stability flags), I/O
+errors 74 (a file that cannot be read or written).
 All outputs are deterministic for fixed flags.
 """
 
@@ -37,6 +38,7 @@ from sepstab.pingpong import ping_pong_verify
 
 EX_USAGE = 64
 EX_DATA = 65
+EX_IOERR = 74
 
 
 class _CliError(Exception):
@@ -58,9 +60,15 @@ def _group_from_flags(args) -> GroupSpec:
 
 def _load_rep(arg: str):
     if os.path.isfile(arg):
+        with open(arg, "rb") as fh:
+            data = fh.read()
         try:
-            with open(arg, "r", encoding="utf-8") as fh:
-                rf = repfile.parse_rep(fh.read())
+            rf = repfile.parse_rep(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            start = data.rfind(b"\n", 0, exc.start) + 1
+            line = data.count(b"\n", 0, start) + 1
+            raise _CliError(f"{arg}: line {line}, column "
+                            f"{exc.start - start + 1}: not UTF-8 text", EX_DATA)
         except repfile.RepFileError as exc:
             raise _CliError(f"{arg}: {exc}", EX_DATA)
         return rf.rep, rf.disks, rf.meta.get("name", os.path.basename(arg))
@@ -289,6 +297,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (GroupError, ST.StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_IOERR
 
 
 if __name__ == "__main__":

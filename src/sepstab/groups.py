@@ -37,23 +37,6 @@ class LetterOutOfRange(GroupError):
     pass
 
 
-@dataclass(frozen=True)
-class FactorSpec:
-    kind: str          # "surface" | "free"
-    index: int         # position in the factor list
-    genus: int = 0     # surface factors only
-
-    def __post_init__(self):
-        if self.kind == "surface" and self.genus < 2:
-            raise GroupError("surface factors need genus >= 2")
-        if self.kind not in ("surface", "free"):
-            raise GroupError(f"unknown factor kind {self.kind!r}")
-
-    @property
-    def n_generators(self) -> int:
-        return 2 * self.genus if self.kind == "surface" else 1
-
-
 def inv(letter: int) -> int:
     return letter ^ 1
 
@@ -63,44 +46,43 @@ class GroupSpec:
     factors, with the standard symmetric generating set.
 
     ``surface_genera`` lists the genera of the surface factors;
-    ``free_rank`` is the number of infinite-cyclic factors.
+    ``free_rank`` is the number of infinite-cyclic factors.  Factor ids run
+    over ``range(n_factors)``, surface factors first: the k-th surface
+    factor has fid k - 1 and the k-th free factor fid n_surface + k - 1, so
+    ``fid < n_surface`` is the one test of "is a surface factor".
     """
 
     def __init__(self, surface_genera: Sequence[int] = (), free_rank: int = 0):
         if not isinstance(free_rank, numbers.Integral) or free_rank < 0:
             raise GroupError(f"free rank must be a non-negative integer, "
                              f"not {free_rank!r}")
-        free_rank = int(free_rank)
-        factors = []
+        surface_genera = tuple(surface_genera)  # read twice below
         for g in surface_genera:
             if not isinstance(g, numbers.Integral):
                 raise GroupError(f"surface genus must be an integer, "
                                  f"not {g!r}")
-            factors.append(FactorSpec("surface", len(factors), genus=int(g)))
-        for _ in range(free_rank):
-            factors.append(FactorSpec("free", len(factors)))
-        if len(factors) < 2:
+            if g < 2:
+                raise GroupError("surface factors need genus >= 2")
+        self.surface_genera = tuple(int(g) for g in surface_genera)
+        self.free_rank = free_rank = int(free_rank)
+        self.n_surface = n_surface = len(self.surface_genera)
+        self.n_factors = n_surface + free_rank
+        if self.n_factors < 2:
             raise GroupError(
                 "need a nontrivial free product: at least two factors "
                 "(a lone surface group or a lone Z is out of scope)")
-        # surface factors come first: the k-th surface factor has fid k - 1
-        # and the k-th free factor fid n_surface + k - 1
-        self.n_surface = n_surface = len(factors) - free_rank
         if n_surface == 2 and free_rank == 0:
             raise UniquelyFreelyDecomposable(
                 "two surface factors with no free part are refused; this "
                 "group has an essentially unique free decomposition")
-        self.factors: tuple[FactorSpec, ...] = tuple(factors)
-        self.free_rank = free_rank
-        self.surface_genera = tuple(int(g) for g in surface_genera)
 
-        # letter tables
-        self._letter_factor: list[int] = []
-        self._gen_base: list[int] = []       # first letter id of each factor
-        for f in self.factors:
-            self._gen_base.append(len(self._letter_factor))
-            self._letter_factor.extend([f.index] * (2 * f.n_generators))
-        self.n_letters = len(self._letter_factor)
+        # letter tables: 4g letters per surface factor, 2 per free factor;
+        # _gen_base ends with n_letters
+        sizes = [4 * g for g in self.surface_genera] + [2] * free_rank
+        self._gen_base = [0, *itertools.accumulate(sizes)]
+        self._letter_factor = [fid for fid, n in enumerate(sizes)
+                               for _ in range(n)]
+        self.n_letters = self._gen_base[-1]
         self._names = self._build_names()
         self._name_to_letter = {n: i for i, n in enumerate(self._names)}
         # convenience aliases: bare a, b, c ... for purely free groups
@@ -110,32 +92,25 @@ class GroupSpec:
                 lo = chr(ord("a") + k)
                 self._aliases[lo] = 2 * k
                 self._aliases[lo.upper()] = 2 * k + 1
-        self._relators = {
-            f.index: self._build_relator(f) for f in self.factors
-            if f.kind == "surface"
-        }
-        self._dehn_tables = {
-            fid: _DehnTable(rel) for fid, rel in self._relators.items()
-        }
+        self._relators = [self._build_relator(fid) for fid in range(n_surface)]
+        self._dehn_tables = [_DehnTable(rel) for rel in self._relators]
 
     # -- naming ---------------------------------------------------------
 
     def _build_names(self) -> list[str]:
         names = []
-        for f in self.factors:
-            if f.kind == "surface":
-                for j in range(1, f.genus + 1):
-                    for base in ("a", "b"):
-                        if self.n_surface == 1:
-                            pos = f"{base}{j}"
-                        else:
-                            pos = f"{base}{f.index + 1}.{j}"
-                        names.append(pos)
-                        names.append(pos[0].upper() + pos[1:])
-            else:
-                k = f.index - self.n_surface + 1
-                names.append(f"t{k}")
-                names.append(f"T{k}")
+        for fid, genus in enumerate(self.surface_genera):
+            for j in range(1, genus + 1):
+                for base in ("a", "b"):
+                    if self.n_surface == 1:
+                        pos = f"{base}{j}"
+                    else:
+                        pos = f"{base}{fid + 1}.{j}"
+                    names.append(pos)
+                    names.append(pos[0].upper() + pos[1:])
+        for k in range(1, self.free_rank + 1):
+            names.append(f"t{k}")
+            names.append(f"T{k}")
         return names
 
     def letter_name(self, letter: int) -> str:
@@ -171,28 +146,27 @@ class GroupSpec:
         return self._letter_factor[letter]
 
     def gen_base(self, fid: int) -> int:
-        """First letter id belonging to factor ``fid``."""
+        """First letter id of factor ``fid``; ``n_letters`` at ``n_factors``."""
         return self._gen_base[fid]
 
     def factor_letters(self, fid: int) -> range:
-        base = self._gen_base[fid]
-        return range(base, base + 2 * self.factors[fid].n_generators)
+        return range(self._gen_base[fid], self._gen_base[fid + 1])
 
     def relator(self, fid: int) -> Word:
         return self._relators[fid]
 
-    def _build_relator(self, f: FactorSpec) -> Word:
-        base = self._gen_base[f.index]
+    def _build_relator(self, fid: int) -> Word:
+        base = self._gen_base[fid]
         rel = []
-        for j in range(f.genus):
+        for j in range(self.surface_genera[fid]):
             a = base + 4 * j
             b = base + 4 * j + 2
             rel.extend([a, b, inv(a), inv(b)])
         return tuple(rel)
 
     def __repr__(self):
-        parts = [f"Surface(genus={f.genus})" if f.kind == "surface" else "Z"
-                 for f in self.factors]
+        parts = ([f"Surface(genus={g})" for g in self.surface_genera]
+                 + ["Z"] * self.free_rank)
         return "GroupSpec(" + " * ".join(parts) + ")"
 
 
@@ -270,8 +244,7 @@ class _DehnTable:
 
 def dehn_reduce(word: Word, group: GroupSpec, fid: int) -> Word:
     """Dehn-reduce a word lying in surface factor ``fid``."""
-    f = group.factors[fid]
-    if f.kind != "surface":
+    if not 0 <= fid < group.n_surface:
         raise MixedFactors(f"factor {fid} is not a surface factor")
     for x in word:
         if group.letter_factor(x) != fid:
@@ -356,10 +329,10 @@ def _merge_syllables(sylls: list, group: GroupSpec) -> list:
                 out.append((fid, w))
         sylls = []
         for fid, w in out:
-            if group.factors[fid].kind == "free":
-                w = free_reduce(w)
-            else:
+            if fid < group.n_surface:
                 w = dehn_reduce(w, group, fid)
+            else:
+                w = free_reduce(w)
             if w:
                 sylls.append((fid, w))
             else:
@@ -388,7 +361,7 @@ def cyclic_reduce(word: Word, group: GroupSpec):
         if not sylls:
             raise TrivialElement("word is trivial in the group")
     # a single surface syllable must additionally be cyclically Dehn-reduced
-    if len(sylls) == 1 and group.factors[sylls[0][0]].kind == "surface":
+    if len(sylls) == 1 and sylls[0][0] < group.n_surface:
         fid, w = sylls[0]
         w, extra = _cyclic_dehn_reduce(w, group, fid)
         conj = word_mul(extra, conj)
@@ -458,7 +431,7 @@ def _respell(letters: Word, group: GroupSpec) -> Iterator[Word]:
     options = []
     total = 1
     for fid, w in runs:
-        if group.factors[fid].kind == "surface" and total <= _SPELL_CAP:
+        if fid < group.n_surface and total <= _SPELL_CAP:
             opts = sorted(s for s in dehn_spellings(w, group, fid)
                           if len(s) == len(w))
             if not opts:

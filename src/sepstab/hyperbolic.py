@@ -68,22 +68,25 @@ class MoebiusMap:
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a, normalize=False)
 
+    def det_noise(self) -> float:
+        """Noise floor of the computed determinant: for entries of
+        magnitude M it carries a cancellation error ~M^2 * eps."""
+        s2 = (abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2
+              + abs(self.d) ** 2)
+        return 16.0 * s2 * 2.3e-16
+
     def renormalized(self) -> "MoebiusMap":
         """Rescale to determinant 1 when that is numerically meaningful.
 
-        For entries of magnitude M the computed determinant carries a
-        cancellation error ~M^2 * eps, so a deviation below that noise
-        floor must not be "corrected" (dividing by its square root would
-        scale the entries by noise).  Deviations within the 1e-12 budget
-        are also left untouched to keep entries bit-stable.  The true
-        determinant of a product of unit-determinant factors only drifts
-        multiplicatively by ~eps per factor, so skipping is always safe.
+        A deviation below ``det_noise`` must not be "corrected" (dividing
+        by its square root would scale the entries by noise).  Deviations
+        within the 1e-12 budget are also left untouched to keep entries
+        bit-stable.  The true determinant of a product of unit-determinant
+        factors only drifts multiplicatively by ~eps per factor, so
+        skipping is always safe.
         """
-        s2 = (abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2
-              + abs(self.d) ** 2)
-        noise_floor = 16.0 * s2 * 2.3e-16
         deviation = abs(self.det() - 1.0)
-        if deviation <= max(DET_TOL, noise_floor):
+        if deviation <= DET_TOL or deviation <= self.det_noise():
             return self
         return MoebiusMap(self.a, self.b, self.c, self.d, normalize=True)
 
@@ -292,12 +295,9 @@ class Representation:
 
     def relator_residuals(self) -> dict:
         """Operator-norm distance of each surface relator image from +-I."""
-        out = {}
-        for f in self.group.factors:
-            if f.kind == "surface":
-                m = self.evaluate(self.group.relator(f.index))
-                out[f.index] = m.dist_to_pm_identity()
-        return out
+        group = self.group
+        return {fid: self.evaluate(group.relator(fid)).dist_to_pm_identity()
+                for fid in range(group.n_surface)}
 
     def conjugated(self, h: MoebiusMap) -> "Representation":
         h = MoebiusMap(h.a, h.b, h.c, h.d)  # unit determinant keeps the

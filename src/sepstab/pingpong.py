@@ -65,7 +65,7 @@ class PingPongDisks:
 
     def disk_for_letter(self, group: GroupSpec, letter: int) -> Disk:
         fid = group.letter_factor(letter)
-        if group.factors[fid].kind == "surface":
+        if fid < group.n_surface:
             return self.factor[fid]
         return self.free[letter]
 
@@ -97,30 +97,30 @@ def _fit_circle(p: complex, q: complex, r: complex):
     return center, abs(p - center)
 
 
+def check_disk_layout(group: GroupSpec, disks: PingPongDisks):
+    """Raise ``DiskCountMismatch`` unless there is exactly one disk per
+    surface factor and one per free letter and per inverse."""
+    surface_fids = range(group.n_surface)
+    free_letters = range(group.gen_base(group.n_surface), group.n_letters)
+    for fid in surface_fids:
+        if fid not in disks.factor:
+            raise DiskCountMismatch(f"no disk for surface factor {fid}")
+    for lid in free_letters:
+        if lid not in disks.free:
+            raise DiskCountMismatch(
+                f"no disk for free letter {group.letter_name(lid)}")
+    if set(disks.free) - set(free_letters) or \
+            set(disks.factor) - set(surface_fids):
+        raise DiskCountMismatch("disks for letters outside the group")
+
+
 def ping_pong_verify(rep: Representation,
                      disks: PingPongDisks) -> PingPongCertificate:
     """Check the Klein-combination inequalities; attaches and returns the
     certificate."""
     group = rep.group
     failures: List[str] = []
-
-    # disk bookkeeping matches the group
-    for f in group.factors:
-        if f.kind == "surface":
-            if f.index not in disks.factor:
-                raise DiskCountMismatch(f"no disk for surface factor {f.index}")
-        else:
-            base = group.gen_base(f.index)
-            for lid in (base, base + 1):
-                if lid not in disks.free:
-                    raise DiskCountMismatch(
-                        f"no disk for free letter {group.letter_name(lid)}")
-    extra = set(disks.free) - {
-        lid for f in group.factors if f.kind == "free"
-        for lid in (group.gen_base(f.index), group.gen_base(f.index) + 1)}
-    if extra or set(disks.factor) - {
-            f.index for f in group.factors if f.kind == "surface"}:
-        raise DiskCountMismatch("disks for letters outside the group")
+    check_disk_layout(group, disks)
 
     named = disks.distinct_disks()
     for i, (ni, di) in enumerate(named):
@@ -146,10 +146,7 @@ def ping_pong_verify(rep: Representation,
     # surface-factor conditions
     circles: Dict[int, Tuple[complex, float]] = {}
     residuals = rep.relator_residuals()
-    for f in group.factors:
-        if f.kind != "surface":
-            continue
-        fid = f.index
+    for fid in range(group.n_surface):
         if residuals[fid] >= RELATOR_RESIDUAL_MAX:
             failures.append(
                 f"relator residual {residuals[fid]:.3g} too large for "

@@ -9,17 +9,22 @@ Structured text, hand-editable, with three blocks:
       a1 = (a_re, a_im) (b_re, b_im) (c_re, c_im) (d_re, d_im)
       ...
     disks                # optional ping-pong data
-      factor 1 center (x, y) radius r
-      t1 center (x, y) radius r
-      T1 center (x, y) radius r
+      factor 1 center (x, y) radius r   # one per surface factor
+      t1 center (x, y) radius r         # one per free letter
+      T1 center (x, y) radius r         # and one per inverse
     meta                 # optional free-form key value lines
       name example
 
 Numbers are emitted with repr(float), which round-trips exactly, so
-parse -> emit -> parse is the identity.  Unknown keys, non-finite numbers,
-non-positive radii, non-integer genera or ranks and groups that GroupSpec
-refuses are rejected with a line/column diagnostic.  Generator matrices are renormalized to determinant
-one when the determinant is within 1e-6 of one and rejected otherwise.
+parse -> emit -> parse is the identity.  Unknown or repeated keys,
+non-finite numbers, non-positive radii, non-integer genera or ranks,
+groups that GroupSpec refuses and a disk block that misses a disk or has
+one for a letter it does not cover are rejected with a line/column
+diagnostic.  Only bounded disks can be written.  A generator matrix is
+rejected when its determinant is off one by more than 1e-6 plus the
+rounding noise of its entries (``MoebiusMap.det_noise``); otherwise its
+entries are kept as written and ``Representation`` renormalizes them
+under its own rule, so the round trip is exact at any entry size.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from typing import Dict, List, Optional, Tuple
 from sepstab.disks import Disk, DiskError
 from sepstab.groups import GroupError, GroupSpec
 from sepstab.hyperbolic import MoebiusMap, Representation
-from sepstab.pingpong import PingPongDisks
+from sepstab.pingpong import (DiskCountMismatch, PingPongDisks,
+                              check_disk_layout)
 
 DET_REJECT = 1e-6
 
@@ -83,7 +89,7 @@ def parse_rep(text: str) -> RepFile:
     gen_lines: List[Tuple[int, str]] = []
     disk_lines: List[Tuple[int, str]] = []
     meta: Dict[str, str] = {}
-    group_line = 0
+    group_line = disks_line = free_line = 0
 
     for idx, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -96,6 +102,8 @@ def parse_rep(text: str) -> RepFile:
             section = name
             if name == "group":
                 group_line = idx
+            elif name == "disks":
+                disks_line = idx
             continue
         body = line.strip()
         if section == "group":
@@ -103,6 +111,9 @@ def parse_rep(text: str) -> RepFile:
             if parts[0] == "surface" and len(parts) == 2:
                 genera.append(_parse_count(parts[1], idx))
             elif parts[0] == "free" and len(parts) == 2:
+                if free_line:
+                    raise RepFileError("repeated key 'free'", idx)
+                free_line = idx
                 free_rank = _parse_count(parts[1], idx)
             else:
                 raise RepFileError(f"unknown group key {parts[0]!r}", idx)
@@ -112,6 +123,8 @@ def parse_rep(text: str) -> RepFile:
             disk_lines.append((idx, body))
         elif section == "meta":
             parts = body.split(None, 1)
+            if parts[0] in meta:
+                raise RepFileError(f"repeated key {parts[0]!r}", idx)
             meta[parts[0]] = parts[1] if len(parts) > 1 else ""
         else:
             raise RepFileError("content before any section header", idx)
@@ -130,16 +143,16 @@ def parse_rep(text: str) -> RepFile:
         if not m:
             raise RepFileError("expected `name = (re,im) x4`", idx)
         name = m.group(1)
+        if name in images:
+            raise RepFileError(f"repeated generator {name!r}", idx)
         vals = [_parse_float(m.group(k), idx, 1) for k in range(2, 10)]
-        a, b, c, d = (complex(vals[0], vals[1]), complex(vals[2], vals[3]),
-                      complex(vals[4], vals[5]), complex(vals[6], vals[7]))
-        det = a * d - b * c
-        if abs(det - 1.0) > DET_REJECT:
+        mm = MoebiusMap(*(complex(vals[k], vals[k + 1]) for k in (0, 2, 4, 6)),
+                        normalize=False)
+        det = mm.det()
+        if abs(det - 1.0) > DET_REJECT + mm.det_noise():
             raise RepFileError(
                 f"determinant {det:.6g} off by more than {DET_REJECT}", idx)
-        # keep entries bit-stable when the determinant is within budget
-        images[name] = MoebiusMap(a, b, c, d,
-                                  normalize=abs(det - 1.0) > 1e-12)
+        images[name] = mm
 
     expected = [group.letter_name(2 * k) for k in range(group.n_letters // 2)]
     missing = [n for n in expected if n not in images]
@@ -174,17 +187,24 @@ def parse_rep(text: str) -> RepFile:
                 surf_index = int(m.group(2))  # surface factor k has fid k - 1
                 if not 1 <= surf_index <= group.n_surface:
                     raise RepFileError(f"no surface factor {m.group(2)}", idx)
-                factor[surf_index - 1] = disk
-                disk_params[f"factor {surf_index}"] = (cx, cy, r)
+                name = f"factor {surf_index}"
+                table, key = factor, surf_index - 1
             else:
                 name = m.group(1)
                 try:
-                    letter = group.parse_word(name)[0]
+                    key = group.parse_word(name)[0]
                 except Exception:
                     raise RepFileError(f"unknown letter {name!r}", idx)
-                free[letter] = disk
-                disk_params[name] = (cx, cy, r)
+                table = free
+            if key in table:
+                raise RepFileError(f"repeated disk {name!r}", idx)
+            table[key] = disk
+            disk_params[name] = (cx, cy, r)
         disks = PingPongDisks(free=free, factor=factor)
+        try:
+            check_disk_layout(group, disks)
+        except DiskCountMismatch as exc:
+            raise RepFileError(str(exc), disks_line)
 
     return RepFile(rep=rep, disks=disks, meta=meta, disk_params=disk_params)
 
@@ -210,6 +230,9 @@ def emit_rep(repfile: RepFile) -> str:
         out.append("disks")
 
         def disk_line(key: str, d: Disk) -> str:
+            if not d.bounded:
+                raise ValueError(f"disk {key} is not bounded; a .rep file "
+                                 f"holds bounded disks only")
             if key in repfile.disk_params:
                 cx, cy, r = repfile.disk_params[key]
             else:

@@ -253,7 +253,7 @@ def is_separable(word: Word, group: GroupSpec) -> SeparabilityVerdict:
         return SeparabilityVerdict(
             "separable", single_factor=next(iter(fids_used)),
             reason="single-syllable class lies in one factor")
-    missing = [f.index for f in group.factors if f.index not in fids_used]
+    missing = [fid for fid in range(group.n_factors) if fid not in fids_used]
     if missing:
         return SeparabilityVerdict(
             "separable", omitted_factor=missing[0],

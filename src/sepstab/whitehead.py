@@ -82,8 +82,7 @@ class Edge:
 @dataclass
 class Component:
     cid: str                       # "ball" | "surface<fid>"
-    kind: str                      # "ball" | "surface"
-    fid: Optional[int]             # surface factor id for surface components
+    fid: Optional[int]             # surface factor id; None on the ball
     vertices: Tuple[DiscVertex, ...]
     edges: Tuple[Edge, ...] = ()
 
@@ -128,18 +127,15 @@ def standard_meridian_model(group: GroupSpec) -> List[Component]:
     """Vertex layout of the canonical boundary-connect-sum disc system."""
     ball_vertices = []
     comps: List[Component] = []
-    for f in group.factors:
-        name = _disc_name(group, f.index)
+    for fid in range(group.n_factors):
+        name = _disc_name(group, fid)
         ball_vertices.append(DiscVertex("ball", name, +1))
         ball_vertices.append(DiscVertex("ball", name, -1))
-    comps.append(Component("ball", "ball", None, tuple(ball_vertices)))
-    for f in group.factors:
-        if f.kind == "surface":
-            name = _disc_name(group, f.index)
-            cid = f"surface{f.index}"
-            comps.append(Component(
-                cid, "surface", f.index,
-                (DiscVertex(cid, name, 0),)))
+    comps.append(Component("ball", None, tuple(ball_vertices)))
+    for fid in range(group.n_surface):
+        cid = f"surface{fid}"
+        comps.append(Component(
+            cid, fid, (DiscVertex(cid, _disc_name(group, fid), 0),)))
     return comps
 
 
@@ -185,7 +181,7 @@ def graph_from_counts(group: GroupSpec,
         v = loop_vertex[fid]
         edges[fid].append(Edge(v, v, label, support))
     return WhiteheadGraph(group, tuple(
-        Component(c.cid, c.kind, c.fid, c.vertices,
+        Component(c.cid, c.fid, c.vertices,
                   tuple(sorted(edges[c.fid], key=Edge.key)))
         for c in model))
 
@@ -204,14 +200,14 @@ def whitehead_graph_combinatorial(cnf: CyclicNormalForm,
     ball: Counter = Counter()
     loops: Counter = Counter()
     sylls = cnf.syllables
-    if len(sylls) == 1 and group.factors[sylls[0][0]].kind == "surface":
+    if len(sylls) == 1 and sylls[0][0] < group.n_surface:
         return graph_from_counts(group, ball, loops)
     # the cyclic crossing sequence, free syllables at letter level and each
     # surface syllable as one oriented crossing of its factor disc; a
     # crossing is (its vertex, the vertex of the same crossing reversed)
     crossings = []
     for fid, w in sylls:
-        if group.factors[fid].kind == "free":
+        if fid >= group.n_surface:
             crossings.extend((free_letter_vertex(group, x),
                               free_letter_vertex(group, inv(x))) for x in w)
             continue
@@ -231,13 +227,12 @@ def _check_cyclically_reduced(cnf: CyclicNormalForm, group: GroupSpec):
     if len(sylls) >= 2 and sylls[0][0] == sylls[-1][0]:
         raise NotCyclicallyReduced("first and last syllables share a factor")
     for fid, w in sylls:
-        if group.factors[fid].kind == "free":
-            if not w or len(set(w)) != 1:
-                raise NotCyclicallyReduced(
-                    "free syllable must be a nonzero power of one letter")
-        else:
+        if fid < group.n_surface:
             if not w or G.dehn_reduce(w, group, fid) != w:
                 raise NotCyclicallyReduced("surface syllable not Dehn-reduced")
+        elif not w or len(set(w)) != 1:
+            raise NotCyclicallyReduced(
+                "free syllable must be a nonzero power of one letter")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +324,7 @@ def _strong(comp: Component, group: GroupSpec, degree: List[int],
     """Whether a connected piece is strongly connected: on the ball, no
     vertex of degree < 2; on a (one-vertex) surface component, some loop
     with a nontrivial label."""
-    if comp.kind == "ball":
+    if comp.fid is None:
         return min(degree[i] for i in piece) >= 2
     return any(G.dehn_reduce(e.label, group, comp.fid) for e in comp.edges)
 

@@ -48,6 +48,10 @@ class TestGroupSpec:
         g = GroupSpec((2, 3), 1)
         assert g.n_letters == 2 * (4 + 6 + 1)
 
+    def test_genera_from_an_iterator(self):
+        g = GroupSpec(iter([2]), 2)
+        assert (g.surface_genera, g.n_surface, g.n_letters) == ((2,), 1, 12)
+
     def test_letter_naming_round_trip(self):
         for grp in (F2, S2Z, GroupSpec((2, 2), 1)):
             for x in range(grp.n_letters):

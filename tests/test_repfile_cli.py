@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepstab import gallery
 from sepstab.cli import main
@@ -100,6 +102,62 @@ class TestRepFile:
         assert rf.rep.relator_residuals()[0] < 1e-8
 
 
+def _complex(scale):
+    part = st.floats(-1.0, 1.0)
+    return st.builds(lambda x, y: complex(x, y) * scale, part, part)
+
+
+@st.composite
+def rep_files(draw):
+    """A representation file of a group GroupSpec accepts, with generator
+    entries scaled 1-1e4, a bounded disk under every disk key and a name."""
+    genera, rank = draw(st.tuples(
+        st.lists(st.sampled_from((2, 3)), max_size=3), st.integers(0, 2))
+        .filter(lambda gr: len(gr[0]) + gr[1] >= 2
+                and (len(gr[0]), gr[1]) != (2, 0)))
+    group = GroupSpec(tuple(genera), rank)
+    images = []
+    for _ in range(group.n_letters // 2):
+        scale = draw(st.floats(1.0, 1e4))
+        a = draw(_complex(scale).filter(lambda z: abs(z) > 1e-2 * scale))
+        b, c = draw(_complex(scale)), draw(_complex(scale))
+        images.append(MoebiusMap(a, b, c, (1 + b * c) / a, normalize=False))
+
+    def disk():
+        return Disk.interior(draw(_complex(100.0)),
+                             draw(st.floats(1e-2, 100.0)))
+    disks = PingPongDisks(
+        free={lid: disk() for lid in range(
+            group.gen_base(group.n_surface), group.n_letters)},
+        factor={fid: disk() for fid in range(group.n_surface)})
+    name = draw(st.text("abcxyz019-_.", min_size=1, max_size=12))
+    return RepFile(rep=Representation(group, images), disks=disks,
+                   meta={"name": name})
+
+
+def _bits(rep):
+    return [repr(z) for m in rep.generator_images()
+            for z in (m.a, m.b, m.c, m.d)]
+
+
+class TestRepFileRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(rep_files(), st.data())
+    def test_round_trip_is_exact(self, rf, data):
+        text = emit_rep(rf)
+        back = parse_rep(text)
+        assert emit_rep(back) == text
+        assert _bits(back.rep) == _bits(rf.rep)
+        # an exterior disk has no bounded form to write
+        disks = rf.disks
+        table = data.draw(st.sampled_from(
+            [t for t in (disks.free, disks.factor) if t]))
+        key = data.draw(st.sampled_from(sorted(table)))
+        table[key] = table[key].complement()
+        with pytest.raises(ValueError, match="not bounded"):
+            emit_rep(rf)
+
+
 class TestCli:
     def test_separable_exit_codes(self):
         assert run_cli("separable", "a b A B")[0] == 1
@@ -151,6 +209,21 @@ class TestCli:
         ("surface 2", "surface 1", 1),
         ("radius 1.1733333333333191", "radius nan", 12),
         ("surface 2", "surface 2.5", 2),
+        # missing or misplaced disks are reported at the `disks` header
+        ("  T1 center (5.733333333333334, -0.0) radius 1.1733333333333384\n",
+         "", 10),
+        ("  t1 center", "  a1 center", 10),
+        ("  factor 1 center", "  A1 center (0.0, 3.0) radius 0.5\n"
+         "  factor 1 center", 10),
+        # a repeated key is reported at the repeat
+        ("  t1 = (9.625", "  t1 = (1.0, 0.0) (0.0, 0.0) (0.0, 0.0) "
+         "(1.0, 0.0)\n  t1 = (9.625", 10),
+        ("  T1 center", "  t1 center (0.0, 3.0) radius 0.5\n  T1 center",
+         13),
+        ("  factor 1 center", "  factor 1 center (0.0, 3.0) radius 0.5\n"
+         "  factor 1 center", 12),
+        ("  free 1\n", "  free 1\n  free 1\n", 4),
+        ("  name s2-times-z", "  name s2-times-z\n  name other", 16),
     ])
     def test_malformed_rep_is_65_with_line(self, tmp_path, old, new, line):
         text = gallery_text("s2-times-z")
@@ -160,6 +233,33 @@ class TestCli:
         code, _, err = run_cli("check-stability", str(path), "--depth", "2")
         assert code == 65
         assert f"line {line}," in err and "Traceback" not in err
+
+    def test_rep_file_not_utf8_is_65_with_line(self, tmp_path):
+        data = gallery_text("schottky2").encode()
+        path = tmp_path / "bad.rep"
+        path.write_bytes(data.replace(b"meta", b"m\xe9ta"))
+        code, _, err = run_cli("check-stability", str(path), "--depth", "2")
+        assert code == 65
+        assert "line 11, column 2: not UTF-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ("check-stability", "schottky2", "--depth", "2", "--csv",
+         "{missing}/x.csv"),
+        ("whitehead", "a1 t1", "--genera", "2", "--rank", "1", "--dot",
+         "{missing}/g.dot"),
+        ("whitehead", "a b", "--dot", "{missing}/g.dot"),
+        ("sweep", "--grid", "2", "--depth", "2", "--csv", "{missing}/s.csv"),
+        ("examples", "--write", "{file}"),
+    ])
+    def test_io_error_is_74(self, tmp_path, capsys, command):
+        # exit 1 would read "fail" or "not separable"
+        (tmp_path / "file").write_text("")
+        argv = [a.format(missing=tmp_path / "missing", file=tmp_path / "file")
+                for a in command]
+        assert main(argv) == 74
+        _, err = capsys.readouterr()
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_whitehead_writes_dot(self, tmp_path):
         out = tmp_path / "g.dot"

@@ -134,7 +134,7 @@ def test_two_canonical_spellings_per_surface_syllable(monkeypatch):
         for cnf in enumerate_elements(group, max_len):
             if len(cnf.syllables) > 1:
                 syllables += sum(1 for fid, _ in cnf.syllables
-                                 if group.factors[fid].kind == "surface")
+                                 if fid < group.n_surface)
             whitehead_graph_combinatorial(cnf, group)
     assert syllables > 1000
     assert len(calls) == 2 * syllables
@@ -163,7 +163,7 @@ class TestStrongCutpoints:
              for disc in ("D1", "D2", "Dt1") for side in (+1, -1)]
         links = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
         edges = tuple(Edge(v[a], v[b]) for a, b in links)
-        ball = Component("ball", "ball", None, tuple(v), edges)
+        ball = Component("ball", None, tuple(v), edges)
         wh = WhiteheadGraph(TWO_SURF, (ball,))
         assert is_strongly_connected(wh)["ball"] is True
         assert strong_cutpoints(wh)["ball"] == sorted((v[2], v[3]))
@@ -176,7 +176,7 @@ class TestStrongCutpoints:
              for disc in ("Dt1", "Dt2") for side in (+1, -1)]
         links = [(0, 1), (1, 2), (0, 2), (2, 3)]
         edges = tuple(Edge(v[a], v[b]) for a, b in links)
-        ball = Component("ball", "ball", None, tuple(v), edges)
+        ball = Component("ball", None, tuple(v), edges)
         wh = WhiteheadGraph(F2, (ball,))
         assert is_strongly_connected(wh)["ball"] is False
         assert strong_cutpoints(wh)["ball"] == sorted(v)
@@ -208,7 +208,7 @@ def _side_strong(comp, vertices, edges, group):
         return True  # a bare vertex
     if len(_pieces(vertices, edges)) != 1:
         return False
-    if comp.kind == "surface":
+    if comp.fid is not None:
         # one vertex: the cycles are the loops
         return any(G.dehn_reduce(e.label, group, comp.fid) for e in edges)
     ends = [x for e in edges for x in (e.u, e.v)]
