@@ -190,13 +190,14 @@ def _order_fixed(m: MoebiusMap, pts):
     """Order a fixed pair as (repelling, attracting).
 
     |m'(z)| = |cz + d|^-2, so the repelling point has the smaller |cz + d|.
-    At infinity the stand-in is |a| when c == 0 (m' = a^-2 in the chart
-    1/z) and 0 otherwise.  Nothing is divided, so a float root at which
-    cz + d rounds to 0 is ordered as well.
+    Infinity is returned only when |c| is negligible, and there the
+    stand-in is |a| (m' = a^-2 in the chart 1/z when c == 0).  Nothing is
+    divided, so a float root at which cz + d rounds to 0 is ordered as
+    well.
     """
     def size(z: Optional[complex]) -> float:
         if z is None:
-            return abs(m.a) if m.c == 0 else 0.0
+            return abs(m.a)
         return abs(m.c * z + m.d)
 
     return pts if size(pts[0]) < size(pts[1]) else (pts[1], pts[0])
@@ -311,8 +312,8 @@ class Representation:
 def loxodromic_with_axis(p: complex, q: complex, lam: float) -> MoebiusMap:
     """Translation with repelling fixed point p, attracting q and
     multiplier lam**2 (translation length 2*log(lam))."""
-    if lam <= 1.0:
-        raise HyperbolicError("need lam > 1")
+    if not 1.0 < lam < math.inf:
+        raise HyperbolicError(f"need 1 < lam < inf, got lam = {lam!r}")
     # conjugate diag(lam, 1/lam) by h: 0 -> p, inf -> q
     # h = (q z + p) / (z + 1), det = q - p
     s = q - p

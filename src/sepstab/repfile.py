@@ -199,7 +199,8 @@ def parse_rep(text: str) -> RepFile:
             if key in table:
                 raise RepFileError(f"repeated disk {name!r}", idx)
             table[key] = disk
-            disk_params[name] = (cx, cy, r)
+            disk_params[name if table is factor
+                        else group.letter_name(key)] = (cx, cy, r)
         disks = PingPongDisks(free=free, factor=factor)
         try:
             check_disk_layout(group, disks)

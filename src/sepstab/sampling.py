@@ -4,14 +4,15 @@ representations.
 Endpoint pairs are the axis endpoints h(fix g) of the conjugates h g h^-1,
 h reduced with |h| up to a depth bound: g is classified and solved once,
 and h = x h' moves h'(fix g) by one Moebius point action per endpoint.
-Each endpoint is located in the first-level ping-pong region it falls in
-(a free-letter disk or a surface factor disk); pairs straddling two
-distinct regions contribute ball edges, and pairs whose endpoints sit
-behind distinct surface-group translates of a factor's complementary
-region contribute labeled loops on that factor's component.  Surface
-prefixes are recovered by inverse iteration through the generator
-isometric disks, so the construction consumes only numeric data plus the
-disk certificate.
+Each endpoint is located once, by the factor id of the first-level
+ping-pong disk it falls in and its first syllable there (a free letter, or
+the surface prefix in a factor disk); pairs straddling two distinct disks
+contribute ball edges, and pairs whose endpoints sit behind distinct
+surface-group translates of a factor's complementary region contribute
+labeled loops on that factor's component.  Surface prefixes are recovered
+by inverse iteration through the generator isometric disks of the one
+factor holding the point, so the construction consumes only numeric data
+plus the disk certificate.
 
 Each axis is sampled once and each endpoint is navigated once.  Inverse
 iteration stores the prefix of every navigated point (at 1e-12
@@ -88,24 +89,25 @@ def _key(p: complex, scale: float = 1e12):
 
 
 class _Navigator:
-    """First-level regions and surface prefixes of the points of one graph.
+    """Locations of the points of one graph; a point is navigated only in
+    the factor disk that holds it.
 
     Disk forms and inverse generator matrices are flattened to float and
     complex tuples.  The cap is fixed: a memoized cap miss needs its cap.
     """
 
     def __init__(self, rep: Representation, disks: PingPongDisks, cap: int):
-        self.group = rep.group
+        group = rep.group
         self.cap = cap
-        self.surface_fids = range(self.group.n_surface)  # surface factors first
-        self._free_forms = [(letter, d.A, d.B.real, d.B.imag, d.C)
+        self._free_forms = [(group.letter_factor(letter), letter,
+                             d.A, d.B.real, d.B.imag, d.C)
                             for letter, d in sorted(disks.free.items())]
         self._factor_forms = {fid: (d.A, d.B.real, d.B.imag, d.C)
                               for fid, d in sorted(disks.factor.items())}
         self._nav: List[list] = []   # by fid: [(letter, form, inv matrix)]
-        for fid in self.surface_fids:
+        for fid in range(group.n_surface):  # surface factors first
             entries = []
-            for letter in self.group.factor_letters(fid):
+            for letter in group.factor_letters(fid):
                 minv = rep.image(letter).inverse()
                 idisk = isometric_disk(minv)
                 entries.append((letter,
@@ -114,24 +116,17 @@ class _Navigator:
             self._nav.append(entries)
         self._prefix_cache = [{} for _ in self._nav]
 
-    def record(self, p: complex):
-        """(first-level region, prefixes by surface factor id); (None, None)
-        outside every region."""
-        region = self.first_level(p)
-        if region is None:
-            return None, None
-        return region, tuple(self.surface_prefix(fid, p)
-                             for fid in self.surface_fids)
-
-    def first_level(self, p: complex):
-        """('free', letter) | ('surface', fid) | None."""
+    def locate(self, p: complex) -> Optional[Tuple[int, Optional[Word]]]:
+        """(fid, first syllable) of the first-level disk holding the point:
+        (letter,) in a free letter's disk, the surface prefix in a factor
+        disk; None outside every disk.  Factor disks are tested first."""
         x, y = p.real, p.imag
         for fid, (A, bre, bim, C) in self._factor_forms.items():
             if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
-                return ("surface", fid)
-        for letter, A, bre, bim, C in self._free_forms:
+                return fid, self.surface_prefix(fid, p)
+        for fid, letter, A, bre, bim, C in self._free_forms:
             if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
-                return ("free", letter)
+                return fid, (letter,)
         return None
 
     def surface_prefix(self, fid: int, p: complex) -> Optional[Word]:
@@ -200,40 +195,41 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
     vertices: Dict[tuple, int] = {}   # (fid, prefix) -> ball vertex id
     labels: Dict[tuple, Word] = {}    # (fid, Dehn-reduced word) -> label
 
-    def vertex_of(region, prefixes) -> Optional[int]:
-        kind, ident = region
-        if kind == "free":
-            return W.free_letter_vertex(group, ident)
-        prefix = prefixes[ident]
-        if not prefix:
+    def vertex_of(fid: int, syllable: Optional[Word]) -> Optional[int]:
+        if fid >= group.n_surface:
+            return W.free_letter_vertex(group, syllable[0])
+        if not syllable:
             return None  # a limit point of the factor itself never straddles
-        if (ident, prefix) not in vertices:
-            wc, wi = W.canonical_pair(prefix, group, ident)
-            vertices[ident, prefix] = W.ball_vertex(ident,
-                                                    1 if wc <= wi else -1)
-        return vertices[ident, prefix]
+        if (fid, syllable) not in vertices:
+            wc, wi = W.canonical_pair(syllable, group, fid)
+            vertices[fid, syllable] = W.ball_vertex(fid, 1 if wc <= wi else -1)
+        return vertices[fid, syllable]
+
+    def loop(fid: int, sp: Optional[Word], sq: Optional[Word]):
+        # sp == sq: both endpoints behind the same translate
+        if fid >= group.n_surface or sp is None or sq is None or sp == sq:
+            return
+        reduced = G.dehn_reduce(G.word_mul(G.word_inverse(sp), sq), group, fid)
+        if not reduced:
+            return
+        if (fid, reduced) not in labels:
+            labels[fid, reduced] = min(W.canonical_pair(reduced, group, fid))
+        loops[fid, labels[fid, reduced]] += 1
 
     for p, q in mu.sampled_pairs:
-        rp, sps = nav.record(p)
-        rq, sqs = nav.record(q)
-        if rp is None or rq is None:
+        lp, lq = nav.locate(p), nav.locate(q)
+        if lp is None or lq is None or lp == lq:
             continue
-        if rp != rq:
-            up = vertex_of(rp, sps)
-            uq = vertex_of(rq, sqs)
-            if up is not None and uq is not None:
-                ball[min(up, uq), max(up, uq)] += 1
-        for fid, sp, sq in zip(nav.surface_fids, sps, sqs):
-            if sp is None or sq is None or sp == sq:
-                continue  # sp == sq: both endpoints behind the same translate
-            reduced = G.dehn_reduce(G.word_mul(G.word_inverse(sp), sq),
-                                    group, fid)
-            if not reduced:
-                continue
-            if (fid, reduced) not in labels:
-                labels[fid, reduced] = min(
-                    W.canonical_pair(reduced, group, fid))
-            loops[fid, labels[fid, reduced]] += 1
+        (fp, sp), (fq, sq) = lp, lq
+        if fp == fq and fp < group.n_surface:
+            loop(fp, sp, sq)  # one factor disk
+            continue
+        up, uq = vertex_of(fp, sp), vertex_of(fq, sq)
+        if up is not None and uq is not None:
+            ball[min(up, uq), max(up, uq)] += 1
+        # distinct disks: a point outside a factor disk has prefix () there
+        loop(fp, sp, ())
+        loop(fq, (), sq)
     return W.graph_from_counts(group, ball, loops)
 
 

@@ -66,8 +66,8 @@ class StabilityParams:
     def __post_init__(self):
         if self.depth < 1 or self.powers < 2 or self.window < 2:
             raise StabilityError("need depth >= 1, powers >= 2, window >= 2")
-        if self.margin <= 0:
-            raise StabilityError("margin must be positive")
+        if not 0 < self.margin < float("inf"):
+            raise StabilityError("margin must be finite and positive")
 
     @staticmethod
     def defaults_for(group: GroupSpec) -> "StabilityParams":

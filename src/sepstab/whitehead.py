@@ -5,7 +5,8 @@ per surface factor and one per free letter.  Cutting produces one ball
 component and one surface component per surface factor.  The ball keeps a
 vertex pair per disc; for surface factors the pair is combinatorial
 bookkeeping (the crossing orientation of a factor syllable), chosen so that
-the limit-set-sampled construction reproduces the same graphs.
+the limit-set-sampled construction reproduces the same graphs.  A
+component's ``cid`` derives from its ``fid``: "ball" or "surface<fid>".
 
 Edges are stored one per distinct (vertex, label, vertex) triple with a
 support count; the count records how many syllable transitions or sampled
@@ -55,7 +56,6 @@ class NotCyclicallyReduced(WhiteheadError):
 
 @dataclass(frozen=True, order=True)
 class DiscVertex:
-    component: str     # "ball" or "surface<fid>"
     disc: str          # disc name, e.g. "D1", "Dt1"
     side: int          # +1 / -1 on the ball, 0 for the interior copy
 
@@ -81,10 +81,13 @@ class Edge:
 
 @dataclass
 class Component:
-    cid: str                       # "ball" | "surface<fid>"
     fid: Optional[int]             # surface factor id; None on the ball
     vertices: Tuple[DiscVertex, ...]
     edges: Tuple[Edge, ...] = ()
+
+    @property
+    def cid(self) -> str:
+        return "ball" if self.fid is None else f"surface{self.fid}"
 
 
 @dataclass
@@ -129,13 +132,11 @@ def standard_meridian_model(group: GroupSpec) -> List[Component]:
     comps: List[Component] = []
     for fid in range(group.n_factors):
         name = _disc_name(group, fid)
-        ball_vertices.append(DiscVertex("ball", name, +1))
-        ball_vertices.append(DiscVertex("ball", name, -1))
-    comps.append(Component("ball", None, tuple(ball_vertices)))
+        ball_vertices.append(DiscVertex(name, +1))
+        ball_vertices.append(DiscVertex(name, -1))
+    comps.append(Component(None, tuple(ball_vertices)))
     for fid in range(group.n_surface):
-        cid = f"surface{fid}"
-        comps.append(Component(
-            cid, fid, (DiscVertex(cid, _disc_name(group, fid), 0),)))
+        comps.append(Component(fid, (DiscVertex(_disc_name(group, fid), 0),)))
     return comps
 
 
@@ -181,7 +182,7 @@ def graph_from_counts(group: GroupSpec,
         v = loop_vertex[fid]
         edges[fid].append(Edge(v, v, label, support))
     return WhiteheadGraph(group, tuple(
-        Component(c.cid, c.fid, c.vertices,
+        Component(c.fid, c.vertices,
                   tuple(sorted(edges[c.fid], key=Edge.key)))
         for c in model))
 

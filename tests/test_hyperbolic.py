@@ -95,6 +95,12 @@ class TestFixedPoints:
         rep_fix, att_fix = fixed_points(MoebiusMap(2, 0, 0, 0.5))
         assert rep_fix == 0 and att_fix is None  # attracting infinity
 
+    def test_infinity_with_negligible_c(self):
+        # c = 1e-16 is below the c ~ 0 threshold: infinity is returned and
+        # sized by |a|, and z -> 4z attracts to it
+        rep_fix, att_fix = fixed_points(MoebiusMap(2, 0, 1e-16, 0.5))
+        assert rep_fix == 0 and att_fix is None
+
     def test_parabolic_single(self):
         assert fixed_points(MoebiusMap(1, 1, 0, 1)) == (None,)
 

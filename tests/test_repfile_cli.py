@@ -34,6 +34,19 @@ class TestRepFile:
         twice = emit_rep(parse_rep(once))
         assert text == once == twice
 
+    def test_long_free_letter_disk_keys_round_trip(self):
+        # a disk key may use either letter spelling; emit writes the
+        # display name with the parameters as parsed
+        text = gallery_text("schottky2")
+        renamed = text
+        for short, full in (("a", "t1"), ("A", "T1"), ("b", "t2"),
+                            ("B", "T2")):
+            renamed = renamed.replace(f"\n  {short} center",
+                                      f"\n  {full} center")
+        assert renamed.count(" center ") == text.count(" center ") == 4
+        assert "t1 center" in renamed and "a center" not in renamed
+        assert emit_rep(parse_rep(renamed)) == text
+
     def test_parse_reports_line(self):
         text = "group\n  surface 2\n  free 1\nbogus\n"
         with pytest.raises(RepFileError) as err:
@@ -185,6 +198,7 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ("--depth", "0"), ("--depth", "2", "--powers", "1"),
         ("--depth", "2", "--window", "1"), ("--depth", "2", "--margin", "-1"),
+        ("--margin", "nan"), ("--margin", "inf"),
     ])
     def test_invalid_stability_flags_are_65(self, capsys, command, flags):
         # flags are validated like StabilityParams: no sweep runs

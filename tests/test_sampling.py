@@ -260,6 +260,35 @@ class TestEndpointsAsImagesOfFixedPoints:
         assert vars(disks) == disks_before
 
 
+class TestOneNavigationPerEndpoint:
+    def test_navigated_only_in_the_factor_disk_that_holds_it(self,
+                                                           monkeypatch):
+        # one surface_prefix call per endpoint in the factor disk, none for
+        # an endpoint in a free-letter disk
+        calls = []
+        navigate = _Navigator.surface_prefix
+
+        def counting(nav, fid, p):
+            calls.append((fid, p))
+            return navigate(nav, fid, p)
+
+        monkeypatch.setattr(_Navigator, "surface_prefix", counting)
+        in_free = 0
+        for text in ("t1", "a1 t1", "a2 t1", "b2 T1", "a1 b1 A1 t1"):
+            cnf = cnf_of(text)
+            points = [p for pair in sample_mu(REP, cnf, 3).sampled_pairs
+                      for p in pair]
+            factor = [p for p in points
+                      if DISKS.factor[0].value(p) <= MEMBERSHIP_TOL]
+            in_free += sum(
+                1 for p in points if p not in factor and any(
+                    d.value(p) <= MEMBERSHIP_TOL for d in DISKS.free.values()))
+            calls.clear()
+            whitehead_graph_sampled_for(REP, DISKS, cnf, 3)
+            assert calls == [(0, p) for p in factor]
+        assert in_free > 1000
+
+
 class TestStripMemo:
     CLASSES = (("s2-times-z", ("a1", "a1 t1", "a1 b1 A1", "a1 a2 t1")),
                ("schottky2", ("a b",)))
@@ -281,7 +310,7 @@ class TestStripMemo:
                 for order in (points, points[::-1]):
                     nav = _Navigator(rep, disks, cap or graph_cap)
                     for p in order:
-                        for fid in nav.surface_fids:
+                        for fid in range(grp.n_surface):
                             yield (nav.surface_prefix(fid, p),
                                    _prefix_without_memo(nav, fid, p, nav.cap),
                                    graph_cap)

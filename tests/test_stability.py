@@ -334,11 +334,13 @@ class TestSweep:
         return build_rep
 
     def test_rows_and_error_isolation(self):
-        rows = sweep(self.family(), [1.0, 2.0, 6.0],
+        rows = sweep(self.family(), [1.0, 2.0, 6.0, math.nan, math.inf],
                      StabilityParams(depth=4))
-        assert len(rows) == 3
+        assert len(rows) == 5
         assert rows[0][4] == "error" and "HyperbolicError" in rows[0][5]
         assert rows[1][4] == "pass" and rows[2][4] == "pass"
+        for row, lam in zip(rows[3:], ("nan", "inf")):
+            assert row[4] == "error" and f"lam = {lam}" in row[5]
 
     def test_margins_nondecreasing_in_lambda(self):
         rows = sweep(self.family(), [2.0, 4.0, 6.0, 8.0, 10.0],

@@ -159,11 +159,11 @@ class TestStrongCutpoints:
     def test_bridge_endpoints_of_strong_piece(self):
         # two triangles joined by one edge: min degree 2, so strongly
         # connected, and only the bridge endpoints are strong cutpoints
-        v = [DiscVertex("ball", disc, side)
+        v = [DiscVertex(disc, side)
              for disc in ("D1", "D2", "Dt1") for side in (+1, -1)]
         links = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
         edges = tuple(Edge(v[a], v[b]) for a, b in links)
-        ball = Component("ball", None, tuple(v), edges)
+        ball = Component(None, tuple(v), edges)
         wh = WhiteheadGraph(TWO_SURF, (ball,))
         assert is_strongly_connected(wh)["ball"] is True
         assert strong_cutpoints(wh)["ball"] == sorted((v[2], v[3]))
@@ -172,11 +172,11 @@ class TestStrongCutpoints:
     def test_leaf_makes_every_vertex_a_cutpoint(self):
         # a triangle with a pendant edge is not strongly connected, so the
         # triangle corners off the bridge are strong cutpoints as well
-        v = [DiscVertex("ball", disc, side)
+        v = [DiscVertex(disc, side)
              for disc in ("Dt1", "Dt2") for side in (+1, -1)]
         links = [(0, 1), (1, 2), (0, 2), (2, 3)]
         edges = tuple(Edge(v[a], v[b]) for a, b in links)
-        ball = Component("ball", None, tuple(v), edges)
+        ball = Component(None, tuple(v), edges)
         wh = WhiteheadGraph(F2, (ball,))
         assert is_strongly_connected(wh)["ball"] is False
         assert strong_cutpoints(wh)["ball"] == sorted(v)
