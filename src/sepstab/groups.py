@@ -453,17 +453,35 @@ def canonical_class(word: Word, group: GroupSpec) -> Word:
 
 
 def enumerate_elements(group: GroupSpec, max_len: int) -> Iterator[CyclicNormalForm]:
-    """One canonical representative per conjugacy class of cyclic length
-    <= max_len.  Inverse pairs are both produced."""
+    """Canonical representatives of the conjugacy classes of cyclic length
+    <= max_len, shortest first.  Inverse pairs are both produced.
+
+    The walk visits reduced necklaces only (Fredricksen-Kessler-Maiorana;
+    Ruskey-Sawada for forbidden substrings).  Each prefix carries its FKM
+    period p: an extension below prefix[m - p] is no prenecklace and is
+    pruned, and a full-length leaf is a necklace iff p divides its length.
+    This is exact.  A reduced word w of cyclic length |w| spells its cyclic
+    normal form up to rotation, so its key (canonical_spelling) depends
+    only on the rotation class, and every rotation of w is reduced since
+    w[0] != w[-1]^-1.  The least rotation is a necklace with w's key that
+    the walk reaches first, so classes come in the order of the full walk.
+
+    canonical_spelling respells each linear run of a rotation on its own,
+    so in mixed products some classes get two keys and are yielded twice
+    (ROADMAP item 4; the strict xfail in tests/test_groups.py).
+    """
     if max_len < 1:
         return
     seen = set()
     n = group.n_letters
     for length in range(1, max_len + 1):
-        stack = [()]
+        stack = [((), 1)]
         while stack:
-            prefix = stack.pop()
-            if len(prefix) == length:
+            prefix, p = stack.pop()
+            m = len(prefix)
+            if m == length:
+                if length % p:
+                    continue  # not a necklace: its least rotation came first
                 try:
                     cnf, _ = cyclic_reduce(prefix, group)
                 except TrivialElement:
@@ -477,7 +495,8 @@ def enumerate_elements(group: GroupSpec, max_len: int) -> Iterator[CyclicNormalF
                 kcnf, _ = cyclic_reduce(key, group)
                 yield kcnf
                 continue
-            for x in range(n - 1, -1, -1):
-                if prefix and inv(prefix[-1]) == x:
+            low = prefix[m - p] if m else 0
+            for x in range(n - 1, low - 1, -1):
+                if m and inv(prefix[-1]) == x:
                     continue
-                stack.append(prefix + (x,))
+                stack.append((prefix + (x,), p if m and x == low else m + 1))

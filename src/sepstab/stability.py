@@ -36,8 +36,9 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 from sepstab import groups as G
 from sepstab import separability as S
 from sepstab.groups import GroupSpec, Word
-from sepstab.hyperbolic import (H3Point, MoebiusMap, Representation, apply,
-                                classify, dist, translation_length)
+from sepstab.hyperbolic import (H3Point, HyperbolicError, MoebiusMap,
+                                Representation, apply, classify, dist,
+                                translation_length)
 
 PARABOLIC_EXACT = 1e-12
 PARABOLIC_FUZZY = 1e-6
@@ -227,27 +228,42 @@ def stability_margin(rep: Representation,
             n_unk += 1
         letters = cnf.letters()
         length = cnf.cyclic_length
-        m = rep.evaluate(letters)
-        kind = classify(m)
-        band = abs(m.trace() ** 2 - 4.0)
-        tl = translation_length(m)
-        ratio = tl / length
+        n = length * params.powers
         flags: List[str] = []
-
-        if kind != "loxodromic":
-            if band <= PARABOLIC_EXACT or kind in ("identity", "elliptic"):
-                flags.append("non_loxodromic")
-            else:
+        try:
+            m = rep.evaluate(letters)
+            kind = classify(m)
+            band = abs(m.trace() ** 2 - 4.0)
+            tl = translation_length(m)
+            if kind != "loxodromic":
+                if band <= PARABOLIC_EXACT or kind in ("identity",
+                                                       "elliptic"):
+                    flags.append("non_loxodromic")
+                else:
+                    flags.append("parabolic_adjacent")
+            elif band < PARABOLIC_FUZZY:
                 flags.append("parabolic_adjacent")
-        elif band < PARABOLIC_FUZZY:
-            flags.append("parabolic_adjacent")
+            rows = (None if "non_loxodromic" in flags
+                    else _qg_rows(rep, letters, n, params.window))
+        except (HyperbolicError, OverflowError) as exc:
+            # no number of this class can be trusted, so it blocks a pass
+            nan = float("nan")
+            rec = ElementRecord(
+                spelling=group.format_word(letters), length=length,
+                separability=verdict.status, trace=complex(nan, nan),
+                kind="unknown", trans_len=nan, ratio=nan, worst_qg=nan,
+                flags=("numeric_error",))
+            blockers.append((rec, f"numeric error on {rec.spelling}: "
+                                  f"{type(exc).__name__}: {exc}"))
+            continue
 
+        ratio = tl / length
         rec = ElementRecord(
             spelling=group.format_word(letters), length=length,
             separability=verdict.status, trace=m.trace(), kind=kind,
             trans_len=tl, ratio=ratio, worst_qg=0.0)
 
-        if "non_loxodromic" in flags:
+        if rows is None:
             rec.flags = tuple(flags)
             records.append(rec)
             if certified and fail_witness is None:
@@ -259,8 +275,6 @@ def stability_margin(rep: Representation,
                                       "non-loxodromic image"))
             continue
 
-        n = length * params.powers
-        rows = _qg_rows(rep, letters, n, params.window)
         pairs = _qg_pairs(rows, n)
         _fold_least(least, pairs)
         _, _, worst = qg_fit(pairs, params.window, A_MAX)

@@ -2,15 +2,23 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sepstab.groups import (GroupSpec, TrivialElement, UniquelyFreelyDecomposable,
                             GroupError, MixedFactors, canonical_class,
-                            cyclic_reduce, dehn_reduce, enumerate_elements,
-                            free_reduce, inv, normal_form, word_inverse,
-                            word_mul)
+                            canonical_spelling, cyclic_reduce, dehn_reduce,
+                            enumerate_elements, free_reduce, inv, normal_form,
+                            word_inverse, word_mul)
 
 F2 = GroupSpec((), 2)
 S2Z = GroupSpec((2,), 1)
+MIXED = {"F3": GroupSpec((), 3), "S2*Z": S2Z,
+         "S2*S2*Z": GroupSpec((2, 2), 1), "S3*F2": GroupSpec((3,), 2)}
+
+
+def letter_words(group, max_size):
+    return st.lists(st.integers(0, group.n_letters - 1), max_size=max_size)
 
 
 def words(group, *texts):
@@ -70,13 +78,14 @@ class TestFreeReduce:
         w, = words(F2, "a b B a")
         assert F2.format_word(free_reduce(w)) == "a a"
 
-    def test_idempotent_and_nonincreasing(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            w = tuple(rng.randrange(4) for _ in range(rng.randrange(12)))
-            r = free_reduce(w)
-            assert free_reduce(r) == r
-            assert len(r) <= len(w)
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(MIXED)), st.data())
+    def test_idempotent_and_nonincreasing(self, name, data):
+        w = tuple(data.draw(letter_words(MIXED[name], 14)))
+        r = free_reduce(w)
+        assert free_reduce(r) == r
+        assert len(r) <= len(w)
+        assert all(y != inv(x) for x, y in zip(r, r[1:]))
 
 
 class TestDehnReduce:
@@ -188,7 +197,85 @@ class TestCyclicReduce:
             assert lhs.eq_up_to_sign(rhs)
 
 
+class TestRotationInvariance:
+    """A reduced word w of cyclic length |w| spells its own cyclic normal
+    form up to rotation, and all rotations of w share its cyclic length and
+    its canonical spelling.  This is what lets enumerate_elements walk
+    necklaces only."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(MIXED)), st.data())
+    def test_rotations_share_the_key(self, name, data):
+        group = MIXED[name]
+        w = free_reduce(tuple(data.draw(letter_words(group, 9))))
+        assume(w)
+        try:
+            cnf, _ = cyclic_reduce(w, group)
+        except TrivialElement:
+            assume(False)
+        assume(cnf.cyclic_length == len(w))
+        rotations = [w[k:] + w[:k] for k in range(len(w))]
+        assert cnf.letters() in rotations
+        key = canonical_spelling(cnf, group)
+        for rot in rotations:
+            rcnf, _ = cyclic_reduce(rot, group)
+            assert rcnf.cyclic_length == len(w)
+            assert canonical_spelling(rcnf, group) == key
+
+
+def unpruned_walk(group, max_len):
+    """enumerate_elements as it was before the necklace pruning: every
+    reduced word of each length, in lexicographic order."""
+    seen = set()
+    n = group.n_letters
+    for length in range(1, max_len + 1):
+        stack = [()]
+        while stack:
+            prefix = stack.pop()
+            if len(prefix) == length:
+                try:
+                    cnf, _ = cyclic_reduce(prefix, group)
+                except TrivialElement:
+                    continue
+                if cnf.cyclic_length != length:
+                    continue
+                key = canonical_spelling(cnf, group)
+                if key in seen:
+                    continue
+                seen.add(key)
+                kcnf, _ = cyclic_reduce(key, group)
+                yield kcnf
+                continue
+            for x in range(n - 1, -1, -1):
+                if prefix and inv(prefix[-1]) == x:
+                    continue
+                stack.append(prefix + (x,))
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("group, max_len", [
+        (F2, 7), (MIXED["F3"], 5), (S2Z, 4), (MIXED["S2*S2*Z"], 3),
+        (MIXED["S3*F2"], 3)], ids=["F2", "F3", "S2*Z", "S2*S2*Z", "S3*F2"])
+    def test_necklace_walk_matches_unpruned_walk(self, group, max_len):
+        got = [c.letters() for c in enumerate_elements(group, max_len)]
+        assert got == [c.letters() for c in unpruned_walk(group, max_len)]
+
+    def test_only_necklaces_are_canonicalised(self, monkeypatch):
+        import sepstab.groups as groups
+        tested = []
+
+        def counting(word, group):
+            tested.append(word)
+            return cyclic_reduce(word, group)
+        monkeypatch.setattr(groups, "cyclic_reduce", counting)
+        yielded = [c.letters() for c in enumerate_elements(F2, 6)]
+        necklaces = [w for n in range(1, 7)
+                     for w in itertools.product(range(4), repeat=n)
+                     if all(y != inv(x) for x, y in zip(w, w[1:]))
+                     and all(w <= w[k:] + w[:k] for k in range(n))]
+        # one cyclic_reduce per leaf, one more per yielded key
+        assert sorted(tested) == sorted(necklaces + yielded)
+
     def test_f2_length_one(self):
         got = {F2.format_word(c.letters()) for c in enumerate_elements(F2, 1)}
         assert got == {"a", "A", "b", "B"}

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from sepstab import stability
 from sepstab.gallery import build
 from sepstab.groups import GroupSpec, TrivialElement, cyclic_reduce
-from sepstab.hyperbolic import (H3Point, MoebiusMap, Representation, apply,
-                                dist, loxodromic_with_axis)
+from sepstab.hyperbolic import (H3Point, HyperbolicError, MoebiusMap,
+                                Representation, apply, dist,
+                                loxodromic_with_axis)
 from sepstab.stability import (PathTooShort, StabilityError, StabilityParams,
                                qg_fit, stability_margin, sweep)
 
@@ -288,6 +289,51 @@ class TestStabilityMargin:
         rep, _ = build("s2-times-z")
         report = stability_margin(rep, StabilityParams(depth=3, margin=0.02))
         assert report.verdict in ("pass", "inconclusive")
+
+
+def pinched_phi(k):
+    """pinched-a precomposed with the automorphism a -> a b^k, b -> b."""
+    rep, disks = build("pinched-a")
+    a, b = rep.generator_images()
+    for _ in range(k):
+        a = a * b
+    return Representation(rep.group, [a, b]), disks
+
+
+class TestNumericErrors:
+    # at default depth, k = 7 used to raise HyperbolicError (a singular
+    # window product in _qg_rows) and k = 10 OverflowError (from apply)
+    @pytest.mark.parametrize("k, flag", [(7, "non_loxodromic"),
+                                         (10, "numeric_error")])
+    def test_sweep_survives_large_entries(self, k, flag):
+        rep, _ = pinched_phi(k)
+        report = stability_margin(rep)
+        assert report.verdict != "pass"
+        assert flag in report.witness.flags
+
+    @pytest.mark.parametrize("k", [7, 10])
+    def test_cli_exits_without_traceback(self, k, tmp_path, capsys):
+        from sepstab.cli import main
+        from sepstab.repfile import RepFile, emit_rep
+        rep, disks = pinched_phi(k)
+        path = tmp_path / f"pinched-phi{k}.rep"
+        path.write_text(emit_rep(RepFile(rep=rep, disks=disks)))
+        code = main(["check-stability", str(path)])
+        out, err = capsys.readouterr()
+        assert code in (1, 2)
+        assert "Traceback" not in err and "verdict: " in out
+
+    def test_numeric_error_blocks_a_pass(self, monkeypatch):
+        def singular(*args):
+            raise HyperbolicError("singular matrix")
+        monkeypatch.setattr(stability, "_qg_rows", singular)
+        rep, _ = build("schottky2")
+        report = stability_margin(rep, StabilityParams(depth=2))
+        assert report.verdict == "inconclusive"
+        assert report.witness.flags == ("numeric_error",)
+        assert report.reason == (f"numeric error on {report.witness.spelling}"
+                                 f": HyperbolicError: singular matrix")
+        assert report.records == []
 
 
 class TestVerdictBranches:
