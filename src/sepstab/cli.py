@@ -102,9 +102,11 @@ def _cmd_separable(args) -> int:
                   f"omits generator {gen} "
                   f"after {len(verdict.witness_moves)} moves")
         elif verdict.single_factor is not None:
-            print(f"witness: lies in factor {verdict.single_factor}")
+            print(f"witness: lies in factor "
+                  f"{W._disc_name(group, verdict.single_factor)}")
         elif verdict.omitted_factor is not None:
-            print(f"witness: omits factor {verdict.omitted_factor}")
+            print(f"witness: omits factor "
+                  f"{W._disc_name(group, verdict.omitted_factor)}")
     return verdict.exit_code()
 
 

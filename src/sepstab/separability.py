@@ -2,24 +2,29 @@
 peak reduction, one-sided certificates in mixed free products via the
 Whitehead-graph dichotomy.
 
-The free-group decision: peak-reduce (any length-decreasing move, repeat;
-a local minimum is globally minimal), then breadth-first search of the
-minimal level set under length-preserving moves.  The element is separable
-exactly when some minimal form omits a generator.  Two sound shortcuts skip
-the search: an omitting reduced form settles Separable, and Whitehead's
-cut-vertex lemma settles NotSeparable.  The lemma says that the Whitehead
-graph of a cyclically reduced word in a proper free factor is disconnected
-or has a cut vertex (Whitehead 1936; Stallings, "Whitehead graphs on
-handlebodies", 1999), so a connected graph without a cut vertex certifies
-non-separability.
+The free-group decision reads its moves off the Whitehead graph Wh(w) of a
+cyclically reduced word: the letters are its vertices, with one edge
+(x_i, x_{i+1}^-1) per cyclic position.  The Whitehead move (A, a), with a
+in A and a^-1 not in A, changes the cyclic length by cap(A) - deg(a),
+cap(A) counting the edges that leave A (Lyndon-Schupp, Combinatorial Group
+Theory, I.4).  So a move shortens w exactly when it comes from an a / a^-1
+edge cut smaller than deg(a), found by augmenting paths.  Peak reduction
+applies such moves until none is left; by Whitehead's theorem the result
+has minimal length in its Aut(F_r) orbit.
+
+At minimal length a word using every generator has a connected graph
+without a cut vertex: a component not closed under inversion, or a cut
+vertex v with a component of Wh(w) - v avoiding v^-1, would be a
+shortening A.  By Whitehead's cut-vertex lemma (Whitehead 1936; Stallings,
+"Whitehead graphs on handlebodies", 1999) such a word lies in no proper
+free factor.  So the element is separable exactly when its minimal form
+omits a generator, and no search of the minimal level set remains.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from sepstab import groups as G
 from sepstab import whitehead as W
@@ -34,7 +39,6 @@ class SeparabilityError(Exception):
 class WhiteheadMove:
     """A Whitehead automorphism as its action table: images[x] is the
     image word of letter x."""
-    kind: str                      # "permutation" | "type2"
     images: Tuple[Word, ...]
 
     def apply(self, word: Word) -> Word:
@@ -52,90 +56,71 @@ def _cyclic_word(word: Word) -> Word:
     return w
 
 
-def _min_rotation(word: Word) -> Word:
-    if not word:
-        return word
-    return min(word[k:] + word[:k] for k in range(len(word)))
+def _shortening_side(graph: List[Dict[int, int]],
+                     a: int) -> Optional[Set[int]]:
+    """Source side of a minimum a / a^-1 edge cut of the Whitehead graph
+    (edge multiplicities graph[x][y]) when the cut is smaller than deg(a),
+    else None.  Edmonds-Karp on the undirected multigraph."""
+    residual = [dict(links) for links in graph]
+    target, deg, flow = inv(a), sum(graph[a].values()), 0
+    while flow < deg:
+        parent = {a: a}
+        queue = [a]
+        for u in queue:
+            for v, c in residual[u].items():
+                if c and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if target not in parent:
+            return set(parent)
+        path, v = [], target
+        while v != a:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        flow += push
+    return None
 
 
-def whitehead_moves(rank: int) -> List[WhiteheadMove]:
-    """Complete move set for F_rank: signed letter permutations and all
-    Type II moves, deduplicated by their action on the letters."""
-    if rank < 2:
-        raise SeparabilityError("rank must be at least 2")
-    letters = range(2 * rank)
-    moves: List[WhiteheadMove] = []
-    seen: Set[tuple] = set()
-
-    def add(kind: str, images: Tuple[Word, ...]):
-        if images not in seen:
-            seen.add(images)
-            moves.append(WhiteheadMove(kind, images))
-
-    # signed permutations: permute generator indices, flip any signs
-    for perm in itertools.permutations(range(rank)):
-        for flips in itertools.product((0, 1), repeat=rank):
-            table = [0] * (2 * rank)
-            for i in range(rank):
-                j, f = perm[i], flips[i]
-                table[2 * i] = 2 * j + f
-                table[2 * i + 1] = 2 * j + (1 - f)
-            add("permutation", tuple((y,) for y in table))
-
-    # Type II moves: multiplier a, cut Z with a in Z, a^-1 not in Z;
-    # x goes to a^-1 x if x^-1 is in Z, then x a if x is in Z
-    for a in letters:
-        others = [x for x in letters if x not in (a, inv(a))]
-        for mask in range(1 << len(others)):
-            cut = {a} | {x for i, x in enumerate(others) if mask >> i & 1}
-            add("type2", tuple(
-                (x,) if x in (a, inv(a))
-                else ((inv(a),) if inv(x) in cut else ()) + (x,)
-                + ((a,) if x in cut else ())
-                for x in letters))
-    return moves
-
-
-@functools.lru_cache(maxsize=None)
-def _moves_for(rank: int):
-    """(Type II moves, permutation moves) of F_rank, in move order."""
-    moves = whitehead_moves(rank)
-    return (tuple(m for m in moves if m.kind == "type2"),
-            tuple(m for m in moves if m.kind == "permutation"))
-
-
-def _perm_canonical_with_move(word: Word, perms: Sequence[WhiteheadMove]):
-    """Canonical form plus the permutation move realizing it, so witness
-    move sequences stay replayable across canonicalization."""
-    best = None
-    best_move = None
-    for p in perms:
-        img = _min_rotation(_cyclic_word(p.apply(word)))
-        if best is None or img < best:
-            best, best_move = img, p
-    return best, best_move
+def _shortening_move(word: Word, rank: int) -> Optional[WhiteheadMove]:
+    """A Whitehead move that shortens the cyclically reduced word, if any.
+    One letter per generator suffices: deg(a) = deg(a^-1), and the
+    complement of an a / a^-1 cut is an a^-1 / a cut of the same size."""
+    graph: List[Dict[int, int]] = [{} for _ in range(2 * rank)]
+    n = len(word)
+    for i in range(n):
+        x, y = word[i], inv(word[(i + 1) % n])
+        graph[x][y] = graph[x].get(y, 0) + 1
+        graph[y][x] = graph[y].get(x, 0) + 1
+    for a in range(0, 2 * rank, 2):
+        side = _shortening_side(graph, a)
+        if side is not None:
+            # the move (side, a): x goes to a^-1 x if x^-1 is on the side,
+            # then to x a if x is; a and a^-1 are fixed
+            return WhiteheadMove(tuple(
+                (x,) if x >> 1 == a >> 1
+                else ((inv(a),) if inv(x) in side else ()) + (x,)
+                + ((a,) if x in side else ())
+                for x in range(2 * rank)))
+    return None
 
 
 def peak_reduce(word: Word, rank: int):
-    """Greedy descent to a cyclic word of minimal length in the orbit.
+    """Descent to a cyclic word of minimal length in the Aut(F_rank) orbit.
 
-    Returns (minimal cyclic word, move sequence).  First-improvement over
-    the deterministic move order; peak reduction makes the local minimum
-    global.
+    Returns (minimal cyclic word, move sequence).  Each step applies the
+    move of the first generator whose minimum cut in the Whitehead graph
+    is smaller than its degree; when no generator has one, no Whitehead
+    move shortens the word, and peak reduction makes it globally minimal.
     """
-    moves, _ = _moves_for(rank)
     current = _cyclic_word(word)
     applied: List[WhiteheadMove] = []
-    improved = True
-    while improved and current:
-        improved = False
-        for mv in moves:
-            cand = _cyclic_word(mv.apply(current))
-            if len(cand) < len(current):
-                current = cand
-                applied.append(mv)
-                improved = True
-                break
+    while (move := _shortening_move(current, rank)) is not None:
+        current = _cyclic_word(move.apply(current))
+        applied.append(move)
     return current, applied
 
 
@@ -166,56 +151,35 @@ class SeparabilityVerdict:
 
 
 def is_separable_free(word: Word, group: GroupSpec) -> SeparabilityVerdict:
-    """Complete decision in a purely free group (never Unknown)."""
+    """Complete decision in a purely free group (never Unknown).
+
+    Peak-reduce; the element is separable exactly when the minimal form
+    omits a generator, with the moves as a replayable witness.  A minimal
+    form that uses every generator has a connected, cutpoint-free graph
+    (module docstring), which certifies non-separability; the certificate
+    is checked rather than assumed, and no search follows it.
+    """
     rank = group.free_rank
     if group.n_surface:
         raise SeparabilityError("is_separable_free needs a free group spec")
     w0 = _cyclic_word(word)
     if not w0:
         raise TrivialElement("the identity is not classified")
-    type2, perms = _moves_for(rank)
     reduced, applied = peak_reduce(w0, rank)
-
     omitted = _omitted_generators(reduced, rank)
     if omitted:
-        return _checked_separable(
-            w0, applied, reduced, omitted[0],
-            "peak-reduced form omits a generator")
-
-    # sound quick rejection from the graph of the reduced form
+        return _checked_separable(w0, applied, reduced, omitted[0])
     if _free_graph_certificate(reduced, rank):
         return SeparabilityVerdict(
             "not_separable", witness_word=reduced,
             reason="connected, cutpoint-free graph at minimal length")
-
-    # exhaustive level-set search under length-preserving moves,
-    # canonicalizing modulo signed permutations and rotation; the
-    # canonicalizing permutation joins the move path so witnesses replay
-    start, p0 = _perm_canonical_with_move(reduced, perms)
-    seen = {start}
-    frontier = [(start, applied + [p0])]
-    while frontier:
-        node, path = frontier.pop()
-        for mv in type2:
-            img = _cyclic_word(mv.apply(node))
-            if len(img) != len(node):
-                continue
-            omitted = _omitted_generators(img, rank)
-            if omitted:
-                return _checked_separable(
-                    w0, path + [mv], img, omitted[0],
-                    "minimal-length orbit element omits a generator")
-            canon, p = _perm_canonical_with_move(img, perms)
-            if canon not in seen:
-                seen.add(canon)
-                frontier.append((canon, path + [mv, p]))
-    return SeparabilityVerdict(
-        "not_separable", witness_word=reduced,
-        reason="no minimal-length orbit element omits a generator")
+    raise SeparabilityError(
+        "internal error: a minimal word using every generator has a "
+        "disconnected graph or a cut vertex")
 
 
-def _checked_separable(original: Word, moves, witness_word, omitted,
-                       reason) -> SeparabilityVerdict:
+def _checked_separable(original: Word, moves, witness_word,
+                       omitted) -> SeparabilityVerdict:
     """Replay the witness on the input; the omission must come out exactly."""
     w = _cyclic_word(original)
     for mv in moves:
@@ -226,7 +190,8 @@ def _checked_separable(original: Word, moves, witness_word, omitted,
             "internal error: separability witness fails to replay")
     return SeparabilityVerdict(
         "separable", witness_moves=list(moves), witness_word=witness_word,
-        omitted_generator=omitted, reason=reason)
+        omitted_generator=omitted,
+        reason="peak-reduced form omits a generator")
 
 
 def _free_graph_certificate(word: Word, rank: int) -> bool:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,32 @@ class TestCli:
         code, _, _ = run_cli("separable", "a1 t1", "--genera", "2",
                              "--rank", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("args, line", [
+        (("a1 b1", "--genera", "2", "--rank", "1"),
+         "witness: lies in factor D1"),
+        (("a1 b1 t1", "--genera", "2", "--rank", "2"),
+         "witness: omits factor Dt2"),
+    ])
+    def test_separable_names_factor_discs(self, capsys, args, line):
+        # factors are named by their discs, as in graphs and .rep files
+        assert main(["separable", *args]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("rank", [8, 30])
+    def test_separable_decides_at_high_rank(self, capsys, rank):
+        # words using every generator decide at once: a primitive product
+        # of all generators, and a product of commutators
+        group = GroupSpec((), rank)
+        primitive = tuple(range(0, 2 * rank, 2))
+        commutators = tuple(x for k in range(0, 2 * rank, 4)
+                            for x in (k, k + 2, k + 1, k + 3))
+        for word, code in ((primitive, 0), (commutators, 1)):
+            start = time.perf_counter()
+            assert main(["separable", group.format_word(word),
+                         "--rank", str(rank)]) == code
+            assert time.perf_counter() - start < 5
+        capsys.readouterr()
 
     def test_usage_error_is_64(self):
         assert run_cli("separable")[0] == 64

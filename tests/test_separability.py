@@ -1,16 +1,19 @@
+import functools
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sepstab import whitehead as W
 from sepstab.groups import (GroupSpec, TrivialElement, canonical_class,
                             cyclic_reduce, enumerate_elements, free_reduce,
                             inv, word_inverse, word_mul)
-from sepstab.separability import (_free_graph_certificate, is_separable,
-                                  is_separable_free, peak_reduce,
-                                  whitehead_moves)
+from sepstab.separability import (WhiteheadMove, _cyclic_word,
+                                  _free_graph_certificate, is_separable,
+                                  is_separable_free, peak_reduce)
 from sepstab.whitehead import (is_strongly_connected, strong_cutpoints,
                                whitehead_graph_combinatorial)
 
@@ -19,24 +22,35 @@ F3 = GroupSpec((), 3)
 S2Z = GroupSpec((2,), 1)
 
 
+def _type2_letter(a, cut, x):
+    """Image of letter x under the Type II move (a, cut), by the textbook
+    rule: x goes to a^-1 x if x^-1 is in the cut, then to x a if x is."""
+    if x == a or x == inv(a):
+        return (x,)
+    out = []
+    if inv(x) in cut:
+        out.append(inv(a))
+    out.append(x)
+    if x in cut:
+        out.append(a)
+    return tuple(out)
+
+
+def _type2_cuts(rank):
+    """Every Type II pair (a, cut) of F_rank: a in the cut, a^-1 not."""
+    letters = range(2 * rank)
+    for a in letters:
+        others = [x for x in letters if x not in (a, inv(a))]
+        for mask in range(1 << len(others)):
+            yield a, {a} | {x for i, x in enumerate(others) if mask >> i & 1}
+
+
 def _reference_moves(rank):
     """(kind, action) of every Whitehead move of F_rank, deduplicated by
     action in enumeration order: signed permutations as letter tables,
     then Type II moves (a, Z) by multiplier and mask, each applied letter
     by letter with the textbook rule."""
     letters = range(2 * rank)
-
-    def type2_letter(a, cut, x):
-        if x == a or x == inv(a):
-            return (x,)
-        out = []
-        if inv(x) in cut:
-            out.append(inv(a))
-        out.append(x)
-        if x in cut:
-            out.append(a)
-        return tuple(out)
-
     candidates = []
     for perm in itertools.permutations(range(rank)):
         for flips in itertools.product((0, 1), repeat=rank):
@@ -45,12 +59,9 @@ def _reference_moves(rank):
                 table[2 * i], table[2 * i + 1] = 2 * j + f, 2 * j + 1 - f
             candidates.append(("permutation",
                                tuple((table[x],) for x in letters)))
-    for a in letters:
-        others = [x for x in letters if x not in (a, inv(a))]
-        for mask in range(1 << len(others)):
-            cut = {a} | {x for i, x in enumerate(others) if mask >> i & 1}
-            candidates.append(("type2", tuple(type2_letter(a, cut, x)
-                                              for x in letters)))
+    for a, cut in _type2_cuts(rank):
+        candidates.append(("type2", tuple(_type2_letter(a, cut, x)
+                                          for x in letters)))
     out, seen = [], set()
     for kind, action in candidates:
         if action not in seen:
@@ -59,33 +70,142 @@ def _reference_moves(rank):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_move_table(rank):
+    """(Type II moves, signed permutations) of F_rank as WhiteheadMoves,
+    in reference order."""
+    moves = _reference_moves(rank)
+    return tuple(tuple(WhiteheadMove(action) for k, action in moves
+                       if k == kind) for kind in ("type2", "permutation"))
+
+
+def _reference_peak_reduce(word, rank):
+    """Table-scan peak reduction: first improvement over the Type II moves
+    in reference order, until no move shortens the cyclic word."""
+    type2, _ = _reference_move_table(rank)
+    current = _cyclic_word(word)
+    improved = True
+    while improved:
+        improved = False
+        for mv in type2:
+            cand = _cyclic_word(mv.apply(current))
+            if len(cand) < len(current):
+                current, improved = cand, True
+                break
+    return current
+
+
+def _reference_decision(word, rank):
+    """(minimal form, status) by the table scan, then an exhaustive search
+    of the minimal level set under length-preserving Type II moves, modulo
+    signed permutations and rotation: separable exactly when some element
+    of the level set omits a generator."""
+    type2, perms = _reference_move_table(rank)
+
+    def omits(w):
+        return len({x >> 1 for x in w}) < rank
+
+    def canonical(w):
+        return min(img[k:] + img[:k] for p in perms
+                   for img in [_cyclic_word(p.apply(w))]
+                   for k in range(len(img)))
+
+    reduced = _reference_peak_reduce(word, rank)
+    if omits(reduced):
+        return reduced, "separable"
+    start = canonical(reduced)
+    seen, frontier = {start}, [start]
+    while frontier:
+        node = frontier.pop()
+        for mv in type2:
+            img = _cyclic_word(mv.apply(node))
+            if len(img) != len(node):
+                continue
+            if omits(img):
+                return reduced, "separable"
+            canon = canonical(img)
+            if canon not in seen:
+                seen.add(canon)
+                frontier.append(canon)
+    return reduced, "not_separable"
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 7), (3, 5), (4, 4)])
+def test_decision_matches_reference_search(rank, max_len):
+    # the cut-based descent reaches the table scan's minimal length, and
+    # the level-set search never decides differently from the omission
+    # test plus the cut-vertex certificate
+    group = GroupSpec((), rank)
+    for cnf in enumerate_elements(group, max_len):
+        word = cnf.letters()
+        reduced, _ = peak_reduce(word, rank)
+        assert len({x >> 1 for x in reduced}) < rank \
+            or _free_graph_certificate(reduced, rank), cnf
+        ref_reduced, ref_status = _reference_decision(word, rank)
+        assert len(reduced) == len(ref_reduced), cnf
+        assert is_separable_free(word, group).status == ref_status, cnf
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 6), (3, 4)])
+def test_length_change_is_cut_minus_degree(rank, max_len):
+    # |phi(w)| - |w| = cap(Z) - deg(a) on the Whitehead graph, with one
+    # edge (x_i, x_{i+1}^-1) per cyclic position
+    group = GroupSpec((), rank)
+    moves = [(a, cut, WhiteheadMove(tuple(_type2_letter(a, cut, x)
+                                          for x in range(2 * rank))))
+             for a, cut in _type2_cuts(rank)]
+    for cnf in enumerate_elements(group, max_len):
+        w = cnf.letters()
+        edges = [(w[i], inv(w[(i + 1) % len(w)])) for i in range(len(w))]
+        for a, cut, mv in moves:
+            cap = sum((x in cut) != (y in cut) for x, y in edges)
+            deg = sum(a in edge for edge in edges)
+            assert len(_cyclic_word(mv.apply(w))) - len(w) == cap - deg
+
+
+@st.composite
+def _pushed_word(draw, omit_generator):
+    """(group, w, phi(w)): a random cyclic word w of F2-F4, optionally in
+    the factor generated by all but the last generator, and phi a random
+    product of at most six Whitehead moves."""
+    rank = draw(st.integers(2, 4))
+    n_letters = 2 * (rank - 1 if omit_generator else rank)
+    word = _cyclic_word(tuple(draw(st.lists(
+        st.integers(0, n_letters - 1), min_size=1, max_size=8))))
+    assume(word)
+    type2, perms = _reference_move_table(rank)
+    image = word
+    for mv in draw(st.lists(st.sampled_from(type2 + perms), max_size=6)):
+        image = mv.apply(image)
+    return GroupSpec((), rank), word, image
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pushed_word(omit_generator=False))
+def test_status_is_out_invariant(case):
+    group, word, image = case
+    assert is_separable_free(image, group).status == \
+        is_separable_free(word, group).status
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pushed_word(omit_generator=True))
+def test_free_factor_image_is_separable_with_replayable_witness(case):
+    group, _, image = case
+    verdict = is_separable_free(image, group)
+    assert verdict.status == "separable"
+    w = _cyclic_word(image)
+    for mv in verdict.witness_moves:
+        w = _cyclic_word(mv.apply(w))
+    assert verdict.omitted_generator not in {x >> 1 for x in w}
+    assert verdict.omitted_generator not in {
+        x >> 1 for x in verdict.witness_word}
+
+
 class TestMoves:
-    @pytest.mark.parametrize("rank", [2, 3])
-    def test_moves_match_reference_in_order(self, rank):
-        # peak reduction is first-improvement, so the order decides witnesses
-        assert [(m.kind, m.images) for m in whitehead_moves(rank)] == \
-            _reference_moves(rank)
-
-    def test_rank2_counts(self):
-        moves = whitehead_moves(2)
-        type2 = [m for m in moves if m.kind == "type2"]
-        # (2n) * 2^(2n-2) = 16 enumerated pairs (a, Z); dedup by action
-        # removes the 2n identity moves Z = {a} (one per multiplier, all
-        # acting trivially), leaving 16 - 4 + ... the identity action also
-        # appears among permutations, so type2 keeps 12 distinct actions
-        assert len(type2) == 12
-        perms = [m for m in moves if m.kind == "permutation"]
-        assert len(perms) == 8  # signed permutations of two letters
-
-    def test_identity_permutation_included(self):
-        moves = whitehead_moves(2)
-        identity = [m for m in moves if m.kind == "permutation"
-                    and m.images == ((0,), (1,), (2,), (3,))]
-        assert len(identity) == 1
-
     def test_moves_are_invertible(self):
         rng = random.Random(0)
-        moves = whitehead_moves(2)
+        moves = [WhiteheadMove(action) for _, action in _reference_moves(2)]
         for m in moves:
             inverse_found = False
             for m2 in moves:
@@ -102,7 +222,8 @@ class TestMoves:
 
     def test_moves_are_automorphisms(self):
         rng = random.Random(1)
-        for m in whitehead_moves(2):
+        for _, action in _reference_moves(2):
+            m = WhiteheadMove(action)
             for _ in range(30):
                 u = tuple(rng.randrange(4) for _ in range(6))
                 v = tuple(rng.randrange(4) for _ in range(6))
@@ -128,7 +249,7 @@ class TestPeakReduce:
     def test_minimality_against_orbit_brute_force(self):
         # brute force: explore the whole orbit of short words by applying
         # moves up to length growth, tracking the least length seen
-        moves = whitehead_moves(2)
+        moves = [WhiteheadMove(action) for _, action in _reference_moves(2)]
         rng = random.Random(6)
         for _ in range(20):
             w = tuple(rng.randrange(4) for _ in range(5))
