@@ -157,10 +157,12 @@ def classify(m: MoebiusMap) -> str:
     return "loxodromic"
 
 
-def translation_length(m: MoebiusMap) -> float:
-    """Real translation length; 0 for identity/parabolic/elliptic."""
-    kind = classify(m)
-    if kind != "loxodromic":
+def translation_length(m: MoebiusMap, kind: Optional[str] = None) -> float:
+    """Real translation length; 0 for identity/parabolic/elliptic.
+
+    ``kind`` is ``classify(m)`` when the caller already has it.
+    """
+    if (classify(m) if kind is None else kind) != "loxodromic":
         return 0.0
     return 2.0 * abs(cmath.acosh(m.trace() / 2.0).real)
 

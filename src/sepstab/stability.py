@@ -29,15 +29,16 @@ least distance above ZERO_DIST, which determine qg_fit exactly.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from math import acosh
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from sepstab import groups as G
 from sepstab import separability as S
 from sepstab.groups import GroupSpec, Word
-from sepstab.hyperbolic import (H3Point, HyperbolicError, MoebiusMap,
-                                Representation, apply, classify, dist,
+from sepstab.hyperbolic import (DET_TOL, H3Point, HyperbolicError,
+                                Representation, classify,
                                 translation_length)
 
 PARABOLIC_EXACT = 1e-12
@@ -124,17 +125,41 @@ def _qg_rows(rep: Representation, letters: Word, n: int,
 
     Row i + |g| of the whole path would be a prefix of row i, so these
     rows hold every (c, d) pair of the path.
+
+    One flat loop on (a, b, c, d) tuples of complex numbers.  Each window
+    product repeats the IEEE operations of ``m * image`` followed by
+    ``renormalized()``, and its distance those of dist(o, apply(m, o)) at
+    o = (0, 1), where the zero coordinates of o drop out.  The rows
+    therefore equal those of the MoebiusMap path bit for bit while the
+    entries are finite, and the same errors are raised.
     """
     period = len(letters)
-    images = [rep.image(x) for x in letters]
-    o = BASE_POINT
+    images = [(m.a, m.b, m.c, m.d) for m in map(rep.image, letters)]
+    path = images * (window // period + 2)  # covers i + c - 1 < |g| + W
     rows = []
     for i in range(min(period, n)):
-        m = MoebiusMap.identity()
+        a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j  # MoebiusMap.identity()
         row = []
-        for c in range(1, min(window, n - i) + 1):
-            m = (m * images[(i + c - 1) % period]).renormalized()
-            row.append(dist(o, apply(m, o)))
+        for ia, ib, ic, id_ in path[i:i + min(window, n - i)]:
+            a, b, c, d = (a * ia + b * ic, a * ib + b * id_,
+                          c * ia + d * ic, c * ib + d * id_)
+            det = a * d - b * c
+            deviation = abs(det - 1.0)
+            if not (deviation <= DET_TOL or deviation <= 16.0 * (
+                    abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
+                    * 2.3e-16):  # MoebiusMap.renormalized / det_noise
+                if det == 0:
+                    raise HyperbolicError("singular matrix")
+                s = cmath.sqrt(det)
+                a, b, c, d = a / s, b / s, c / s, d / s
+            denom = abs(d) ** 2 + abs(c) ** 2
+            dz = abs((b * d.conjugate() + a * c.conjugate()) / denom)
+            t = 1.0 / denom
+            if not t > 0:
+                raise HyperbolicError("height must be positive")
+            dt = 1.0 - t
+            row.append(acosh(max(1.0 + (dz * dz + dt * dt) / (2.0 * t),
+                                 1.0)))
         rows.append(row)
     return rows
 
@@ -146,24 +171,51 @@ def _qg_pairs(rows: Sequence[List[float]], n: int) -> List[Tuple[int, float]]:
             for c, d in enumerate(row[:n - i], 1)]
 
 
-def _fold_least(least: Dict[int, List[Optional[float]]],
-                pairs: Iterable[Tuple[int, float]]):
-    """Fold pairs into least[c] = [least d, least d above ZERO_DIST].
+def _fold_rows(least: Dict[int, List[Optional[float]]],
+               rows: Sequence[List[float]], window: int) -> float:
+    """Fold the (c, d) pairs of ``rows`` into least[c] = [least d, least d
+    above ZERO_DIST] and return qg_fit(pairs, window, A_MAX)[2], the worst
+    ratio, in one pass over the rows.
 
     qg_fit over _least_pairs(least) equals qg_fit over every pair folded
     in, because IEEE division, multiplication and addition are monotone:
     min d / c is min(d / c); for c >= a the largest (c - a) / d is at the
     least d above ZERO_DIST (for c < a it is negative and cannot raise the
     fitted slope above 0); and the least d is the hardest feasibility case.
+
+    The worst ratio starts, as min() does, from the first ratio in pair
+    order, that of row 0 at the threshold c.  qg_fit over these pairs can
+    only raise when its additive constant is capped at A_MAX, by a pair
+    with d <= ZERO_DIST and c > A_MAX.  Otherwise each pair lies under the
+    envelope, because the slope is at least (c - a) / d and the 1e-9 slack
+    absorbs the rounding of k d + a while c < 2**21.  Outside those bounds
+    the fit itself runs, so it raises exactly when qg_fit would.
+    PathTooShort cannot arise, since row 0 of a nonempty path holds a pair.
     """
-    for c, d in pairs:
-        cur = least.get(c)
-        if cur is None:
-            least[c] = cur = [d, None]
-        elif d < cur[0]:
-            cur[0] = d
-        if d > ZERO_DIST and (cur[1] is None or d < cur[1]):
-            cur[1] = d
+    max_c = len(rows[0])
+    threshold = max(1, min(window // 2, max_c // 2))
+    worst = rows[0][threshold - 1] / threshold
+    top = 0  # largest c whose d is not above ZERO_DIST
+    for row in rows:
+        for c, d in enumerate(row, 1):
+            cur = least.get(c)
+            if cur is None:
+                least[c] = cur = [d, None]
+            elif d < cur[0]:
+                cur[0] = d
+            if d > ZERO_DIST:
+                if cur[1] is None or d < cur[1]:
+                    cur[1] = d
+            elif c > top:
+                top = c
+            if c >= threshold:
+                ratio = d / c
+                if ratio < worst:
+                    worst = ratio
+    if top > A_MAX or max_c >= 1 << 21:
+        pairs = [(c, d) for row in rows for c, d in enumerate(row, 1)]
+        return qg_fit(pairs, window, A_MAX)[2]
+    return worst
 
 
 def _least_pairs(least: Dict[int, List[Optional[float]]]
@@ -234,7 +286,7 @@ def stability_margin(rep: Representation,
             m = rep.evaluate(letters)
             kind = classify(m)
             band = abs(m.trace() ** 2 - 4.0)
-            tl = translation_length(m)
+            tl = translation_length(m, kind)
             if kind != "loxodromic":
                 if band <= PARABOLIC_EXACT or kind in ("identity",
                                                        "elliptic"):
@@ -275,10 +327,7 @@ def stability_margin(rep: Representation,
                                       "non-loxodromic image"))
             continue
 
-        pairs = _qg_pairs(rows, n)
-        _fold_least(least, pairs)
-        _, _, worst = qg_fit(pairs, params.window, A_MAX)
-        rec.worst_qg = worst
+        worst = rec.worst_qg = _fold_rows(least, rows, params.window)
 
         if worst < params.margin or ratio < params.margin:
             half = length * max(1, params.powers // 2)

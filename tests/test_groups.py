@@ -222,6 +222,20 @@ class TestRotationInvariance:
             assert rcnf.cyclic_length == len(w)
             assert canonical_spelling(rcnf, group) == key
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(MIXED)), st.data())
+    def test_inverse_shares_the_cyclic_length(self, name, data):
+        group = MIXED[name]
+        w = tuple(data.draw(letter_words(group, 12)))
+        try:
+            cnf, _ = cyclic_reduce(w, group)
+        except TrivialElement:
+            with pytest.raises(TrivialElement):
+                cyclic_reduce(word_inverse(w), group)
+            return
+        inverse, _ = cyclic_reduce(word_inverse(w), group)
+        assert inverse.cyclic_length == cnf.cyclic_length
+
 
 def unpruned_walk(group, max_len):
     """enumerate_elements as it was before the necklace pruning: every

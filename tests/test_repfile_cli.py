@@ -341,6 +341,18 @@ class TestCli:
         assert len(lines) == 3
         assert "error" in lines[1] and "pass" in lines[2]
 
+    def test_sweep_imports_no_numpy(self):
+        # numpy is not a declared dependency, so nothing may import it
+        script = ("import sys\n"
+                  "from sepstab.cli import main\n"
+                  "code = main(['sweep', '--grid', '2,3', '--depth', '2'])\n"
+                  "assert code == 0, code\n"
+                  "assert 'numpy' not in sys.modules\n")
+        r = subprocess.run([sys.executable, "-c", script],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert "parameter,margin" in r.stdout
+
     def test_sweep_empty_grid_header_only(self, tmp_path):
         out = tmp_path / "s.csv"
         code, _, _ = run_cli("sweep", "--grid", "", "--csv", str(out))

@@ -126,16 +126,35 @@ class TestQgConstants:
         assert abs(worst - 3.6838864320533786) < 1e-6
 
 
-def _all_offsets_pairs(rep, path, window, base):
-    """Reference kernel: every offset of the whole path, no periodicity."""
-    n = len(path)
-    pairs = []
-    for i in range(n):
+def pinched_phi(k):
+    """pinched-a precomposed with the automorphism a -> a b^k, b -> b."""
+    rep, disks = build("pinched-a")
+    a, b = rep.generator_images()
+    for _ in range(k):
+        a = a * b
+    return Representation(rep.group, [a, b]), disks
+
+
+def _reference_rows(rep, letters, n, window):
+    """Reference kernel: _qg_rows through MoebiusMap, apply and dist."""
+    period = len(letters)
+    images = [rep.image(x) for x in letters]
+    o = stability.BASE_POINT
+    rows = []
+    for i in range(min(period, n)):
         m = MoebiusMap.identity()
+        row = []
         for c in range(1, min(window, n - i) + 1):
-            m = (m * rep.image(path[i + c - 1])).renormalized()
-            pairs.append((c, dist(base, apply(m, base))))
-    return pairs
+            m = (m * images[(i + c - 1) % period]).renormalized()
+            row.append(dist(o, apply(m, o)))
+        rows.append(row)
+    return rows
+
+
+def _all_offsets_pairs(rep, path, window):
+    """Reference: every offset of the whole path, no periodicity."""
+    rows = _reference_rows(rep, path, len(path), window)
+    return [(c, d) for row in rows for c, d in enumerate(row, 1)]
 
 
 def _fit(pairs, window, a_max=50.0):
@@ -145,22 +164,35 @@ def _fit(pairs, window, a_max=50.0):
         return "infeasible"
 
 
-class TestPeriodicKernel:
-    REPS = {name: build(name)[0] for name in ("schottky2", "s2-times-z")}
+def _outcome(kernel, *args):
+    """A kernel's rows, or the type and message of what it raised."""
+    try:
+        return kernel(*args)
+    except (HyperbolicError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
 
-    @settings(max_examples=150, deadline=None)
+
+class TestPeriodicKernel:
+    # pinched-a o phi_5 rescales about 25k window products per sweep
+    REPS = {name: build(name)[0]
+            for name in ("schottky2", "s2-times-z", "pinched-a")}
+    REPS["pinched-a-phi5"] = pinched_phi(5)[0]
+
+    @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(REPS)), st.data(),
            st.integers(1, 5), st.integers(2, 30))
     @example("schottky2", None, 1, 30)       # n < W
     @example("s2-times-z", None, 3, 24)      # W <= n < |g| - 1 + W
     @example("schottky2", None, 5, 2)        # long path
+    @example("pinched-a-phi5", None, 5, 24)  # rescaled window products
     def test_one_period_matches_all_offsets(self, name, data, powers,
                                             window):
         rep = self.REPS[name]
         group = rep.group
         if data is None:
             word = {"schottky2": (0, 2, 2, 1, 3),
-                    "s2-times-z": (0, 2, 8, 4, 8, 6, 8, 8)}[name]
+                    "s2-times-z": (0, 2, 8, 4, 8, 6, 8, 8),
+                    "pinched-a-phi5": (1, 2, 2, 2, 2, 2, 2)}[name]
         else:
             word = tuple(data.draw(st.lists(
                 st.integers(0, group.n_letters - 1), min_size=1,
@@ -170,54 +202,87 @@ class TestPeriodicKernel:
         except TrivialElement:
             assume(False)
         letters = cnf.letters()
-        base = stability.BASE_POINT
         n = len(letters) * powers
         half = len(letters) * max(1, powers // 2)
-        rows = stability._qg_rows(rep, letters, n, window)
+        rows = _outcome(stability._qg_rows, rep, letters, n, window)
+        assert rows == _outcome(_reference_rows, rep, letters, n, window)
+        assume(isinstance(rows, list))
         pairs = stability._qg_pairs(rows, n)
-        reference = _all_offsets_pairs(rep, letters * powers, window, base)
+        reference = _all_offsets_pairs(rep, letters * powers, window)
         assert set(pairs) == set(reference)
-        assert _fit(pairs, window) == _fit(reference, window)
+        fit = _fit(pairs, window)
+        assert fit == _fit(reference, window)
+        if fit == "infeasible":
+            with pytest.raises(StabilityError):
+                stability._fold_rows({}, rows, window)
+        else:
+            assert stability._fold_rows({}, rows, window) == fit[2]
         assert _fit(stability._qg_pairs(rows, half), window) == _fit(
-            _all_offsets_pairs(rep, letters * max(1, powers // 2), window,
-                               base), window)
+            _all_offsets_pairs(rep, letters * max(1, powers // 2), window),
+            window)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.lists(st.tuples(
-        st.integers(1, 40),
+    def test_singular_window_raises_like_reference(self):
+        # pinched-a o phi_8: an 18-letter window of A b^5 has a computed
+        # determinant of exactly 0 and cannot be renormalized
+        rep, _ = pinched_phi(8)
+        letters = rep.group.parse_word("A b b b b b")
+        n = len(letters) * StabilityParams().powers
+        expected = (HyperbolicError, "singular matrix")
+        assert _outcome(_reference_rows, rep, letters, n, 24) == expected
+        assert _outcome(stability._qg_rows, rep, letters, n, 24) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.lists(
         st.one_of(st.sampled_from([0.0, 5e-324, 1e-13, 1e-12, 2e-12]),
-                  st.floats(0.0, 60.0))), min_size=1, max_size=30),
-        min_size=1, max_size=4),
-        st.integers(2, 40), st.sampled_from([0.5, 3.0, 7.5, 50.0]))
+                  st.floats(0.0, 60.0)), min_size=1, max_size=56),
+        min_size=1, max_size=3), min_size=1, max_size=3),
+        st.integers(2, 60), st.sampled_from([0.5, 3.0, 7.5, 50.0]))
     # the slope comes from the least d above ZERO_DIST of a c whose least d
     # is below it; the envelope's 1e-9 slack keeps that pair feasible
-    @example([[(40, 1e-12), (40, 1.000000000001e-12)]], 40, 0.5)
+    @example([[[60.0] * 39 + [1e-12], [60.0] * 39 + [1.000000000001e-12]]],
+             40, 0.5)
+    # a window of d = 0 past A_MAX: the class's own envelope is infeasible
+    @example([[[0.0] * 55]], 56, 50.0)
+    # the cap bites, but the slope of c = 52 lifts c = 51 under the envelope
+    @example([[[1.0] * 50 + [1e-12, 1.000001e-12]]], 52, 50.0)
     def test_least_state_fits_like_raw_pairs(self, chunks, window, a_max):
+        # each chunk is one class's rows; row lengths never grow with i
         least = {}
+        raw = []
         for chunk in chunks:
-            stability._fold_least(least, chunk)
-        raw = [pair for chunk in chunks for pair in chunk]
+            rows = sorted(chunk, key=len, reverse=True)
+            pairs = [(c, d) for row in rows for c, d in enumerate(row, 1)]
+            fit = _fit(pairs, window)
+            if fit == "infeasible":
+                with pytest.raises(StabilityError):
+                    stability._fold_rows(least, rows, window)
+            else:
+                assert stability._fold_rows(least, rows, window) == fit[2]
+            raw += pairs
         reduced = stability._least_pairs(least)
         assert len(reduced) <= 2 * len({c for c, _ in raw})
         assert _fit(reduced, window, a_max) == _fit(raw, window, a_max)
 
     @pytest.mark.parametrize("name,depth", [("schottky2", 4),
                                             ("s2-times-z", 2)])
-    def test_dist_calls_bounded_by_one_period(self, monkeypatch, name,
-                                              depth):
-        calls = []
+    def test_window_products_bounded_by_one_period(self, monkeypatch, name,
+                                                   depth):
+        products = []
 
-        def counting_dist(p, q):
-            calls.append(None)
-            return dist(p, q)
-        monkeypatch.setattr(stability, "dist", counting_dist)
+        def counting_rows(*args):
+            rows = qg_rows(*args)
+            products.append(sum(map(len, rows)))
+            return rows
+        qg_rows = stability._qg_rows
+        monkeypatch.setattr(stability, "_qg_rows", counting_rows)
         rep, _ = build(name)
         params = StabilityParams(depth=depth)
         report = stability_margin(rep, params)
         swept = [r for r in report.records
                  if "non_loxodromic" not in r.flags]
         assert swept
-        assert 0 < len(calls) <= sum(r.length * params.window for r in swept)
+        assert 0 < sum(products) <= sum(r.length * params.window
+                                        for r in swept)
 
 
 class TestStabilityMargin:
@@ -283,6 +348,21 @@ class TestStabilityMargin:
         for s in spell_shallow:
             assert deep_ratios[s] >= 0.02
 
+    def test_one_classification_per_class(self, monkeypatch):
+        # translation_length reuses the sweep's kind instead of classifying
+        from sepstab import hyperbolic
+        calls = []
+
+        def counting_classify(m):
+            calls.append(m)
+            return classify(m)
+        classify = hyperbolic.classify
+        monkeypatch.setattr(stability, "classify", counting_classify)
+        monkeypatch.setattr(hyperbolic, "classify", counting_classify)
+        rep, _ = build("schottky2")
+        report = stability_margin(rep, StabilityParams(depth=3))
+        assert report.records and len(calls) == len(report.records)
+
     def test_unknown_elements_cannot_fail(self):
         # a mixed rep with all-loxodromic images: unknown-separability
         # elements may block with inconclusive but never produce fail
@@ -291,20 +371,17 @@ class TestStabilityMargin:
         assert report.verdict in ("pass", "inconclusive")
 
 
-def pinched_phi(k):
-    """pinched-a precomposed with the automorphism a -> a b^k, b -> b."""
-    rep, disks = build("pinched-a")
-    a, b = rep.generator_images()
-    for _ in range(k):
-        a = a * b
-    return Representation(rep.group, [a, b]), disks
-
-
 class TestNumericErrors:
     # at default depth, k = 7 used to raise HyperbolicError (a singular
-    # window product in _qg_rows) and k = 10 OverflowError (from apply)
-    @pytest.mark.parametrize("k, flag", [(7, "non_loxodromic"),
-                                         (10, "numeric_error")])
+    # window product in _qg_rows) and k = 10 OverflowError (from apply);
+    # k = 4 ends in the parabolic band and k = 8-12 on numeric errors
+    # (ROADMAP item 7)
+    @pytest.mark.parametrize("k, flag", [
+        (1, "non_loxodromic"), (2, "non_loxodromic"), (3, "non_loxodromic"),
+        (4, "parabolic_adjacent"), (5, "non_loxodromic"),
+        (6, "non_loxodromic"), (7, "non_loxodromic"), (8, "numeric_error"),
+        (9, "numeric_error"), (10, "numeric_error"), (11, "numeric_error"),
+        (12, "numeric_error")])
     def test_sweep_survives_large_entries(self, k, flag):
         rep, _ = pinched_phi(k)
         report = stability_margin(rep)
