@@ -416,18 +416,25 @@ def canonical_spelling(cnf: CyclicNormalForm, group: GroupSpec) -> Word:
     return best
 
 
-def _respell(letters: Word, group: GroupSpec) -> Iterator[Word]:
-    """Spellings of a rotation: product of per-syllable minimal respellings.
-
-    Cross products are capped; ties beyond the cap keep the base spelling.
-    """
-    runs = []  # (fid, word) maximal same-factor runs, linearly
+def _factor_runs(letters: Word, group: GroupSpec) -> list:
+    """Maximal same-factor runs of ``letters``, read linearly, as
+    (fid, word) pairs."""
+    runs = []
     for x in letters:
         fid = group.letter_factor(x)
         if runs and runs[-1][0] == fid:
             runs[-1] = (fid, runs[-1][1] + (x,))
         else:
             runs.append((fid, (x,)))
+    return runs
+
+
+def _respell(letters: Word, group: GroupSpec) -> Iterator[Word]:
+    """Spellings of a rotation: product of per-syllable minimal respellings.
+
+    Cross products are capped; ties beyond the cap keep the base spelling.
+    """
+    runs = _factor_runs(letters, group)
     options = []
     total = 1
     for fid, w in runs:
@@ -466,6 +473,16 @@ def enumerate_elements(group: GroupSpec, max_len: int) -> Iterator[CyclicNormalF
     w[0] != w[-1]^-1.  The least rotation is a necklace with w's key that
     the walk reaches first, so classes come in the order of the full walk.
 
+    A surface-free necklace is yielded as its own representative, with no
+    canonicalisation.  A necklace starts with its least letter and surface
+    letters come first, so it is surface-free iff its first letter is.
+    Without surface runs _respell is the identity, so the key is the least
+    rotation: the necklace itself, which no other necklace and no key with
+    a surface letter shares.  Its cyclic length is its length unless its
+    last letter inverts its first.  Its maximal same-factor runs are its
+    cyclic normal form: a free factor has the letters x and x^-1 only, and
+    a necklace x ... x is a power of x, so no other syllable wraps round.
+
     canonical_spelling respells each linear run of a rotation on its own,
     so in mixed products some classes get two keys and are yielded twice
     (ROADMAP item 4; the strict xfail in tests/test_groups.py).
@@ -474,6 +491,7 @@ def enumerate_elements(group: GroupSpec, max_len: int) -> Iterator[CyclicNormalF
         return
     seen = set()
     n = group.n_letters
+    free_low = group.gen_base(group.n_surface)
     for length in range(1, max_len + 1):
         stack = [((), 1)]
         while stack:
@@ -482,6 +500,11 @@ def enumerate_elements(group: GroupSpec, max_len: int) -> Iterator[CyclicNormalF
             if m == length:
                 if length % p:
                     continue  # not a necklace: its least rotation came first
+                if prefix[0] >= free_low:
+                    if length > 1 and prefix[-1] == inv(prefix[0]):
+                        continue  # cyclically shorter
+                    yield CyclicNormalForm(tuple(_factor_runs(prefix, group)))
+                    continue
                 try:
                     cnf, _ = cyclic_reduce(prefix, group)
                 except TrivialElement:

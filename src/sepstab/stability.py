@@ -297,7 +297,7 @@ def stability_margin(rep: Representation,
                 flags.append("parabolic_adjacent")
             rows = (None if "non_loxodromic" in flags
                     else _qg_rows(rep, letters, n, params.window))
-        except (HyperbolicError, OverflowError) as exc:
+        except (HyperbolicError, OverflowError, ZeroDivisionError) as exc:
             # no number of this class can be trusted, so it blocks a pass
             nan = float("nan")
             rec = ElementRecord(

@@ -15,6 +15,7 @@ F2 = GroupSpec((), 2)
 S2Z = GroupSpec((2,), 1)
 MIXED = {"F3": GroupSpec((), 3), "S2*Z": S2Z,
          "S2*S2*Z": GroupSpec((2, 2), 1), "S3*F2": GroupSpec((3,), 2)}
+SURFACE_FREE = {"F2": F2, "F3": MIXED["F3"], "S3*F2": MIXED["S3*F2"]}
 
 
 def letter_words(group, max_size):
@@ -236,6 +237,23 @@ class TestRotationInvariance:
         inverse, _ = cyclic_reduce(word_inverse(w), group)
         assert inverse.cyclic_length == cnf.cyclic_length
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(SURFACE_FREE)), st.data())
+    def test_surface_free_key_is_least_rotation(self, name, data):
+        # why enumerate_elements may yield surface-free necklaces as they are
+        group = SURFACE_FREE[name]
+        low = group.gen_base(group.n_surface)
+        w = tuple(data.draw(st.lists(st.integers(low, group.n_letters - 1),
+                                     max_size=12)))
+        try:
+            cnf, _ = cyclic_reduce(w, group)
+        except TrivialElement:
+            assume(False)
+        letters = cnf.letters()
+        least = min(letters[k:] + letters[:k] for k in range(len(letters)))
+        for k in range(len(w)):
+            assert canonical_class(w[k:] + w[:k], group) == least
+
 
 def unpruned_walk(group, max_len):
     """enumerate_elements as it was before the necklace pruning: every
@@ -266,29 +284,52 @@ def unpruned_walk(group, max_len):
                 stack.append(prefix + (x,))
 
 
+def reduced_necklaces(group, max_len):
+    """Leaves of the necklace walk: linearly reduced least rotations."""
+    return [w for n in range(1, max_len + 1)
+            for w in itertools.product(range(group.n_letters), repeat=n)
+            if all(y != inv(x) for x, y in zip(w, w[1:]))
+            and all(w <= w[k:] + w[:k] for k in range(n))]
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("group, max_len", [
-        (F2, 7), (MIXED["F3"], 5), (S2Z, 4), (MIXED["S2*S2*Z"], 3),
-        (MIXED["S3*F2"], 3)], ids=["F2", "F3", "S2*Z", "S2*S2*Z", "S3*F2"])
+        (F2, 8), (MIXED["F3"], 5), (GroupSpec((), 4), 4), (S2Z, 4),
+        (MIXED["S2*S2*Z"], 3), (MIXED["S3*F2"], 3)],
+        ids=["F2", "F3", "F4", "S2*Z", "S2*S2*Z", "S3*F2"])
     def test_necklace_walk_matches_unpruned_walk(self, group, max_len):
-        got = [c.letters() for c in enumerate_elements(group, max_len)]
-        assert got == [c.letters() for c in unpruned_walk(group, max_len)]
+        got = [c.syllables for c in enumerate_elements(group, max_len)]
+        assert got == [c.syllables for c in unpruned_walk(group, max_len)]
 
     def test_only_necklaces_are_canonicalised(self, monkeypatch):
+        # only necklace leaves with a surface letter are canonicalised;
+        # surface-free necklaces are yielded as their own keys
         import sepstab.groups as groups
-        tested = []
+        tested, keys = [], []
 
-        def counting(word, group):
+        def reducing(word, group):
             tested.append(word)
             return cyclic_reduce(word, group)
-        monkeypatch.setattr(groups, "cyclic_reduce", counting)
-        yielded = [c.letters() for c in enumerate_elements(F2, 6)]
-        necklaces = [w for n in range(1, 7)
-                     for w in itertools.product(range(4), repeat=n)
-                     if all(y != inv(x) for x, y in zip(w, w[1:]))
-                     and all(w <= w[k:] + w[:k] for k in range(n))]
-        # one cyclic_reduce per leaf, one more per yielded key
-        assert sorted(tested) == sorted(necklaces + yielded)
+
+        def spelling(cnf, group):
+            keys.append(canonical_spelling(cnf, group))
+            return keys[-1]
+        monkeypatch.setattr(groups, "cyclic_reduce", reducing)
+        monkeypatch.setattr(groups, "canonical_spelling", spelling)
+
+        assert len(list(enumerate_elements(F2, 6))) > 0
+        assert tested == [] and keys == []
+
+        low = S2Z.gen_base(S2Z.n_surface)
+        yielded = [c.letters() for c in enumerate_elements(S2Z, 3)]
+        leaves = [w for w in reduced_necklaces(S2Z, 3) if w[0] < low]
+        keys = set(keys)
+        # one cyclic_reduce per surface leaf, one more per yielded key
+        assert sorted(tested) == sorted(leaves + list(keys))
+        assert len(keys) == sum(1 for w in yielded if w[0] < low)
+        t, T = low, inv(low)
+        assert [w for w in yielded if w[0] >= low] == [
+            (t,), (T,), (t, t), (T, T), (t, t, t), (T, T, T)]
 
     def test_f2_length_one(self):
         got = {F2.format_word(c.letters()) for c in enumerate_elements(F2, 1)}

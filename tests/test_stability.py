@@ -412,6 +412,42 @@ class TestNumericErrors:
                                  f": HyperbolicError: singular matrix")
         assert report.records == []
 
+    def test_underflowing_window_product_raises(self):
+        # |c|^2 + |d|^2 of a window product underflows to 0; 182 classes of
+        # pinched-a∘φ_12 at L <= 8 do this, all of them not separable
+        rep, _ = pinched_phi(12)
+        with pytest.raises(ZeroDivisionError):
+            stability._qg_rows(rep, rep.group.parse_word("a b A A b"),
+                               5 * 16, 24)
+
+    def test_zero_division_blocks_a_pass(self, monkeypatch, tmp_path,
+                                         capsys):
+        from sepstab.cli import main
+        from sepstab.repfile import RepFile, emit_rep
+        real = stability._qg_rows
+
+        def underflow(rep, letters, n, window):
+            if rep.group.format_word(letters) == "a":
+                raise ZeroDivisionError("complex division by zero")
+            return real(rep, letters, n, window)
+        monkeypatch.setattr(stability, "_qg_rows", underflow)
+        rep, disks = build("schottky2")
+        report = stability_margin(rep, StabilityParams(depth=2))
+        assert report.verdict == "inconclusive"
+        assert report.witness.spelling == "a"
+        assert report.witness.separability == "separable"
+        assert report.witness.flags == ("numeric_error",)
+        assert report.reason == ("numeric error on a: ZeroDivisionError: "
+                                 "complex division by zero")
+        assert "a" not in {r.spelling for r in report.records}
+
+        path = tmp_path / "schottky2.rep"
+        path.write_text(emit_rep(RepFile(rep=rep, disks=disks)))
+        code = main(["check-stability", str(path), "--depth", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in err and "verdict: inconclusive" in out
+
 
 class TestVerdictBranches:
     """F2 with b = loxodromic_with_axis(2, 8, 5) and a short translation a,
