@@ -389,7 +389,8 @@ def _cyclic_dehn_reduce(word: Word, group: GroupSpec, fid: int):
                 rot = w[k:] + w[:k]
                 red = dehn_reduce(rot, group, fid)
                 if len(red) < n:
-                    conj = word_mul(w[:k], conj)
+                    # w = w[:k] * rot * w[:k]^-1
+                    conj = word_mul(word_inverse(w[:k]), conj)
                     w = red
                     changed = True
                     break

@@ -136,6 +136,7 @@ def parse_rep(text: str) -> RepFile:
     except GroupError as exc:
         raise RepFileError(str(exc), group_line)
 
+    expected = [group.letter_name(2 * k) for k in range(group.n_letters // 2)]
     images: Dict[str, MoebiusMap] = {}
     for idx, body in gen_lines:
         m = re.match(rf"(\S+)\s*=\s*{_COMPLEX}\s*{_COMPLEX}\s*{_COMPLEX}\s*{_COMPLEX}\s*$",
@@ -143,6 +144,8 @@ def parse_rep(text: str) -> RepFile:
         if not m:
             raise RepFileError("expected `name = (re,im) x4`", idx)
         name = m.group(1)
+        if name not in expected:
+            raise RepFileError(f"unknown generator {name!r}", idx)
         if name in images:
             raise RepFileError(f"repeated generator {name!r}", idx)
         vals = [_parse_float(m.group(k), idx, 1) for k in range(2, 10)]
@@ -154,14 +157,9 @@ def parse_rep(text: str) -> RepFile:
                 f"determinant {det:.6g} off by more than {DET_REJECT}", idx)
         images[name] = mm
 
-    expected = [group.letter_name(2 * k) for k in range(group.n_letters // 2)]
     missing = [n for n in expected if n not in images]
     if missing:
         raise RepFileError(f"missing generators: {', '.join(missing)}",
-                           max(1, len(lines)))
-    unknown = [n for n in images if n not in expected]
-    if unknown:
-        raise RepFileError(f"unknown generators: {', '.join(unknown)}",
                            max(1, len(lines)))
     rep = Representation(group, [images[n] for n in expected])
 

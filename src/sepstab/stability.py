@@ -20,11 +20,11 @@ window products stay short and no global drift accumulates.  The path of
 g^N is periodic: offset i + |g| reads the same letters as offset i over a
 window that is no longer, so its distances are a prefix of offset i's and
 the sweep measures one period of offsets, |g| * W products per class.  The
-fit at N // 2 powers reuses those rows, cut to the shorter path; it can
-therefore differ from the fit at N powers only while
-|g| * (N // 2) < |g| - 1 + W (see ROADMAP item 6).  The fit over all
-classes keeps, per combinatorial length c, only the least distance and the
-least distance above ZERO_DIST, which determine qg_fit exactly.
+fit at N // 2 powers folds the same rows cut to the shorter path, row i to
+its first |g| * (N // 2) - i distances; it can therefore differ from the
+fit at N powers only while |g| * (N // 2) < |g| - 1 + W (ROADMAP item 6).
+The fit over all classes keeps, per window length c, only the least distance
+and the least distance above ZERO_DIST, which determine qg_fit exactly.
 """
 
 from __future__ import annotations
@@ -164,13 +164,6 @@ def _qg_rows(rep: Representation, letters: Word, n: int,
     return rows
 
 
-def _qg_pairs(rows: Sequence[List[float]], n: int) -> List[Tuple[int, float]]:
-    """The (c, d) pairs of the length-n path, from the rows of a path of the
-    same period that is at least n letters long."""
-    return [(c, d) for i, row in enumerate(rows[:n])
-            for c, d in enumerate(row[:n - i], 1)]
-
-
 def _fold_rows(least: Dict[int, List[Optional[float]]],
                rows: Sequence[List[float]], window: int) -> float:
     """Fold the (c, d) pairs of ``rows`` into least[c] = [least d, least d
@@ -257,115 +250,97 @@ def stability_margin(rep: Representation,
                      params: Optional[StabilityParams] = None
                      ) -> StabilityReport:
     """Sweep separable (and separability-unknown) classes to the depth
-    bound; verdict per the compactness margin and QG constants."""
+    bound; verdict per the compactness margin and QG constants.
+
+    Each class has at most one problem, a fail (certified, and
+    non-loxodromic or decreasing_qg) or a blocker.  The verdict is the
+    first fail, else the first blocker, else the K_MAX cap, else pass.
+    """
     group = rep.group
     if params is None:
         params = StabilityParams.defaults_for(group)
 
     records: List[ElementRecord] = []
-    fail_witness: Optional[ElementRecord] = None
-    fail_reason = ""
-    blockers: List[Tuple[ElementRecord, str]] = []
+    problems: List[Tuple[str, str, ElementRecord]] = []  # verdict, reason, rec
     least: Dict[int, List[Optional[float]]] = {}
     n_sep = n_unk = 0
 
     for cnf in G.enumerate_elements(group, params.depth):
-        verdict = S.is_separable(cnf.letters(), group)
-        if verdict.status == "not_separable":
-            continue
-        certified = verdict.status == "separable"
-        if certified:
-            n_sep += 1
-        else:
-            n_unk += 1
         letters = cnf.letters()
+        status = S.is_separable(letters, group).status
+        if status == "not_separable":
+            continue
+        certified = status == "separable"
+        n_sep += certified
+        n_unk += not certified
+        spelling = group.format_word(letters)
         length = cnf.cyclic_length
-        n = length * params.powers
-        flags: List[str] = []
         try:
             m = rep.evaluate(letters)
             kind = classify(m)
             band = abs(m.trace() ** 2 - 4.0)
             tl = translation_length(m, kind)
-            if kind != "loxodromic":
-                if band <= PARABOLIC_EXACT or kind in ("identity",
-                                                       "elliptic"):
-                    flags.append("non_loxodromic")
-                else:
-                    flags.append("parabolic_adjacent")
-            elif band < PARABOLIC_FUZZY:
-                flags.append("parabolic_adjacent")
-            rows = (None if "non_loxodromic" in flags
-                    else _qg_rows(rep, letters, n, params.window))
+            flags = (["non_loxodromic"] if kind != "loxodromic" and (
+                         band <= PARABOLIC_EXACT or kind != "parabolic")
+                     else ["parabolic_adjacent"] if band < PARABOLIC_FUZZY
+                     else [])
+            rows = (None if "non_loxodromic" in flags else _qg_rows(
+                rep, letters, length * params.powers, params.window))
         except (HyperbolicError, OverflowError, ZeroDivisionError) as exc:
             # no number of this class can be trusted, so it blocks a pass
             nan = float("nan")
-            rec = ElementRecord(
-                spelling=group.format_word(letters), length=length,
-                separability=verdict.status, trace=complex(nan, nan),
-                kind="unknown", trans_len=nan, ratio=nan, worst_qg=nan,
-                flags=("numeric_error",))
-            blockers.append((rec, f"numeric error on {rec.spelling}: "
-                                  f"{type(exc).__name__}: {exc}"))
+            problems.append((
+                "inconclusive",
+                f"numeric error on {spelling}: {type(exc).__name__}: {exc}",
+                ElementRecord(spelling, length, status, complex(nan, nan),
+                              "unknown", nan, nan, nan,
+                              flags=("numeric_error",))))
             continue
 
         ratio = tl / length
-        rec = ElementRecord(
-            spelling=group.format_word(letters), length=length,
-            separability=verdict.status, trace=m.trace(), kind=kind,
-            trans_len=tl, ratio=ratio, worst_qg=0.0)
-
+        worst, worst_half, problem = 0.0, None, None
         if rows is None:
-            rec.flags = tuple(flags)
-            records.append(rec)
-            if certified and fail_witness is None:
-                fail_witness = rec
-                fail_reason = (f"separable element {rec.spelling} has a "
-                               f"{kind} image")
-            elif not certified:
-                blockers.append((rec, "unknown-separability element with a "
-                                      "non-loxodromic image"))
-            continue
+            problem = (("fail", f"separable element {spelling} has a {kind} "
+                                f"image") if certified else
+                       ("inconclusive", "unknown-separability element with "
+                                        "a non-loxodromic image"))
+        else:
+            worst = _fold_rows(least, rows, params.window)
+            if worst < params.margin or ratio < params.margin:
+                # the path of g^(N/2): row i cut to its first half - i pairs
+                half = length * max(1, params.powers // 2)
+                worst_half = _fold_rows(
+                    {}, [row[:half - i] for i, row in enumerate(rows)],
+                    params.window)
+                if (certified and worst < params.margin
+                        and worst < worst_half - TREND_TOL):
+                    flags.append("decreasing_qg")
+                    problem = ("fail", f"separable element {spelling} has QG "
+                                       f"ratio {worst:.4g} below the margin "
+                                       f"and decreasing across powers")
+                else:
+                    flags.append("below_margin")
+                    problem = ("inconclusive",
+                               "ratio below margin without a decreasing "
+                               "trend" if certified else
+                               "unknown-separability element below margin")
+            elif certified and "parabolic_adjacent" in flags:
+                problem = ("inconclusive",
+                           "separable element in the parabolic band")
 
-        worst = rec.worst_qg = _fold_rows(least, rows, params.window)
-
-        if worst < params.margin or ratio < params.margin:
-            half = length * max(1, params.powers // 2)
-            _, _, worst_half = qg_fit(_qg_pairs(rows, half),
-                                      params.window, A_MAX)
-            rec.worst_qg_half = worst_half
-            decreasing = worst < worst_half - TREND_TOL
-            if certified and worst < params.margin and decreasing:
-                flags.append("decreasing_qg")
-                rec.flags = tuple(flags)
-                records.append(rec)
-                if fail_witness is None:
-                    fail_witness = rec
-                    fail_reason = (f"separable element {rec.spelling} has "
-                                   f"QG ratio {worst:.4g} below the margin "
-                                   f"and decreasing across powers")
-                continue
-            flags.append("below_margin")
-            blockers.append((rec, "ratio below margin without a decreasing "
-                                  "trend" if certified else
-                                  "unknown-separability element below margin"))
-        if "parabolic_adjacent" in flags and certified:
-            blockers.append((rec, "separable element in the parabolic band"))
-        rec.flags = tuple(flags)
+        rec = ElementRecord(spelling, length, status, m.trace(), kind, tl,
+                            ratio, worst, worst_half, tuple(flags))
         records.append(rec)
+        if problem is not None:
+            problems.append((*problem, rec))
 
     margin = min((r.ratio for r in records), default=float("inf"))
-    if least:
-        k_global, a_global, _ = qg_fit(_least_pairs(least), params.window,
-                                       A_MAX)
-    else:
-        k_global = a_global = 0.0
-
-    if fail_witness is not None:
-        verdict, reason, witness = "fail", fail_reason, fail_witness
-    elif blockers:
-        witness, reason = blockers[0]
-        verdict = "inconclusive"
+    k_global, a_global, _ = (qg_fit(_least_pairs(least), params.window,
+                                    A_MAX) if least else (0.0, 0.0, 0.0))
+    # min keeps the first of equal keys: the first fail, else blocker
+    problem = min(problems, key=lambda p: p[0] != "fail", default=None)
+    if problem is not None:
+        verdict, reason, witness = problem
     elif k_global > K_MAX:  # qg_fit already caps a_global at A_MAX
         verdict, witness = "inconclusive", None
         reason = (f"QG constants (K={k_global:.6g}, A={a_global:.6g}) "

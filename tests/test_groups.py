@@ -179,6 +179,18 @@ class TestCyclicReduce:
         with pytest.raises(TrivialElement):
             cyclic_reduce(S2Z.parse_word("t1 T1"), S2Z)
 
+    def test_cyclic_dehn_rotation(self):
+        # no linear Dehn step applies; the rotation B2 a1 b1 A1 B1 holds
+        # five letters of the relator and shortens to a2 B2 A2
+        w = S2Z.parse_word("a1 b1 A1 B1 B2")
+        cnf, conj = cyclic_reduce(w, S2Z)
+        assert [(fid, S2Z.format_word(x)) for fid, x in cnf.syllables] == [
+            (0, "B2")]
+        assert S2Z.format_word(conj) == "A2 b1 a1 B1 A1"
+        with pytest.raises(TrivialElement):
+            cyclic_reduce(word_mul(word_inverse(conj), cnf.letters(), conj,
+                                   word_inverse(w)), S2Z)
+
     def test_conjugation_identity_under_matrices(self):
         # conj^-1 * cyclic * conj == word under a verified representation
         from sepstab.gallery import build

@@ -59,11 +59,19 @@ class TestRepFile:
             parse_rep("group\n  torus 1\n")
 
     def test_unknown_generator_rejected(self):
+        # reported at its own line, before the generator it replaces is
+        # missed at the end of the file
         text = gallery_text("schottky2").replace("  a = ", "  q = ")
         with pytest.raises(RepFileError) as err:
             parse_rep(text)
-        assert "unknown generators" in str(err.value) \
-            or "missing generators" in str(err.value)
+        assert str(err.value) == "line 4, column 1: unknown generator 'q'"
+
+    def test_long_free_name_is_an_unknown_generator(self):
+        # t1 names the first free letter only in mixed products
+        text = gallery_text("schottky2").replace("  b = ", "  t1 = ")
+        with pytest.raises(RepFileError) as err:
+            parse_rep(text)
+        assert str(err.value) == "line 5, column 1: unknown generator 't1'"
 
     def test_determinant_rejection(self):
         text = ("group\n  free 2\ngenerators\n"

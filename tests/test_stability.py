@@ -157,6 +157,13 @@ def _all_offsets_pairs(rep, path, window):
     return [(c, d) for row in rows for c, d in enumerate(row, 1)]
 
 
+def _path_pairs(rows, n):
+    """The (c, d) pairs of the length-n path, from the rows of a path of the
+    same period that is at least n letters long."""
+    return [(c, d) for i, row in enumerate(rows[:n])
+            for c, d in enumerate(row[:n - i], 1)]
+
+
 def _fit(pairs, window, a_max=50.0):
     try:
         return qg_fit(pairs, window, a_max)
@@ -207,7 +214,7 @@ class TestPeriodicKernel:
         rows = _outcome(stability._qg_rows, rep, letters, n, window)
         assert rows == _outcome(_reference_rows, rep, letters, n, window)
         assume(isinstance(rows, list))
-        pairs = stability._qg_pairs(rows, n)
+        pairs = _path_pairs(rows, n)
         reference = _all_offsets_pairs(rep, letters * powers, window)
         assert set(pairs) == set(reference)
         fit = _fit(pairs, window)
@@ -217,9 +224,17 @@ class TestPeriodicKernel:
                 stability._fold_rows({}, rows, window)
         else:
             assert stability._fold_rows({}, rows, window) == fit[2]
-        assert _fit(stability._qg_pairs(rows, half), window) == _fit(
+        fit_half = _fit(_path_pairs(rows, half), window)
+        assert fit_half == _fit(
             _all_offsets_pairs(rep, letters * max(1, powers // 2), window),
             window)
+        # the sweep's half-power fit: each row cut to the shorter path
+        cut = [row[:half - i] for i, row in enumerate(rows)]
+        if fit_half == "infeasible":
+            with pytest.raises(StabilityError):
+                stability._fold_rows({}, cut, window)
+        else:
+            assert stability._fold_rows({}, cut, window) == fit_half[2]
 
     def test_singular_window_raises_like_reference(self):
         # pinched-a o phi_8: an 18-letter window of A b^5 has a computed
@@ -473,6 +488,53 @@ class TestVerdictBranches:
         assert report.verdict == verdict
         assert report.witness.spelling == "a"
         assert report.witness.flags == flags
+
+    @staticmethod
+    def unknown_for(monkeypatch, spellings=None):
+        """Report the classes in ``spellings`` (all, if None) as unknown."""
+        from sepstab import separability
+        real = separability.is_separable
+
+        def patched(word, group):
+            if spellings is None or group.format_word(word) in spellings:
+                return separability.SeparabilityVerdict("unknown")
+            return real(word, group)
+        monkeypatch.setattr(separability, "is_separable", patched)
+
+    def test_unknown_non_loxodromic_blocks(self, monkeypatch):
+        self.unknown_for(monkeypatch)
+        report = stability_margin(build("pinched-a")[0],
+                                  StabilityParams(depth=2))
+        assert report.verdict == "inconclusive"
+        assert report.witness.spelling == "a"
+        assert report.witness.flags == ("non_loxodromic",)
+        assert report.reason == ("unknown-separability element with a "
+                                 "non-loxodromic image")
+        assert (report.n_separable, report.n_unknown) == (0, 12)
+
+    def test_first_fail_beats_an_earlier_blocker(self, monkeypatch):
+        self.unknown_for(monkeypatch, {"a"})
+        report = stability_margin(build("pinched-a")[0],
+                                  StabilityParams(depth=2))
+        assert report.verdict == "fail"
+        assert report.witness.spelling == "A"
+        assert report.witness.flags == ("non_loxodromic",)
+
+    def test_unknown_below_margin_blocks(self, monkeypatch):
+        self.unknown_for(monkeypatch)
+        report = self.report(-1, 3, 1.005)
+        assert report.verdict == "inconclusive"
+        assert report.witness.spelling == "a"
+        assert report.witness.flags == ("below_margin",)
+        assert report.reason == "unknown-separability element below margin"
+        # the trend fit is that of the whole path of a^(N/2)
+        rep = Representation(F2, [loxodromic_with_axis(-1, 3, 1.005),
+                                  loxodromic_with_axis(2, 8, 5)])
+        params = StabilityParams()
+        path = (0,) * (params.powers // 2)
+        assert report.witness.worst_qg_half == qg_fit(
+            _all_offsets_pairs(rep, path, params.window), params.window,
+            stability.A_MAX)[2]
 
     @pytest.mark.parametrize("lam, k", [(1.002, "250.25"), (1.005, "100.25")])
     def test_qg_cap(self, lam, k):
