@@ -402,19 +402,20 @@ def _cyclic_dehn_reduce(word: Word, group: GroupSpec, fid: int):
 
 
 def canonical_spelling(cnf: CyclicNormalForm, group: GroupSpec) -> Word:
-    """Lexicographically least letter spelling over all cyclic rotations,
-    minimizing surface syllables over their half-relator respellings."""
+    """Lexicographically least letter rotation, each maximal surface run
+    of a rotation written as the least of its dehn_spellings.
+
+    Every run of every rotation of a cyclic normal form is Dehn-reduced: a
+    subword of a Dehn-reduced syllable, or a rotation of a cyclically
+    Dehn-reduced lone syllable.  So each respelling of a run keeps its
+    length, and the least spelling of a rotation is the concatenation of
+    the least spellings of its runs.
+    """
     letters = cnf.letters()
-    if not letters:
-        return ()
-    best = None
-    n = len(letters)
-    for k in range(n):
-        rot = letters[k:] + letters[:k]
-        for spelled in _respell(rot, group):
-            if best is None or spelled < best:
-                best = spelled
-    return best
+    return min((tuple(itertools.chain.from_iterable(
+        min(dehn_spellings(w, group, fid)) if fid < group.n_surface else w
+        for fid, w in _factor_runs(letters[k:] + letters[:k], group)))
+        for k in range(len(letters))), default=())
 
 
 def _factor_runs(letters: Word, group: GroupSpec) -> list:
@@ -428,31 +429,6 @@ def _factor_runs(letters: Word, group: GroupSpec) -> list:
         else:
             runs.append((fid, (x,)))
     return runs
-
-
-def _respell(letters: Word, group: GroupSpec) -> Iterator[Word]:
-    """Spellings of a rotation: product of per-syllable minimal respellings.
-
-    Cross products are capped; ties beyond the cap keep the base spelling.
-    """
-    runs = _factor_runs(letters, group)
-    options = []
-    total = 1
-    for fid, w in runs:
-        if fid < group.n_surface and total <= _SPELL_CAP:
-            opts = sorted(s for s in dehn_spellings(w, group, fid)
-                          if len(s) == len(w))
-            if not opts:
-                opts = [w]
-        else:
-            opts = [w]
-        total *= len(opts)
-        options.append(opts)
-    if total > _SPELL_CAP:
-        yield tuple(itertools.chain.from_iterable(w for _, w in runs))
-        return
-    for combo in itertools.product(*options):
-        yield tuple(itertools.chain.from_iterable(combo))
 
 
 def canonical_class(word: Word, group: GroupSpec) -> Word:
@@ -477,16 +453,16 @@ def enumerate_elements(group: GroupSpec, max_len: int) -> Iterator[CyclicNormalF
     A surface-free necklace is yielded as its own representative, with no
     canonicalisation.  A necklace starts with its least letter and surface
     letters come first, so it is surface-free iff its first letter is.
-    Without surface runs _respell is the identity, so the key is the least
-    rotation: the necklace itself, which no other necklace and no key with
-    a surface letter shares.  Its cyclic length is its length unless its
-    last letter inverts its first.  Its maximal same-factor runs are its
+    Without surface runs the key is simply the least rotation: the
+    necklace itself, which no other necklace and no key with a surface
+    letter shares.  Its cyclic length is its length unless its last letter
+    inverts its first.  Its maximal same-factor runs are its
     cyclic normal form: a free factor has the letters x and x^-1 only, and
     a necklace x ... x is a power of x, so no other syllable wraps round.
 
     canonical_spelling respells each linear run of a rotation on its own,
     so in mixed products some classes get two keys and are yielded twice
-    (ROADMAP item 4; the strict xfail in tests/test_groups.py).
+    (ROADMAP item 10; the strict xfail in tests/test_groups.py).
     """
     if max_len < 1:
         return

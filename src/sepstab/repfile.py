@@ -22,9 +22,10 @@ groups that GroupSpec refuses and a disk block that misses a disk or has
 one for a letter it does not cover are rejected with a line/column
 diagnostic.  Only bounded disks can be written.  A generator matrix is
 rejected when its determinant is off one by more than 1e-6 plus the
-rounding noise of its entries (``MoebiusMap.det_noise``); otherwise its
-entries are kept as written and ``Representation`` renormalizes them
-under its own rule, so the round trip is exact at any entry size.
+rounding noise of its entries (``MoebiusMap.det_noise``), or when its
+entries are too large for that check to be computed in floats;
+otherwise its entries are kept as written and ``Representation``
+renormalizes them under its own rule, so the round trip is exact.
 """
 
 from __future__ import annotations
@@ -151,8 +152,15 @@ def parse_rep(text: str) -> RepFile:
         vals = [_parse_float(m.group(k), idx, 1) for k in range(2, 10)]
         mm = MoebiusMap(*(complex(vals[k], vals[k + 1]) for k in (0, 2, 4, 6)),
                         normalize=False)
-        det = mm.det()
-        if abs(det - 1.0) > DET_REJECT + mm.det_noise():
+        try:
+            det = mm.det()
+            bound = DET_REJECT + mm.det_noise()
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise RepFileError(
+                "entries too large to check the determinant in floats", idx)
+        if not abs(det - 1.0) <= bound:  # a NaN fails too
             raise RepFileError(
                 f"determinant {det:.6g} off by more than {DET_REJECT}", idx)
         images[name] = mm

@@ -5,21 +5,40 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sepstab.groups import (GroupSpec, TrivialElement, UniquelyFreelyDecomposable,
-                            GroupError, MixedFactors, canonical_class,
-                            canonical_spelling, cyclic_reduce, dehn_reduce,
-                            enumerate_elements, free_reduce, inv, normal_form,
-                            word_inverse, word_mul)
+from sepstab.groups import (_SPELL_CAP, CyclicNormalForm, GroupSpec,
+                            TrivialElement, UniquelyFreelyDecomposable,
+                            GroupError, MixedFactors, _factor_runs,
+                            canonical_class, canonical_spelling,
+                            cyclic_reduce, dehn_reduce, dehn_spellings,
+                            enumerate_elements, free_reduce, inv,
+                            normal_form, word_inverse, word_mul)
 
 F2 = GroupSpec((), 2)
 S2Z = GroupSpec((2,), 1)
 MIXED = {"F3": GroupSpec((), 3), "S2*Z": S2Z,
          "S2*S2*Z": GroupSpec((2, 2), 1), "S3*F2": GroupSpec((3,), 2)}
 SURFACE_FREE = {"F2": F2, "F3": MIXED["F3"], "S3*F2": MIXED["S3*F2"]}
+WITH_SURFACE = sorted(name for name, g in MIXED.items() if g.n_surface)
 
 
 def letter_words(group, max_size):
     return st.lists(st.integers(0, group.n_letters - 1), max_size=max_size)
+
+
+@st.composite
+def spliced_words(draw, group):
+    """Letter words with up to two pieces of relator rotations spliced in,
+    so that Dehn reduction has work to do."""
+    word = tuple(draw(letter_words(group, 10)))
+    for _ in range(draw(st.integers(0, 2)) if group.n_surface else 0):
+        rel = group.relator(draw(st.integers(0, group.n_surface - 1)))
+        if draw(st.booleans()):
+            rel = word_inverse(rel)
+        k = draw(st.integers(0, len(rel) - 1))
+        piece = (rel[k:] + rel[:k])[:draw(st.integers(1, len(rel)))]
+        i = draw(st.integers(0, len(word)))
+        word = word[:i] + piece + word[i:]
+    return word
 
 
 def words(group, *texts):
@@ -267,6 +286,100 @@ class TestRotationInvariance:
             assert canonical_class(w[k:] + w[:k], group) == least
 
 
+def respelling_reference(cnf, group):
+    """canonical_spelling as it was: the least spelling over the product of
+    the same-length respellings of the surface runs of every rotation,
+    falling back to the rotation itself past _SPELL_CAP combinations."""
+    letters = cnf.letters()
+    spellings = (spelled for k in range(len(letters))
+                 for spelled in _respell(letters[k:] + letters[:k], group))
+    return min(spellings, default=())
+
+
+def _respell(letters, group):
+    runs = _factor_runs(letters, group)
+    options = []
+    total = 1
+    for fid, w in runs:
+        if fid < group.n_surface and total <= _SPELL_CAP:
+            opts = sorted(s for s in dehn_spellings(w, group, fid)
+                          if len(s) == len(w))
+            if not opts:
+                opts = [w]
+        else:
+            opts = [w]
+        total *= len(opts)
+        options.append(opts)
+    if total > _SPELL_CAP:
+        yield tuple(itertools.chain.from_iterable(w for _, w in runs))
+        return
+    for combo in itertools.product(*options):
+        yield tuple(itertools.chain.from_iterable(combo))
+
+
+def cyclic_class(group, word):
+    try:
+        return cyclic_reduce(word, group)[0]
+    except TrivialElement:
+        assume(False)
+
+
+class TestCanonicalSpelling:
+    """canonical_spelling writes each surface run of a rotation in its own
+    least spelling.  That is the least spelling of the product of the
+    runs' respellings, because every run of every rotation of a cyclic
+    normal form is Dehn-reduced, so its respellings keep its length."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(WITH_SURFACE), st.data())
+    def test_every_run_of_every_rotation_is_dehn_reduced(self, name, data):
+        group = MIXED[name]
+        letters = cyclic_class(group, data.draw(spliced_words(group))).letters()
+        for k in range(len(letters)):
+            for fid, run in _factor_runs(letters[k:] + letters[:k], group):
+                if fid < group.n_surface:
+                    assert dehn_reduce(run, group, fid) == run
+                    assert {len(s) for s in dehn_spellings(run, group, fid)
+                            } == {len(run)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(MIXED)), st.data())
+    def test_matches_respelling_product(self, name, data):
+        group = MIXED[name]
+        cnf = cyclic_class(group, data.draw(spliced_words(group)))
+        assert canonical_spelling(cnf, group) == respelling_reference(cnf,
+                                                                      group)
+
+    @pytest.mark.parametrize("group, max_len", [
+        (S2Z, 4), (MIXED["S3*F2"], 3), (MIXED["S2*S2*Z"], 3)],
+        ids=["S2*Z", "S3*F2", "S2*S2*Z"])
+    def test_matches_respelling_product_on_every_class(self, monkeypatch,
+                                                       group, max_len):
+        # every leaf the enumeration keys, and every class it yields
+        import sepstab.groups as groups
+        keyed = []
+
+        def spelling(cnf, group):
+            keyed.append(cnf)
+            return canonical_spelling(cnf, group)
+        monkeypatch.setattr(groups, "canonical_spelling", spelling)
+        classes = list(enumerate_elements(group, max_len))
+        assert len(keyed) > len(classes) // 2
+        for cnf in keyed + classes:
+            assert canonical_spelling(cnf, group) == respelling_reference(
+                cnf, group)
+
+    def test_respells_every_surface_run(self):
+        # the least rotation starts at a1 a1, and its second surface run
+        # b2 a2 B2 A2 is a half-relator swap away from a1 b1 A1 B1
+        cnf, _ = cyclic_reduce(S2Z.parse_word("a1 a1 T1 b2 a2 B2 A2 T1"), S2Z)
+        assert S2Z.format_word(canonical_spelling(cnf, S2Z)) == (
+            "a1 a1 T1 a1 b1 A1 B1 T1")
+
+    def test_empty_class(self):
+        assert canonical_spelling(CyclicNormalForm(()), S2Z) == ()
+
+
 def unpruned_walk(group, max_len):
     """enumerate_elements as it was before the necklace pruning: every
     reduced word of each length, in lexicographic order."""
@@ -405,7 +518,7 @@ class TestDuplicateClasses:
                                         word_inverse(u)), S2Z, 0)
 
     @pytest.mark.xfail(strict=True, reason="enumerate_elements yields these "
-                       "conjugacy classes twice (see ROADMAP item 4)")
+                       "conjugacy classes twice (see ROADMAP item 10)")
     def test_one_representative_per_class(self):
         got = {S2Z.format_word(c.letters())
                for c in enumerate_elements(S2Z, 4)}

@@ -283,6 +283,22 @@ class TestCli:
         assert code == 65
         assert f"line {line}," in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("entries", [
+        # det 1, but the rounding noise of the entries overflows
+        "(1e200, 0.0) (0.0, 0.0) (0.0, 0.0) (1e-200, 0.0)",
+        # singular, with a noise bound of inf that any error would pass
+        "(1e154, 0.0) (1e154, 0.0) (1e154, 0.0) (1e154, 0.0)",
+    ])
+    def test_huge_entries_are_65_with_line(self, tmp_path, entries):
+        path = tmp_path / "big.rep"
+        path.write_text("group\n  free 2\ngenerators\n"
+                        f"  a = {entries}\n"
+                        "  b = (2.0, 0.0) (0.0, 0.0) (0.0, 0.0) (0.5, 0.0)\n")
+        code, out, err = run_cli("check-stability", str(path), "--depth", "2")
+        assert (code, out) == (65, "")
+        assert "line 4, column 1: entries too large" in err
+        assert "Traceback" not in err
+
     def test_rep_file_not_utf8_is_65_with_line(self, tmp_path):
         data = gallery_text("schottky2").encode()
         path = tmp_path / "bad.rep"
