@@ -42,6 +42,8 @@ class MoebiusMap:
             det = a * d - b * c
             if det == 0:
                 raise HyperbolicError("singular matrix")
+            if not cmath.isfinite(det):
+                raise HyperbolicError("determinant is not finite")
             s = cmath.sqrt(det)
             a, b, c, d = a / s, b / s, c / s, d / s
         self.a = complex(a)

@@ -24,7 +24,8 @@ omits a generator, and no search of the minimal level set remains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from math import gcd
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from sepstab import groups as G
 from sepstab import whitehead as W
@@ -235,3 +236,49 @@ def is_separable(word: Word, group: GroupSpec) -> SeparabilityVerdict:
     return SeparabilityVerdict(
         "unknown", witness_graph=wh,
         reason="graph certificate inconclusive for a mixed free product")
+
+
+def swept_classes(group: GroupSpec, max_len: int
+                  ) -> Iterator[Tuple[G.CyclicNormalForm, str]]:
+    """(class, separability status) for every class of cyclic length
+    <= max_len not proven non-separable, in enumerate_elements order.
+
+    In general this filters enumerate_elements through is_separable.  In
+    a rank-2 free group it generates the separable classes instead, the
+    powers r^k of the primitive classes r, with the same output:
+
+    1. In F2 a proper free factor is trivial or <p> with p primitive, so g
+       is separable iff g ~ p^k with p primitive and k >= 1 (p^-1 is
+       primitive too).
+    2. Primitive classes correspond one to one to primitive vectors
+       (p, q) in Z^2 under abelianisation (Osborne-Zieschang, Invent.
+       Math. 63, 1981; Cohen-Metzler-Zimmermann 1981): the lower
+       Christoffel word with |p| a's and |q| b's, a flipped to A when
+       p < 0 and b to B when q < 0.  So there are 4 primitive classes of
+       length 1 and 4 phi(n) of length n >= 2.
+    3. Each such word uses each letter with one sign only, so it is
+       cyclically reduced.  Its least rotation r is aperiodic, so r^k is
+       a necklace, which is exactly what the surface-free branch of
+       enumerate_elements yields.
+    4. That walk yields free classes by length, then lexicographically,
+       and is_separable_free is complete, so F2 has no unknowns to lose.
+    """
+    if group.n_surface or group.free_rank != 2:
+        for cnf in G.enumerate_elements(group, max_len):
+            status = is_separable(cnf.letters(), group).status
+            if status != "not_separable":
+                yield cnf, status
+        return
+    words = []
+    for n in range(1, max_len + 1):
+        for p in range(-n, n + 1):
+            for q in {n - abs(p), abs(p) - n}:  # |p| + |q| = n
+                if gcd(p, q) != 1:
+                    continue
+                a, b, m = 0 if p > 0 else 1, 2 if q > 0 else 3, abs(q)
+                word = tuple(a if i * m // n == (i - 1) * m // n else b
+                             for i in range(1, n + 1))
+                r = min(word[j:] + word[:j] for j in range(n))
+                words += [r * k for k in range(1, max_len // n + 1)]
+    for w in sorted(words, key=lambda w: (len(w), w)):
+        yield G.CyclicNormalForm(tuple(G._factor_runs(w, group))), "separable"

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from math import acosh
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from sepstab import groups as G
 from sepstab import separability as S
 from sepstab.groups import GroupSpec, Word
 from sepstab.hyperbolic import (DET_TOL, H3Point, HyperbolicError,
@@ -150,6 +149,8 @@ def _qg_rows(rep: Representation, letters: Word, n: int,
                     * 2.3e-16):  # MoebiusMap.renormalized / det_noise
                 if det == 0:
                     raise HyperbolicError("singular matrix")
+                if not cmath.isfinite(det):
+                    raise HyperbolicError("determinant is not finite")
                 s = cmath.sqrt(det)
                 a, b, c, d = a / s, b / s, c / s, d / s
             denom = abs(d) ** 2 + abs(c) ** 2
@@ -265,11 +266,8 @@ def stability_margin(rep: Representation,
     least: Dict[int, List[Optional[float]]] = {}
     n_sep = n_unk = 0
 
-    for cnf in G.enumerate_elements(group, params.depth):
+    for cnf, status in S.swept_classes(group, params.depth):
         letters = cnf.letters()
-        status = S.is_separable(letters, group).status
-        if status == "not_separable":
-            continue
         certified = status == "separable"
         n_sep += certified
         n_unk += not certified

@@ -243,6 +243,17 @@ class TestEvaluate:
             split = (rep.evaluate(w[:k]) * rep.evaluate(w[k:])).renormalized()
             assert whole.eq_up_to_sign(split)
 
+    def test_nonfinite_determinant_raises(self):
+        # a a = (1e400, 0; 0, 1e-400) overflows to a NaN determinant
+        rep = Representation(F2, [MoebiusMap(1e200, 0, 0, 1e-200),
+                                  MoebiusMap(2, 0, 0, 0.5)])
+        with pytest.raises(HyperbolicError,
+                           match="determinant is not finite"):
+            rep.evaluate((0, 0))
+        with pytest.raises(HyperbolicError,
+                           match="determinant is not finite"):
+            MoebiusMap(math.inf, 0, 0, 1)
+
     def test_fuchsian_relator_residual(self):
         from sepstab.gallery import build
         rep, _ = build("fuchsian-genus2")

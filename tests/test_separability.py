@@ -13,7 +13,8 @@ from sepstab.groups import (GroupSpec, TrivialElement, canonical_class,
                             inv, word_inverse, word_mul)
 from sepstab.separability import (WhiteheadMove, _cyclic_word,
                                   _free_graph_certificate, is_separable,
-                                  is_separable_free, peak_reduce)
+                                  is_separable_free, peak_reduce,
+                                  swept_classes)
 from sepstab.whitehead import (is_strongly_connected, strong_cutpoints,
                                whitehead_graph_combinatorial)
 
@@ -423,6 +424,47 @@ class TestChristoffelOracle:
         for cnf in enumerate_elements(F2, 4):
             key = cnf.letters()
             assert is_separable_free(key, F2).separable == (key in oracle)
+
+
+class TestSweptClasses:
+    @staticmethod
+    def filtered(group, max_len):
+        """The reference sweep: every class not proven non-separable."""
+        out = []
+        for cnf in enumerate_elements(group, max_len):
+            status = is_separable(cnf.letters(), group).status
+            if status != "not_separable":
+                out.append((cnf, status))
+        return out
+
+    def test_f2_generation_equals_the_filter(self):
+        reference = self.filtered(F2, 10)
+        for max_len in range(11):
+            assert list(swept_classes(F2, max_len)) == [
+                (cnf, status) for cnf, status in reference
+                if cnf.cyclic_length <= max_len]
+
+    @pytest.mark.parametrize("group, max_len", [(F3, 4), (S2Z, 3)])
+    def test_other_groups_filter(self, group, max_len):
+        assert list(swept_classes(group, max_len)) == self.filtered(
+            group, max_len)
+
+    def test_f2_count_is_the_closed_form(self):
+        # classes p^k, p primitive: 4 primitive classes of length 1 and
+        # 4 phi(n) of length n >= 2
+        def primitive(n):
+            return 4 if n == 1 else 4 * sum(
+                math.gcd(n, k) == 1 for k in range(1, n + 1))
+
+        counts = {}
+        for max_len in range(21):
+            classes = list(swept_classes(F2, max_len))
+            counts[max_len] = len(set(classes))
+            assert len(classes) == counts[max_len]
+        for max_len, count in counts.items():
+            assert count == sum(primitive(d) for n in range(1, max_len + 1)
+                                for d in range(1, n + 1) if n % d == 0)
+        assert (counts[8], counts[16]) == (144, 544)
 
 
 class TestMixed:

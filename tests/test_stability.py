@@ -307,6 +307,13 @@ class TestStabilityMargin:
         assert report.margin >= 0.02
         assert report.k_est <= 100 and report.a_est <= 50
 
+    def test_schottky_pass_at_depth_16(self):
+        # the F2 sweep visits only the 544 separable classes of length <= 16
+        rep, _ = build("schottky2")
+        report = stability_margin(rep, StabilityParams(depth=16))
+        assert report.verdict == "pass"
+        assert (report.n_separable, report.n_unknown) == (544, 0)
+
     def test_pinched_fail_with_witness(self):
         rep, _ = build("pinched-a")
         report = stability_margin(rep, StabilityParams(depth=4))
@@ -434,6 +441,17 @@ class TestNumericErrors:
             stability._qg_rows(rep, rep.group.parse_word("a b A A b"),
                                5 * 16, 24)
 
+    def test_nonfinite_window_determinant_raises(self):
+        # a b = (inf, 0; 1e130, 0) has a NaN determinant; it used to be
+        # divided by its square root into NaN entries
+        rep = Representation(F2, [MoebiusMap(1e200, 0, 1, 1e-200),
+                                  MoebiusMap(1e130, 0, 0, 1e-130)])
+        for run in (lambda: stability._qg_rows(rep, (0, 2), 32, 24),
+                    lambda: rep.evaluate((0, 2))):
+            with pytest.raises(HyperbolicError,
+                               match="determinant is not finite"):
+                run()
+
     def test_zero_division_blocks_a_pass(self, monkeypatch, tmp_path,
                                          capsys):
         from sepstab.cli import main
@@ -492,13 +510,15 @@ class TestVerdictBranches:
     def unknown_for(monkeypatch, spellings=None):
         """Report the classes in ``spellings`` (all, if None) as unknown."""
         from sepstab import separability
-        real = separability.is_separable
+        real = separability.swept_classes
 
-        def patched(word, group):
-            if spellings is None or group.format_word(word) in spellings:
-                return separability.SeparabilityVerdict("unknown")
-            return real(word, group)
-        monkeypatch.setattr(separability, "is_separable", patched)
+        def patched(group, max_len):
+            for cnf, status in real(group, max_len):
+                if (spellings is None
+                        or group.format_word(cnf.letters()) in spellings):
+                    status = "unknown"
+                yield cnf, status
+        monkeypatch.setattr(separability, "swept_classes", patched)
 
     def test_unknown_non_loxodromic_blocks(self, monkeypatch):
         self.unknown_for(monkeypatch)
