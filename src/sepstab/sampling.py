@@ -9,18 +9,19 @@ ping-pong disk it falls in and its first syllable there (a free letter, or
 the surface prefix in a factor disk); pairs straddling two distinct disks
 contribute ball edges, and pairs whose endpoints sit behind distinct
 surface-group translates of a factor's complementary region contribute
-labeled loops on that factor's component.  Surface prefixes are recovered
-by inverse iteration through the generator isometric disks of the one
-factor holding the point, so the construction consumes only numeric data
-plus the disk certificate.
+labeled loops on that factor's component.  The construction consumes only
+numeric data plus the disk certificate.
 
-Each axis is sampled once and each endpoint is navigated once.  Inverse
-iteration stores the prefix of every navigated point (at 1e-12
-granularity) and looks up every point it strips to: the walk prepends
-letters, so the first strip of h(xi) = x(h'(xi)) usually lands on the
-navigated h'(xi).  k strips onto a known point with prefix r give the k
-letters then r if k + |r| <= cap + 1, and none otherwise, as the uncached
-loop under the same cap.
+Each sampled pair carries a parent link: the letter x and the index of
+the pair of h' it was moved from (-1 when h' emitted no pair), so an
+endpoint P = x(Q) is located from Q's location.  Membership in the factor
+disks and the first navigation step are still tested numerically on P.
+When that step strips x, P's surface prefix is x followed by Q's prefix in
+the factor (() when Q lies outside the factor disk), or none when that
+exceeds the cap.  Otherwise, and for pairs without a parent, the prefix
+comes from inverse iteration through the generator isometric disks of the
+factor holding the point.  Either way each endpoint is located once, and
+no point is looked up by its coordinates.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from sepstab.whitehead import MuSpec, WhiteheadGraph
 
 MEMBERSHIP_TOL = 1e-12
 
+Location = Optional[Tuple[int, Optional[Word]]]
+
 
 def sample_mu(rep: Representation, cnf: CyclicNormalForm,
               depth: int) -> MuSpec:
@@ -45,8 +48,11 @@ def sample_mu(rep: Representation, cnf: CyclicNormalForm,
 
     Each axis gives one pair, ordered (repelling, attracting); the graph
     builder treats a pair as unordered.  A pair with an endpoint at
-    infinity is skipped.  With g = w^k, w primitive, no h = h' w^{+-1} is
-    walked: it repeats h'(fix g) up to amplified rounding.
+    infinity is skipped, and so is a pair within 1e-9 of an earlier one.
+    With g = w^k, w primitive, no h = h' w^{+-1} is walked: it repeats
+    h'(fix g) up to amplified rounding.  The walk is depth-first, letters
+    ascending; each pair's parent link is (x, index of the pair of h'),
+    with index -1 when h' emitted no pair.
     """
     word = cnf.letters()
     g_mat = rep.evaluate(word)
@@ -58,42 +64,49 @@ def sample_mu(rep: Representation, cnf: CyclicNormalForm,
     period = next(p for p in range(1, len(word) + 1)
                   if word == word[:p] * (len(word) // p))
     roots = {word[:period], G.word_inverse(word[:period])}
-    images = [rep.image(x) for x in range(rep.group.n_letters)]
+    # pushed in descending order, so popped ascending
+    descending = [(x, rep.image(x))
+                  for x in reversed(range(rep.group.n_letters))]
     pairs: List[Tuple[complex, complex]] = []
+    links: List[Tuple[int, int]] = []
     seen = set()
-
-    def visit(h: Word, r, a):
-        # (r, a) = h(fix g); h grows by prepending, so h = x h'
+    # (h, h(fix g), x, parent pair index); h grows by prepending, h = x h'
+    stack = [((), fps[0], fps[1], -1, -1)]
+    while stack:
+        h, r, a, x, parent = stack.pop()
+        index = -1
         if r is not None and a is not None:
-            key = _key(r, 1e9) + _key(a, 1e9)
+            key = _key(r) + _key(a)
             if key not in seen:
                 seen.add(key)
+                index = len(pairs)
                 pairs.append((r, a))
+                links.append((x, parent))
         if len(h) < depth:
-            for x, m in enumerate(images):
-                xh = (x,) + h
-                if (not h or x != inv(h[0])) and xh not in roots:
-                    visit(xh, m.moebius(r), m.moebius(a))
+            back = inv(h[0]) if h else -1
+            for y, m in descending:
+                yh = (y,) + h
+                if y != back and yh not in roots:
+                    stack.append((yh, m.moebius(r), m.moebius(a), y, index))
+    return MuSpec(sampled_pairs=tuple(pairs), parent_links=tuple(links))
 
-    visit((), fps[0], fps[1])
-    return MuSpec(sampled_pairs=tuple(pairs))
 
-
-def _key(p: complex, scale: float = 1e12):
-    """A point's cell on the 1/scale grid; a point off the grid (infinite,
+def _key(p: complex):
+    """A point's cell on the 1e-9 grid; a point off the grid (infinite,
     nan or too large) keys as itself, which no cell equals."""
     try:
-        return (round(p.real * scale), round(p.imag * scale))
+        return (round(p.real * 1e9), round(p.imag * 1e9))
     except (OverflowError, ValueError):
         return (p, None)
 
 
 class _Navigator:
     """Locations of the points of one graph; a point is navigated only in
-    the factor disk that holds it.
+    the factor disk that holds it, from its parent's location when the
+    first strip undoes the link's letter.
 
     Disk forms and inverse generator matrices are flattened to float and
-    complex tuples.  The cap is fixed: a memoized cap miss needs its cap.
+    complex tuples.
     """
 
     def __init__(self, rep: Representation, disks: PingPongDisks, cap: int):
@@ -114,23 +127,65 @@ class _Navigator:
                                 (idisk.A, idisk.B.real, idisk.B.imag, idisk.C),
                                 (minv.a, minv.b, minv.c, minv.d)))
             self._nav.append(entries)
-        self._prefix_cache = [{} for _ in self._nav]
 
-    def locate(self, p: complex) -> Optional[Tuple[int, Optional[Word]]]:
+    def locate(self, p: complex, x: int = -1,
+               lq: Location = None) -> Location:
         """(fid, first syllable) of the first-level disk holding the point:
         (letter,) in a free letter's disk, the surface prefix in a factor
-        disk; None outside every disk.  Factor disks are tested first."""
-        x, y = p.real, p.imag
+        disk; None outside every disk.  Factor disks are tested first.
+
+        With a parent link, p = x(q) and lq is q's location.  Verified
+        factor disks are disjoint with a margin, so q lies in p's factor
+        disk exactly when lq says so.
+        """
+        px, py = p.real, p.imag
         for fid, (A, bre, bim, C) in self._factor_forms.items():
-            if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
-                return fid, self.surface_prefix(fid, p)
+            if A * (px * px + py * py) + 2.0 * (bre * px + bim * py) + C <= MEMBERSHIP_TOL:
+                if x < 0 or self._step(fid, p)[0] != x:
+                    return fid, self.strip(fid, p)
+                rest = lq[1] if lq is not None and lq[0] == fid else ()
+                if rest is None or len(rest) > self.cap:
+                    return fid, None
+                return fid, (x,) + rest
         for fid, letter, A, bre, bim, C in self._free_forms:
-            if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
+            if A * (px * px + py * py) + 2.0 * (bre * px + bim * py) + C <= MEMBERSHIP_TOL:
                 return fid, (letter,)
         return None
 
-    def surface_prefix(self, fid: int, p: complex) -> Optional[Word]:
-        """Maximal factor-fid prefix of the point's infinite word.
+    def locations(self, mu: MuSpec) -> List[Tuple[Location, Location]]:
+        """Locations of both endpoints of every sampled pair, in order, each
+        linked pair located from the locations of its parent pair."""
+        located: List[Tuple[Location, Location]] = []
+        for (x, j), (p, q) in zip(
+                mu.parent_links or [(-1, -1)] * len(mu.sampled_pairs),
+                mu.sampled_pairs):
+            if j < 0:
+                located.append((self.locate(p), self.locate(q)))
+            else:
+                lp, lq = located[j]
+                located.append((self.locate(p, x, lp), self.locate(q, x, lq)))
+        return located
+
+    def _inside(self, fid: int, p: complex) -> bool:
+        A, bre, bim, C = self._factor_forms[fid]
+        x, y = p.real, p.imag
+        return A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL
+
+    def _step(self, fid: int, p: complex):
+        """(letter, inverse matrix) of the generator isometric disk of
+        factor fid that holds the point deepest; (None, None) in none."""
+        x, y = p.real, p.imag
+        r2 = x * x + y * y
+        best, best_mat, best_val = None, None, MEMBERSHIP_TOL
+        for letter, (A, bre, bim, C), mat in self._nav[fid]:
+            val = A * r2 + 2.0 * (bre * x + bim * y) + C
+            if val < best_val:
+                best, best_mat, best_val = letter, mat, val
+        return best, best_mat
+
+    def strip(self, fid: int, p: complex) -> Optional[Word]:
+        """Maximal factor-fid prefix of the point's infinite word, by
+        inverse iteration.
 
         () when the point already lies outside the factor disk; None when
         stripping does not leave the disk within the cap (a limit point of
@@ -140,46 +195,21 @@ class _Navigator:
         prefixes are never longer than the conjugating depth plus one
         syllable.
         """
-        cache = self._prefix_cache[fid]
-        key = _key(p)
-        if key in cache:
-            return cache[key]
-        fA, fbre, fbim, fC = self._factor_forms[fid]
         prefix: List[int] = []
         q = p
-        while True:
-            x, y = q.real, q.imag
-            if fA * (x * x + y * y) + 2.0 * (fbre * x + fbim * y) + fC > MEMBERSHIP_TOL:
-                result = tuple(prefix)
-                break
+        while self._inside(fid, q):
             if len(prefix) > self.cap:
-                result = None
-                break
-            best, best_mat, best_val = None, None, MEMBERSHIP_TOL
-            for letter, (A, bre, bim, C), mat in self._nav[fid]:
-                val = A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C
-                if val < best_val:
-                    best, best_mat, best_val = letter, mat, val
+                return None
+            best, best_mat = self._step(fid, q)
             if best is None:
-                result = None  # inside the disk but outside the dynamics
-                break
+                return None  # inside the disk but outside the dynamics
             prefix.append(best)
             a, b, c, d = best_mat
             denom = c * q + d
             if denom == 0:
-                result = None
-                break
+                return None
             q = (a * q + b) / denom
-            qkey = _key(q)
-            if qkey in cache:
-                rest = cache[qkey]
-                if rest is None or len(prefix) + len(rest) > self.cap + 1:
-                    result = None
-                else:
-                    result = tuple(prefix) + rest
-                break
-        cache[key] = result
-        return result
+        return tuple(prefix)
 
 
 def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
@@ -193,7 +223,7 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
     nav = _Navigator(rep, disks, max_prefix)
     ball, loops = Counter(), Counter()
     vertices: Dict[tuple, int] = {}   # (fid, prefix) -> ball vertex id
-    labels: Dict[tuple, Word] = {}    # (fid, Dehn-reduced word) -> label
+    labels: Dict[tuple, Optional[Word]] = {}  # (fid, tails) -> label
 
     def vertex_of(fid: int, syllable: Optional[Word]) -> Optional[int]:
         if fid >= group.n_surface:
@@ -209,15 +239,21 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
         # sp == sq: both endpoints behind the same translate
         if fid >= group.n_surface or sp is None or sq is None or sp == sq:
             return
-        reduced = G.dehn_reduce(G.word_mul(G.word_inverse(sp), sq), group, fid)
-        if not reduced:
-            return
-        if (fid, reduced) not in labels:
-            labels[fid, reduced] = min(W.canonical_pair(reduced, group, fid))
-        loops[fid, labels[fid, reduced]] += 1
+        # sp^-1 sq reduces to the same word as its tails after the common
+        # prefix (free reduction is confluent), so the tails key the label
+        k = 0
+        while k < len(sp) and k < len(sq) and sp[k] == sq[k]:
+            k += 1
+        key = (fid, sp[k:], sq[k:])
+        if key not in labels:
+            reduced = G.dehn_reduce(
+                G.word_mul(G.word_inverse(sp[k:]), sq[k:]), group, fid)
+            labels[key] = (min(W.canonical_pair(reduced, group, fid))
+                           if reduced else None)
+        if labels[key] is not None:
+            loops[fid, labels[key]] += 1
 
-    for p, q in mu.sampled_pairs:
-        lp, lq = nav.locate(p), nav.locate(q)
+    for lp, lq in nav.locations(mu):
         if lp is None or lq is None or lp == lq:
             continue
         (fp, sp), (fq, sq) = lp, lq
@@ -241,8 +277,11 @@ def whitehead_graph_sampled_for(rep: Representation, disks: PingPongDisks,
 
 
 def graphs_agree(a: WhiteheadGraph, b: WhiteheadGraph) -> bool:
-    """Identical vertex sets and identical edge multisets (labels already
-    canonicalized by construction)."""
+    """Identical vertex sets and identical edge sets (labels already
+    canonicalized by construction).  ``edge_multiset`` is a set without
+    supports, so neither multiplicities nor ``Edge.support`` are compared:
+    the combinatorial support counts word occurrences, the sampled one
+    counts axis pairs."""
     if len(a.components) != len(b.components):
         return False
     for ca, cb in zip(a.components, b.components):

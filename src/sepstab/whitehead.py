@@ -102,6 +102,10 @@ class WhiteheadGraph:
         raise KeyError(cid)
 
     def edge_multiset(self) -> FrozenSet:
+        """The set of (cid, u, v, label) over all edges.  Despite the name
+        it is a set: supports are left out, because the combinatorial
+        support counts word occurrences while the sampled one counts
+        axis pairs, so only the presence of an edge is comparable."""
         out = []
         for c in self.components:
             for e in c.edges:
@@ -112,8 +116,18 @@ class WhiteheadGraph:
 @dataclass(frozen=True)
 class MuSpec:
     """Endpoint data: sampled axis endpoint pairs, one unordered pair per
-    axis."""
+    axis, and optionally one parent link (x, j) per pair: the pair is the
+    image under letter x of pair j, an earlier one; j = -1 for none."""
     sampled_pairs: Tuple[Tuple[complex, complex], ...] = ()
+    parent_links: Tuple[Tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        if self.parent_links and (
+                len(self.parent_links) != len(self.sampled_pairs)
+                or any(j >= i for i, (_, j) in enumerate(self.parent_links))):
+            raise ValueError(
+                "parent_links needs one link per sampled pair, each to an "
+                "earlier pair")
 
 
 # ---------------------------------------------------------------------------

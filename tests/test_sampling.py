@@ -1,9 +1,14 @@
+import gc
+from collections import Counter
+
 import mpmath
 import pytest
 
 from sepstab import sampling
+from sepstab import whitehead as W
 from sepstab.gallery import build
-from sepstab.groups import GroupSpec, cyclic_reduce, enumerate_elements, inv
+from sepstab.groups import (GroupSpec, cyclic_reduce, dehn_reduce,
+                            enumerate_elements, inv, word_inverse, word_mul)
 from sepstab.hyperbolic import (MoebiusMap, Representation, classify,
                                 fixed_points, loxodromic_with_axis)
 from sepstab.pingpong import UnverifiedDisks, ping_pong_verify
@@ -23,6 +28,10 @@ REP, DISKS = _reference()
 GRP = REP.group
 
 
+CROSS_WORDS = ("t1", "a1", "B1", "a1 a2", "a1 b1", "a1 t1", "t1 t1",
+               "a1 t1 A1 T1", "a1 t1 b1 t1", "a1 t1 t1")
+
+
 def cnf_of(text):
     cnf, _ = cyclic_reduce(GRP.parse_word(text), GRP)
     return cnf
@@ -39,7 +48,7 @@ class TestSampling:
         assert all(not c.edges for c in wh.components)
 
     def test_points_off_the_key_grid(self):
-        # infinite, nan and huge points have no 1e-12 key; they fall in no
+        # infinite, nan and huge points have no 1e-9 key; they fall in no
         # bounded first-level disk, so their pairs are dropped
         far = (complex("inf"), complex("nan"), complex(1e300, -1e300))
         pairs = tuple((z, 0.5 + 0j) for z in far)
@@ -53,6 +62,23 @@ class TestSampling:
         assert [(e.u.label(), e.v.label()) for e in ball.edges] == [
             ("Dt1-", "Dt1+")]
         assert not wh.component("surface0").edges
+
+    def test_parent_links_point_back(self):
+        pairs = ((0.5 + 0j, 0.25 + 0j), (0.1 + 0j, 0.2 + 0j))
+        with pytest.raises(ValueError):
+            MuSpec(sampled_pairs=pairs, parent_links=((-1, -1),))
+        with pytest.raises(ValueError):
+            MuSpec(sampled_pairs=pairs, parent_links=((-1, -1), (0, 1)))
+        # each linked pair is the image of its parent pair under the letter
+        mu = sample_mu(REP, cnf_of("a1 t1"), 3)
+        assert mu.parent_links[0] == (-1, -1)
+        linked = 0
+        for (x, j), pair in zip(mu.parent_links, mu.sampled_pairs):
+            if j >= 0:
+                m = REP.image(x)
+                assert tuple(map(m.moebius, mu.sampled_pairs[j])) == pair
+                linked += 1
+        assert linked > len(mu.sampled_pairs) / 2
 
     def test_mu_pairs_one_order_per_axis(self):
         # the builder treats a pair as unordered: no pair comes with its swap
@@ -82,10 +108,7 @@ class TestSampling:
             samp = whitehead_graph_sampled_for(rep, disks, cnf, 3)
             assert graphs_agree(comb, samp)
 
-    @pytest.mark.parametrize("text", [
-        "t1", "a1", "B1", "a1 a2", "a1 b1", "a1 t1", "t1 t1",
-        "a1 t1 A1 T1", "a1 t1 b1 t1", "a1 t1 t1",
-    ])
+    @pytest.mark.parametrize("text", CROSS_WORDS)
     def test_cross_construction_words(self, text):
         cnf = cnf_of(text)
         comb = whitehead_graph_combinatorial(cnf, GRP)
@@ -162,8 +185,21 @@ def _unmatched(pairs, reference):
     return missing
 
 
+def _deepest(nav, fid, p):
+    """(letter, inverse matrix) of the generator isometric disk of factor
+    fid holding the point deepest, the letter one inverse-iteration step
+    strips; (None, None) in none."""
+    x, y = p.real, p.imag
+    best, best_mat, best_val = None, None, MEMBERSHIP_TOL
+    for letter, (A, bre, bim, C), mat in nav._nav[fid]:
+        val = A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C
+        if val < best_val:
+            best, best_mat, best_val = letter, mat, val
+    return best, best_mat
+
+
 def _prefix_without_memo(nav, fid, p, cap):
-    """The uncached inverse-iteration loop of ``surface_prefix``."""
+    """The inverse-iteration loop of ``_Navigator.strip``."""
     fA, fbre, fbim, fC = nav._factor_forms[fid]
     prefix, q = [], p
     while True:
@@ -172,11 +208,7 @@ def _prefix_without_memo(nav, fid, p, cap):
             return tuple(prefix)
         if len(prefix) > cap:
             return None
-        best, best_mat, best_val = None, None, MEMBERSHIP_TOL
-        for letter, (A, bre, bim, C), mat in nav._nav[fid]:
-            val = A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C
-            if val < best_val:
-                best, best_mat, best_val = letter, mat, val
+        best, best_mat = _deepest(nav, fid, q)
         if best is None:
             return None
         prefix.append(best)
@@ -263,77 +295,251 @@ class TestEndpointsAsImagesOfFixedPoints:
 class TestOneNavigationPerEndpoint:
     def test_navigated_only_in_the_factor_disk_that_holds_it(self,
                                                            monkeypatch):
-        # one surface_prefix call per endpoint in the factor disk, none for
-        # an endpoint in a free-letter disk
-        calls = []
-        navigate = _Navigator.surface_prefix
+        # every endpoint is located once, in sampling order; inverse
+        # iteration runs only for an endpoint in the factor disk whose
+        # parent link is unusable: no parent pair, or a first strip that
+        # does not undo the link's letter
+        located, stripped = [], []
+        locate, strip = _Navigator.locate, _Navigator.strip
 
-        def counting(nav, fid, p):
-            calls.append((fid, p))
-            return navigate(nav, fid, p)
+        def counting_locate(nav, p, *link):
+            located.append(p)
+            return locate(nav, p, *link)
 
-        monkeypatch.setattr(_Navigator, "surface_prefix", counting)
-        in_free = 0
+        def counting_strip(nav, fid, p):
+            stripped.append((fid, p))
+            return strip(nav, fid, p)
+
+        monkeypatch.setattr(_Navigator, "locate", counting_locate)
+        monkeypatch.setattr(_Navigator, "strip", counting_strip)
+        in_free = in_factor = 0
         for text in ("t1", "a1 t1", "a2 t1", "b2 T1", "a1 b1 A1 t1"):
             cnf = cnf_of(text)
-            points = [p for pair in sample_mu(REP, cnf, 3).sampled_pairs
-                      for p in pair]
-            factor = [p for p in points
-                      if DISKS.factor[0].value(p) <= MEMBERSHIP_TOL]
-            in_free += sum(
-                1 for p in points if p not in factor and any(
-                    d.value(p) <= MEMBERSHIP_TOL for d in DISKS.free.values()))
-            calls.clear()
+            mu = sample_mu(REP, cnf, 3)
+            nav = _Navigator(REP, DISKS, 0)
+            points, unlinked = [], []
+            for (x, j), pair in zip(mu.parent_links, mu.sampled_pairs):
+                for p in pair:
+                    points.append(p)
+                    if DISKS.factor[0].value(p) <= MEMBERSHIP_TOL:
+                        in_factor += 1
+                        if j < 0 or _deepest(nav, 0, p)[0] != x:
+                            unlinked.append((0, p))
+                    elif any(d.value(p) <= MEMBERSHIP_TOL
+                             for d in DISKS.free.values()):
+                        in_free += 1
+            located.clear()
+            stripped.clear()
             whitehead_graph_sampled_for(REP, DISKS, cnf, 3)
-            assert calls == [(0, p) for p in factor]
-        assert in_free > 1000
+            assert located == points
+            assert stripped == unlinked
+        assert in_free > 1000 and in_factor > 1000
 
 
 class TestStripMemo:
+    """The memo is the parent pair: a linked endpoint's surface prefix is
+    read off its parent's location instead of stripped again."""
     CLASSES = (("s2-times-z", ("a1", "a1 t1", "a1 b1 A1", "a1 a2 t1")),
                ("schottky2", ("a b",)))
 
     def _lookups(self, cap):
-        """(memoized, memo-free, graph cap) for every endpoint of the
-        classes at depth 3; cap None stands for the cap
-        ``whitehead_graph_sampled_for`` uses.  Sampling order strips onto
-        navigated points; the reverse order navigates each point before the
-        points its strips reach."""
+        """(parent-derived, memo-free, graph cap) surface prefixes of every
+        endpoint of the classes at depth 3 in every surface factor (() for
+        a point outside the factor disk); cap None stands for the cap
+        ``whitehead_graph_sampled_for`` uses."""
         for name, texts in self.CLASSES:
             rep, disks = (REP, DISKS) if name == "s2-times-z" else _schottky()
             grp = rep.group
             for text in texts:
                 cnf, _ = cyclic_reduce(grp.parse_word(text), grp)
                 graph_cap = 3 + cnf.cyclic_length + 2
-                points = [p for pair in sample_mu(rep, cnf, 3).sampled_pairs
-                          for p in pair]
-                for order in (points, points[::-1]):
-                    nav = _Navigator(rep, disks, cap or graph_cap)
-                    for p in order:
+                nav = _Navigator(rep, disks, cap or graph_cap)
+                mu = sample_mu(rep, cnf, 3)
+                assert any(j >= 0 for _, j in mu.parent_links)
+                for pair, locs in zip(mu.sampled_pairs, nav.locations(mu)):
+                    for p, loc in zip(pair, locs):
                         for fid in range(grp.n_surface):
-                            yield (nav.surface_prefix(fid, p),
+                            linked = loc[1] if loc and loc[0] == fid else ()
+                            yield (linked,
                                    _prefix_without_memo(nav, fid, p, nav.cap),
                                    graph_cap)
 
     @pytest.mark.parametrize("cap", [0, 1, 2, None])
     def test_equals_memo_free_loop(self, cap):
         n = 0
-        for memo, plain, _ in self._lookups(cap):
-            assert memo == plain
+        for linked, plain, _ in self._lookups(cap):
+            assert linked == plain
             n += 1
-        assert n > 10000
+        assert n > 6000  # one lookup per endpoint and surface factor
 
     def test_long_cap_differs_only_on_noise_length_prefixes(self):
         # On the limit circle of the factor the true prefix is infinite;
         # past the graph's cap, inverse iteration only amplifies rounding,
-        # and a point 1e-12 away may leave the disk at another strip.
+        # and stripping x(q) need not retrace the strips of q.
         def noise(word, graph_cap):
             return word is None or len(word) > graph_cap
 
         differ = 0
         # cap 16, about twice the largest graph cap of these classes
-        for memo, plain, graph_cap in self._lookups(16):
-            if memo != plain:
+        for linked, plain, graph_cap in self._lookups(16):
+            if linked != plain:
                 differ += 1
-                assert noise(memo, graph_cap) and noise(plain, graph_cap)
+                assert noise(linked, graph_cap) and noise(plain, graph_cap)
         assert differ  # the circle classes do reach this case
+
+
+class TestNoCyclicGarbage:
+    def test_sampling_frees_everything_by_reference_count(self):
+        # a walk or a builder that references itself would leave its state
+        # to the cyclic collector, which runs late and grows the peak
+        cnf = cnf_of("a1 t1")
+        gc.collect()
+        gc.disable()
+        try:
+            sample_mu(REP, cnf, 3)
+            assert gc.collect() == 0
+            whitehead_graph_sampled_for(REP, DISKS, cnf, 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the sampled graph as built with a 1e-12 prefix cache
+
+
+def _cell(p):
+    try:
+        return round(p.real * 1e12), round(p.imag * 1e12)
+    except (OverflowError, ValueError):
+        return p, None
+
+
+def _cached_prefix(nav, cache, fid, p):
+    """Inverse iteration that looks up every point it strips to among the
+    points already navigated, at 1e-12 granularity: k strips onto a known
+    point with prefix r give the k letters then r if k + |r| <= cap + 1,
+    and none otherwise."""
+    key = _cell(p)
+    if key in cache:
+        return cache[key]
+    fA, fbre, fbim, fC = nav._factor_forms[fid]
+    prefix, q = [], p
+    while True:
+        x, y = q.real, q.imag
+        if fA * (x * x + y * y) + 2.0 * (fbre * x + fbim * y) + fC > MEMBERSHIP_TOL:
+            result = tuple(prefix)
+            break
+        if len(prefix) > nav.cap:
+            result = None
+            break
+        best, best_mat = _deepest(nav, fid, q)
+        if best is None:
+            result = None
+            break
+        prefix.append(best)
+        a, b, c, d = best_mat
+        denom = c * q + d
+        if denom == 0:
+            result = None
+            break
+        q = (a * q + b) / denom
+        if _cell(q) in cache:
+            rest = cache[_cell(q)]
+            if rest is None or len(prefix) + len(rest) > nav.cap + 1:
+                result = None
+            else:
+                result = tuple(prefix) + rest
+            break
+    cache[key] = result
+    return result
+
+
+def navigation_reference(rep, disks, mu, cap):
+    """whitehead_graph_sampled as it was: every endpoint located on its own
+    through the prefix cache, every loop label Dehn-reduced from the whole
+    prefixes."""
+    disks.require_verified()
+    group = rep.group
+    nav = _Navigator(rep, disks, cap)
+    caches = [{} for _ in range(group.n_surface)]
+
+    def locate(p):
+        x, y = p.real, p.imag
+        for fid, (A, bre, bim, C) in nav._factor_forms.items():
+            if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
+                return fid, _cached_prefix(nav, caches[fid], fid, p)
+        for fid, letter, A, bre, bim, C in nav._free_forms:
+            if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
+                return fid, (letter,)
+        return None
+
+    ball, loops = Counter(), Counter()
+
+    def vertex_of(fid, syllable):
+        if fid >= group.n_surface:
+            return W.free_letter_vertex(group, syllable[0])
+        if not syllable:
+            return None
+        wc, wi = W.canonical_pair(syllable, group, fid)
+        return W.ball_vertex(fid, 1 if wc <= wi else -1)
+
+    def loop(fid, sp, sq):
+        if fid >= group.n_surface or sp is None or sq is None or sp == sq:
+            return
+        reduced = dehn_reduce(word_mul(word_inverse(sp), sq), group, fid)
+        if reduced:
+            loops[fid, min(W.canonical_pair(reduced, group, fid))] += 1
+
+    for p, q in mu.sampled_pairs:
+        lp, lq = locate(p), locate(q)
+        if lp is None or lq is None or lp == lq:
+            continue
+        (fp, sp), (fq, sq) = lp, lq
+        if fp == fq and fp < group.n_surface:
+            loop(fp, sp, sq)
+            continue
+        up, uq = vertex_of(fp, sp), vertex_of(fq, sq)
+        if up is not None and uq is not None:
+            ball[min(up, uq), max(up, uq)] += 1
+        loop(fp, sp, ())
+        loop(fq, (), sq)
+    return W.graph_from_counts(group, ball, loops)
+
+
+def _with_supports(graph):
+    return [(c.cid, c.vertices, [(e.key(), e.support) for e in c.edges])
+            for c in graph.components]
+
+
+class TestNavigationReference:
+    """Components, vertices, edge keys and supports equal to the cached
+    navigation's; ``graphs_agree`` ignores supports."""
+
+    def _assert_same(self, rep, disks, classes):
+        # at depth 3; without links every endpoint is stripped
+        n = 0
+        for cnf in classes:
+            mu = sample_mu(rep, cnf, 3)
+            cap = 3 + cnf.cyclic_length + 2
+            got = whitehead_graph_sampled(rep, disks, mu, cap)
+            want = navigation_reference(rep, disks, mu, cap)
+            unlinked = whitehead_graph_sampled(
+                rep, disks, MuSpec(sampled_pairs=mu.sampled_pairs), cap)
+            where = rep.group.format_word(cnf.letters())
+            assert _with_supports(got) == _with_supports(want), where
+            assert _with_supports(unlinked) == _with_supports(want), where
+            n += any(c.edges for c in got.components)
+        assert n
+
+    def test_every_class_of_length_two(self):
+        self._assert_same(REP, DISKS, enumerate_elements(GRP, 2))
+
+    def test_cross_construction_words(self):
+        self._assert_same(REP, DISKS, [cnf_of(t) for t in CROSS_WORDS])
+
+    @pytest.mark.parametrize("name", ["schottky2", "fuchsian-genus2"])
+    def test_other_gallery_groups(self, name):
+        rep, disks = build(name)
+        ping_pong_verify(rep, disks)
+        self._assert_same(rep, disks, enumerate_elements(rep.group, 2))
