@@ -12,22 +12,29 @@ surface-group translates of a factor's complementary region contribute
 labeled loops on that factor's component.  The construction consumes only
 numeric data plus the disk certificate.
 
-Each sampled pair carries a parent link: the letter x and the index of
-the pair of h' it was moved from (-1 when h' emitted no pair), so an
-endpoint P = x(Q) is located from Q's location.  Membership in the factor
-disks and the first navigation step are still tested numerically on P.
-When that step strips x, P's surface prefix is x followed by Q's prefix in
-the factor (() when Q lies outside the factor disk), or none when that
-exceeds the cap.  Otherwise, and for pairs without a parent, the prefix
-comes from inverse iteration through the generator isometric disks of the
-factor holding the point.  Either way each endpoint is located once, and
-no point is looked up by its coordinates.
+Each sampled pair carries a parent link (x, j): the pair is x applied to
+pair j, or x applied to a pair the walk dropped because it has pair j's
+1e-9 key (for g = a1 b1 the pair of h = b1 repeats that of h = A1).  Only
+the root and the children of a pair with an endpoint at infinity have no
+parent (j = -1).  An endpoint P = x(Q) is located from the location of the
+stored endpoint Q of pair j.  Membership in the factor disks and the first
+navigation step are still tested numerically on P, the step on x's
+isometric disk and the disks that may tie with it (its tie set: on the
+shipped s2-times-z, x's two octagon neighbours), which decides "the first
+step is x" exactly as the argmin over all of the factor's disks does.  When
+that step strips x, P's surface prefix is x followed by Q's prefix in the
+factor (() when Q lies outside the factor disk), or none when that exceeds
+the cap.  Otherwise, and for pairs without a parent, the prefix comes from
+inverse iteration through the generator isometric disks of the factor
+holding the point.  Either way each endpoint is located once, and no point
+is looked up by its coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from sepstab import groups as G
 from sepstab import whitehead as W
@@ -51,8 +58,11 @@ def sample_mu(rep: Representation, cnf: CyclicNormalForm,
     infinity is skipped, and so is a pair within 1e-9 of an earlier one.
     With g = w^k, w primitive, no h = h' w^{+-1} is walked: it repeats
     h'(fix g) up to amplified rounding.  The walk is depth-first, letters
-    ascending; each pair's parent link is (x, index of the pair of h'),
-    with index -1 when h' emitted no pair.
+    ascending, and moves each endpoint by the boundary action of
+    ``MoebiusMap.moebius``, inlined.  Each pair's parent link is (x, j):
+    h = x h', and j indexes the pair of h', or the earlier pair with the
+    same key when the pair of h' was dropped as a duplicate; j = -1 when h'
+    emitted no pair.
     """
     word = cnf.letters()
     g_mat = rep.evaluate(word)
@@ -64,30 +74,43 @@ def sample_mu(rep: Representation, cnf: CyclicNormalForm,
     period = next(p for p in range(1, len(word) + 1)
                   if word == word[:p] * (len(word) // p))
     roots = {word[:period], G.word_inverse(word[:period])}
-    # pushed in descending order, so popped ascending
-    descending = [(x, rep.image(x))
-                  for x in reversed(range(rep.group.n_letters))]
+    # (letter, a, b, c, d), pushed in descending order, so popped ascending
+    descending = []
+    for y in reversed(range(rep.group.n_letters)):
+        m = rep.image(y)
+        descending.append((y, m.a, m.b, m.c, m.d))
     pairs: List[Tuple[complex, complex]] = []
     links: List[Tuple[int, int]] = []
-    seen = set()
+    seen: Dict[tuple, int] = {}   # key -> index of the pair stored under it
     # (h, h(fix g), x, parent pair index); h grows by prepending, h = x h'
     stack = [((), fps[0], fps[1], -1, -1)]
     while stack:
         h, r, a, x, parent = stack.pop()
         index = -1
         if r is not None and a is not None:
-            key = _key(r) + _key(a)
-            if key not in seen:
-                seen.add(key)
-                index = len(pairs)
+            try:
+                key = (round(r.real * 1e9), round(r.imag * 1e9),
+                       round(a.real * 1e9), round(a.imag * 1e9))
+            except (OverflowError, ValueError):
+                key = _key(r) + _key(a)
+            index = seen.setdefault(key, len(pairs))
+            if index == len(pairs):
                 pairs.append((r, a))
                 links.append((x, parent))
         if len(h) < depth:
             back = inv(h[0]) if h else -1
-            for y, m in descending:
+            for y, ma, mb, mc, md in descending:
                 yh = (y,) + h
-                if y != back and yh not in roots:
+                if y == back or yh in roots:
+                    continue
+                if r is None or a is None:
+                    m = rep.image(y)
                     stack.append((yh, m.moebius(r), m.moebius(a), y, index))
+                    continue
+                dr, da = mc * r + md, mc * a + md
+                stack.append((yh, (ma * r + mb) / dr if abs(dr) else None,
+                              (ma * a + mb) / da if abs(da) else None,
+                              y, index))
     return MuSpec(sampled_pairs=tuple(pairs), parent_links=tuple(links))
 
 
@@ -100,13 +123,71 @@ def _key(p: complex):
         return (p, None)
 
 
+def _tie_sets(forms: Sequence[Tuple[float, float, float, float]]
+               ) -> List[Tuple[int, ...]]:
+    """Per (A, Re B, Im B, C) form, the indices of the forms that may read
+    under MEMBERSHIP_TOL at the same point, itself included, ascending.
+
+    Form j is left out of form i's set only when no point can read under
+    t = MEMBERSHIP_TOL on both as evaluated by ``_Navigator._step``, in the
+    factor disk or anywhere else.  A form with A <= 0 (not an interior
+    disk), or whose bound below is not finite, ties with every form.
+
+    For A > 0, F(z) = A|z|^2 + 2 Re(conj(B) z) + C = A(|z - c|^2 - R^2)
+    with c = -B/A and R^2 = (|B|^2 - AC)/A^2 (possibly negative).  Every
+    term of ``A * r2 + 2.0 * (bre * x + bim * y) + C`` passes at most five
+    roundings, so |fl F(z) - F(z)| <= gamma (A|z|^2 + 2|B||z| + |C|) with
+    gamma = 5u/(1 - 5u), u = 2^-53 (a point where the evaluation overflows
+    reads inf or nan, never under t; underflow adds at most 2^-1072 to
+    fl F, far below the slack g t below).  With |B| = A|c|,
+    |C| <= A(|c|^2 + |R^2|) and |z| <= d + |c| for d = |z - c|, the
+    bracket is at most A((d + 2|c|)^2 + |R^2|) <= A(2d^2 + 8|c|^2 + |R^2|).
+    So fl F(z) < t forces
+
+        d^2 < rho^2 = (R^2 + t/A + gamma (|R^2| + 8|c|^2)) / (1 - 2 gamma):
+
+    every point reading under t lies in the disk D(c, rho), which covers
+    both the widening by the tolerance (t/A) and the rounding of the form
+    at the point's own scale.  Two forms whose disks are disjoint,
+    |c_i - c_j| >= rho_i + rho_j, never both read under t at one point.
+
+    The bound is evaluated in doubles with g = 1e-13 in place of gamma and
+    of 1/(1 - 2 gamma) - 1, and form j is left out only when
+    |c_i - c_j| > (1 + g)(rho_i + rho_j) + g(|c_i| + |c_j|).  Each double
+    operation adds a relative error of at most u to a quantity bounded by
+    |c|^2 + |R^2| + t/A (for rho^2; the cancellation in |B|^2 - AC costs at
+    most 5u(2|c|^2 + |R^2|)), or by rho or |c| (for the comparison); the
+    excess of g over gamma, more than 100 gamma, covers every one of them.
+    """
+    reach = []   # (c, rho, |c|) per form; None ties with every form
+    for A, bre, bim, C in forms:
+        disk = None
+        if A > 0:
+            c = complex(-bre / A, -bim / A)
+            c2 = c.real * c.real + c.imag * c.imag
+            r2 = (bre * bre + bim * bim - A * C) / (A * A)
+            rho2 = (r2 + MEMBERSHIP_TOL / A
+                    + 1e-13 * (abs(r2) + 8.0 * c2)) * (1.0 + 1e-13)
+            if math.isfinite(rho2):
+                disk = (c, math.sqrt(max(rho2, 0.0)), math.sqrt(c2))
+        reach.append(disk)
+
+    def apart(f, g) -> bool:
+        return (f is not None and g is not None and abs(f[0] - g[0])
+                > (1.0 + 1e-13) * (f[1] + g[1]) + 1e-13 * (f[2] + g[2]))
+
+    return [tuple(j for j, g in enumerate(reach) if not apart(f, g))
+            for f in reach]
+
+
 class _Navigator:
     """Locations of the points of one graph; a point is navigated only in
     the factor disk that holds it, from its parent's location when the
     first strip undoes the link's letter.
 
     Disk forms and inverse generator matrices are flattened to float and
-    complex tuples.
+    complex tuples.  Per surface factor and letter, the navigation entries
+    of the letter's tie set (``_tie_sets``) are kept in navigation order.
     """
 
     def __init__(self, rep: Representation, disks: PingPongDisks, cap: int):
@@ -118,6 +199,7 @@ class _Navigator:
         self._factor_forms = {fid: (d.A, d.B.real, d.B.imag, d.C)
                               for fid, d in sorted(disks.factor.items())}
         self._nav: List[list] = []   # by fid: [(letter, form, inv matrix)]
+        self._ties: List[dict] = []  # by fid: {letter: its tie entries}
         for fid in range(group.n_surface):  # surface factors first
             entries = []
             for letter in group.factor_letters(fid):
@@ -127,6 +209,10 @@ class _Navigator:
                                 (idisk.A, idisk.B.real, idisk.B.imag, idisk.C),
                                 (minv.a, minv.b, minv.c, minv.d)))
             self._nav.append(entries)
+            self._ties.append({
+                entry[0]: [entries[k] for k in ties]
+                for entry, ties in zip(entries,
+                                       _tie_sets([e[1] for e in entries]))})
 
     def locate(self, p: complex, x: int = -1,
                lq: Location = None) -> Location:
@@ -134,21 +220,31 @@ class _Navigator:
         (letter,) in a free letter's disk, the surface prefix in a factor
         disk; None outside every disk.  Factor disks are tested first.
 
-        With a parent link, p = x(q) and lq is q's location.  Verified
-        factor disks are disjoint with a margin, so q lies in p's factor
-        disk exactly when lq says so.
+        With a parent link, p = x(q') and lq is the location of q, the
+        stored endpoint of the linked pair: q' = q for a direct link, and
+        for a duplicate link q' is the dropped endpoint in q's 1e-9 cell.
+        When p lies in a factor disk and its first navigation step,
+        decided on x's tie set alone, strips x, p's prefix is x followed
+        by q's prefix in that factor, () when lq puts q outside it.  The
+        step leaves x^-1(p), which is q' up to rounding; verified factor
+        disks are disjoint with a margin, so lq stands for that point's
+        location unless it lies within rounding, or 1e-9, of a disk
+        boundary.  The differential tests against memo-free inverse
+        iteration check the prefixes.
         """
         px, py = p.real, p.imag
+        r2 = px * px + py * py
         for fid, (A, bre, bim, C) in self._factor_forms.items():
-            if A * (px * px + py * py) + 2.0 * (bre * px + bim * py) + C <= MEMBERSHIP_TOL:
-                if x < 0 or self._step(fid, p)[0] != x:
+            if A * r2 + 2.0 * (bre * px + bim * py) + C <= MEMBERSHIP_TOL:
+                ties = self._ties[fid].get(x)
+                if ties is None or self._step(ties, px, py, r2)[0] != x:
                     return fid, self.strip(fid, p)
                 rest = lq[1] if lq is not None and lq[0] == fid else ()
                 if rest is None or len(rest) > self.cap:
                     return fid, None
                 return fid, (x,) + rest
         for fid, letter, A, bre, bim, C in self._free_forms:
-            if A * (px * px + py * py) + 2.0 * (bre * px + bim * py) + C <= MEMBERSHIP_TOL:
+            if A * r2 + 2.0 * (bre * px + bim * py) + C <= MEMBERSHIP_TOL:
                 return fid, (letter,)
         return None
 
@@ -166,18 +262,21 @@ class _Navigator:
                 located.append((self.locate(p, x, lp), self.locate(q, x, lq)))
         return located
 
-    def _inside(self, fid: int, p: complex) -> bool:
-        A, bre, bim, C = self._factor_forms[fid]
-        x, y = p.real, p.imag
-        return A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL
+    @staticmethod
+    def _step(entries: list, x: float, y: float, r2: float):
+        """(letter, inverse matrix) of the entry whose isometric disk holds
+        the point x + iy (r2 = x*x + y*y) deepest: the least form value
+        under MEMBERSHIP_TOL, the earlier entry on equal values; (None,
+        None) in none.
 
-    def _step(self, fid: int, p: complex):
-        """(letter, inverse matrix) of the generator isometric disk of
-        factor fid that holds the point deepest; (None, None) in none."""
-        x, y = p.real, p.imag
-        r2 = x * x + y * y
+        Over all of a factor's entries this is the letter one inverse
+        iteration step strips.  Over a letter's tie set it is the same
+        letter whenever that letter's form reads under the tolerance,
+        because every form that does so too is in the set; so the step over
+        x's tie set is x exactly when the step over the factor is.
+        """
         best, best_mat, best_val = None, None, MEMBERSHIP_TOL
-        for letter, (A, bre, bim, C), mat in self._nav[fid]:
+        for letter, (A, bre, bim, C), mat in entries:
             val = A * r2 + 2.0 * (bre * x + bim * y) + C
             if val < best_val:
                 best, best_mat, best_val = letter, mat, val
@@ -195,12 +294,18 @@ class _Navigator:
         prefixes are never longer than the conjugating depth plus one
         syllable.
         """
+        A, bre, bim, C = self._factor_forms[fid]
+        entries = self._nav[fid]
         prefix: List[int] = []
         q = p
-        while self._inside(fid, q):
+        while True:
+            x, y = q.real, q.imag
+            r2 = x * x + y * y
+            if not A * r2 + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
+                return tuple(prefix)
             if len(prefix) > self.cap:
                 return None
-            best, best_mat = self._step(fid, q)
+            best, best_mat = self._step(entries, x, y, r2)
             if best is None:
                 return None  # inside the disk but outside the dynamics
             prefix.append(best)
@@ -209,7 +314,6 @@ class _Navigator:
             if denom == 0:
                 return None
             q = (a * q + b) / denom
-        return tuple(prefix)
 
 
 def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,

@@ -116,8 +116,9 @@ class WhiteheadGraph:
 @dataclass(frozen=True)
 class MuSpec:
     """Endpoint data: sampled axis endpoint pairs, one unordered pair per
-    axis, and optionally one parent link (x, j) per pair: the pair is the
-    image under letter x of pair j, an earlier one; j = -1 for none."""
+    axis, and optionally one parent link (x, j) per pair: pair i is the
+    image under letter x of pair j, an earlier one, or of a pair that the
+    walk dropped because it has pair j's 1e-9 key; j = -1 for none."""
     sampled_pairs: Tuple[Tuple[complex, complex], ...] = ()
     parent_links: Tuple[Tuple[int, int], ...] = ()
 

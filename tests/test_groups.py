@@ -155,6 +155,73 @@ class TestDehnReduce:
             assert len(r) <= len(w)
 
 
+SURFACE_ONE = {"S2*Z": S2Z, "S3*Z": GroupSpec((3,), 1)}
+
+
+@st.composite
+def relator_rotations(draw, group):
+    """A cyclic rotation of the relator of surface factor 0, or of its
+    inverse."""
+    rel = group.relator(0)
+    if draw(st.booleans()):
+        rel = word_inverse(rel)
+    k = draw(st.integers(0, len(rel) - 1))
+    return rel[k:] + rel[:k]
+
+
+@st.composite
+def surface_words(draw, group):
+    """Words in surface factor 0 with up to two pieces of relator rotations
+    spliced in, so that Dehn reduction has work to do."""
+    letters = st.sampled_from(list(group.factor_letters(0)))
+    word = tuple(draw(st.lists(letters, max_size=12)))
+    for _ in range(draw(st.integers(0, 2))):
+        rot = draw(relator_rotations(group))
+        piece = rot[:draw(st.integers(1, len(rot)))]
+        i = draw(st.integers(0, len(word)))
+        word = word[:i] + piece + word[i:]
+    return word
+
+
+def long_relator_pieces(group):
+    """Every subword longer than half the relator of a cyclic rotation of
+    R or R^-1, listed by brute force."""
+    rel = group.relator(0)
+    n = len(rel)
+    pieces = set()
+    for r in (rel, word_inverse(rel)):
+        for k in range(n):
+            rot = r[k:] + r[:k]
+            for i in range(n):
+                for j in range(i + n // 2 + 1, n + 1):
+                    pieces.add(rot[i:j])
+    return pieces
+
+
+class TestDehnReduceProperties:
+    """Dehn reduction in the surface factor of S2*Z and S3*Z."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(SURFACE_ONE)), st.data())
+    def test_conjugated_relator_vanishes(self, name, data):
+        group = SURFACE_ONE[name]
+        w = data.draw(surface_words(group))
+        rho = data.draw(relator_rotations(group))
+        assert dehn_reduce(word_mul(w, rho, word_inverse(w)), group, 0) == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(SURFACE_ONE)), st.data())
+    def test_reduced_idempotent_and_no_long_relator_piece(self, name, data):
+        group = SURFACE_ONE[name]
+        r = dehn_reduce(data.draw(surface_words(group)), group, 0)
+        assert all(y != inv(x) for x, y in zip(r, r[1:]))
+        assert dehn_reduce(r, group, 0) == r
+        pieces = long_relator_pieces(group)
+        half = len(group.relator(0)) // 2
+        assert not any(r[i:j] in pieces for i in range(len(r))
+                       for j in range(i + half + 1, len(r) + 1))
+
+
 class TestNormalForm:
     def test_already_alternating(self):
         w, = words(S2Z, "a1 t1 b1")

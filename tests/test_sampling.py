@@ -1,4 +1,6 @@
+import cmath
 import gc
+import random
 from collections import Counter
 
 import mpmath
@@ -11,9 +13,9 @@ from sepstab.groups import (GroupSpec, cyclic_reduce, dehn_reduce,
                             enumerate_elements, inv, word_inverse, word_mul)
 from sepstab.hyperbolic import (MoebiusMap, Representation, classify,
                                 fixed_points, loxodromic_with_axis)
-from sepstab.pingpong import UnverifiedDisks, ping_pong_verify
-from sepstab.sampling import (MEMBERSHIP_TOL, _Navigator, graphs_agree,
-                              sample_mu, whitehead_graph_sampled,
+from sepstab.pingpong import PingPongDisks, UnverifiedDisks, ping_pong_verify
+from sepstab.sampling import (MEMBERSHIP_TOL, _Navigator, _tie_sets,
+                              graphs_agree, sample_mu, whitehead_graph_sampled,
                               whitehead_graph_sampled_for)
 from sepstab.whitehead import MuSpec, whitehead_graph_combinatorial
 
@@ -69,16 +71,42 @@ class TestSampling:
             MuSpec(sampled_pairs=pairs, parent_links=((-1, -1),))
         with pytest.raises(ValueError):
             MuSpec(sampled_pairs=pairs, parent_links=((-1, -1), (0, 1)))
-        # each linked pair is the image of its parent pair under the letter
-        mu = sample_mu(REP, cnf_of("a1 t1"), 3)
+        # each linked pair is the image under the letter of its parent
+        # pair, or of a pair the walk dropped under the parent's 1e-9 key
+        # (for a1 b1 t1, h = b1 repeats the pair of h = A1); the walk is
+        # replayed to find the dropped pair
+        cnf = cnf_of("a1 b1 t1")
+        mu = sample_mu(REP, cnf, 3)
+        walked = _walk_reference(REP, cnf, 3)
+        keys, stored = set(), []   # stored: h of every kept pair, in order
+        for h, (r, a) in walked:
+            key = sampling._key(r) + sampling._key(a)
+            if r is not None and a is not None and key not in keys:
+                keys.add(key)
+                stored.append(h)
+        walked = dict(walked)
+        assert [walked[h] for h in stored] == list(mu.sampled_pairs)
         assert mu.parent_links[0] == (-1, -1)
-        linked = 0
-        for (x, j), pair in zip(mu.parent_links, mu.sampled_pairs):
-            if j >= 0:
-                m = REP.image(x)
+        direct = duplicate = 0
+        for i, ((x, j), pair) in enumerate(zip(mu.parent_links,
+                                                mu.sampled_pairs)):
+            if i == 0:
+                continue
+            h = stored[i]
+            m = REP.image(x)
+            assert x == h[0] and j >= 0
+            if stored[j] == h[1:]:
                 assert tuple(map(m.moebius, mu.sampled_pairs[j])) == pair
-                linked += 1
-        assert linked > len(mu.sampled_pairs) / 2
+                direct += 1
+            else:
+                dropped = walked[h[1:]]
+                assert h[1:] not in stored
+                assert tuple(map(m.moebius, dropped)) == pair
+                assert (sampling._key(dropped[0]) + sampling._key(dropped[1])
+                        == sampling._key(mu.sampled_pairs[j][0])
+                        + sampling._key(mu.sampled_pairs[j][1]))
+                duplicate += 1
+        assert duplicate and direct > len(mu.sampled_pairs) / 2
 
     def test_mu_pairs_one_order_per_axis(self):
         # the builder treats a pair as unordered: no pair comes with its swap
@@ -124,6 +152,31 @@ class TestSampling:
 
 # ---------------------------------------------------------------------------
 # reference copies of the per-conjugate sampler and the memo-free navigator
+
+
+def _walk_reference(rep, cnf, depth):
+    """Every conjugator h the sampler walks, in its order, with h(fix g):
+    depth first, letters ascending, no h = h' w^{+-1} for the primitive
+    root w of g, and each endpoint moved by ``MoebiusMap.moebius``."""
+    word = cnf.letters()
+    r, a = fixed_points(rep.evaluate(word))
+    period = next(p for p in range(1, len(word) + 1)
+                  if word == word[:p] * (len(word) // p))
+    roots = {word[:period], word_inverse(word[:period])}
+    walked = []
+
+    def visit(h, pair):
+        walked.append((h, pair))
+        if len(h) < depth:
+            for y in range(rep.group.n_letters):
+                yh = (y,) + h
+                if (h and y == inv(h[0])) or yh in roots:
+                    continue
+                m = rep.image(y)
+                visit(yh, (m.moebius(pair[0]), m.moebius(pair[1])))
+
+    visit((), (r, a))
+    return walked
 
 
 def _conjugate_fixed_pairs(rep, cnf, depth):
@@ -295,9 +348,10 @@ class TestEndpointsAsImagesOfFixedPoints:
 class TestOneNavigationPerEndpoint:
     def test_navigated_only_in_the_factor_disk_that_holds_it(self,
                                                            monkeypatch):
-        # every endpoint is located once, in sampling order; inverse
-        # iteration runs only for an endpoint in the factor disk whose
-        # parent link is unusable: no parent pair, or a first strip that
+        # every endpoint is located once, in sampling order; only the root
+        # pair has no parent (a pair dropped as a duplicate hands its
+        # parent index on), and inverse iteration runs only for the root's
+        # endpoints in the factor disk and for endpoints whose first strip
         # does not undo the link's letter
         located, stripped = [], []
         locate, strip = _Navigator.locate, _Navigator.strip
@@ -313,17 +367,21 @@ class TestOneNavigationPerEndpoint:
         monkeypatch.setattr(_Navigator, "locate", counting_locate)
         monkeypatch.setattr(_Navigator, "strip", counting_strip)
         in_free = in_factor = 0
-        for text in ("t1", "a1 t1", "a2 t1", "b2 T1", "a1 b1 A1 t1"):
+        for text in ("t1", "a1 t1", "a2 t1", "b2 T1", "a1 b1 A1 t1",
+                     "a1 b1 t1"):
             cnf = cnf_of(text)
             mu = sample_mu(REP, cnf, 3)
+            assert [i for i, (_, j) in enumerate(mu.parent_links)
+                    if j < 0] == [0]
             nav = _Navigator(REP, DISKS, 0)
             points, unlinked = [], []
-            for (x, j), pair in zip(mu.parent_links, mu.sampled_pairs):
+            for i, ((x, _), pair) in enumerate(zip(mu.parent_links,
+                                                   mu.sampled_pairs)):
                 for p in pair:
                     points.append(p)
                     if DISKS.factor[0].value(p) <= MEMBERSHIP_TOL:
                         in_factor += 1
-                        if j < 0 or _deepest(nav, 0, p)[0] != x:
+                        if i == 0 or _deepest(nav, 0, p)[0] != x:
                             unlinked.append((0, p))
                     elif any(d.value(p) <= MEMBERSHIP_TOL
                              for d in DISKS.free.values()):
@@ -386,6 +444,95 @@ class TestStripMemo:
                 differ += 1
                 assert noise(linked, graph_cap) and noise(plain, graph_cap)
         assert differ  # the circle classes do reach this case
+
+
+def _seeded_conjugate(seed):
+    """s2-times-z conjugated by the first seeded PSL(2,C) draw under which
+    its ping-pong certificate still verifies, as the benchmark draws its
+    seeded inputs (entries uniform in [-2, 2]^2, near-singular draws
+    rejected), with every disk carried along."""
+    rng = random.Random(seed)
+    while True:
+        vals = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                for _ in range(4)]
+        if abs(vals[0] * vals[3] - vals[1] * vals[2]) < 0.5:
+            continue
+        h = MoebiusMap(*vals)
+        rep, disks = build("s2-times-z")
+        conj = PingPongDisks(
+            free={k: d.image(h) for k, d in disks.free.items()},
+            factor={k: d.image(h) for k, d in disks.factor.items()})
+        rep = rep.conjugated(h)
+        if ping_pong_verify(rep, conj).ok:
+            return rep, conj
+
+
+class TestTieSets:
+    """The first step over a letter's tie set is that letter exactly when
+    the step over all of the factor's isometric disks is."""
+
+    def test_pruned_step_matches_deepest(self):
+        # schottky2, the other group of TestStripMemo, has no factor disk
+        classes = [(REP, DISKS, cnf_of(t))
+                   for t in TestStripMemo.CLASSES[0][1]]
+        for seed in (1, 7):
+            rep, disks = _seeded_conjugate(seed)
+            classes += [(rep, disks, cnf)
+                        for cnf in enumerate_elements(rep.group, 2)]
+        n = 0
+        for rep, disks, cnf in classes:
+            nav = _Navigator(rep, disks, 0)
+            for pair in sample_mu(rep, cnf, 3).sampled_pairs:
+                for p in pair:
+                    for fid, factor in disks.factor.items():
+                        if factor.value(p) > MEMBERSHIP_TOL:
+                            continue
+                        x, y = p.real, p.imag
+                        deepest = _deepest(nav, fid, p)[0]
+                        for letter, ties in nav._ties[fid].items():
+                            pruned = nav._step(ties, x, y, x * x + y * y)[0]
+                            assert (pruned == letter) == (deepest == letter)
+                        n += 1
+        assert n > 100000  # factor-disk endpoints
+
+    def test_shipped_ties_are_octagon_neighbours(self):
+        # the isometric disks sit around the origin, one per side of the
+        # octagon; each ties with itself and its two angular neighbours
+        nav = _Navigator(REP, DISKS, 0)
+        entries = nav._nav[0]
+        around = sorted(
+            entries, key=lambda e: cmath.phase(complex(-e[1][1], -e[1][2])))
+        assert len(around) == 8
+        for k, entry in enumerate(around):
+            neighbours = {around[k - 1][0], entry[0], around[(k + 1) % 8][0]}
+            ties = [e[0] for e in nav._ties[0][entry[0]]]
+            assert sorted(ties, key=[e[0] for e in entries].index) == ties
+            assert set(ties) == neighbours
+
+    def test_overlapping_disks_tie_with_every_letter(self):
+        # image k = (a, a d - 1; 1, d) with a = d = k / 10: the isometric
+        # disks of it and of its inverse have radius 1 and centres
+        # +-k/10, so all eight overlap
+        images = [MoebiusMap(k / 10, k * k / 100 - 1, 1, k / 10)
+                  for k in range(1, 5)]
+        rep = Representation(GRP, images + [REP.image(GRP.n_letters - 2)])
+        nav = _Navigator(rep, DISKS, 0)
+        letters = [e[0] for e in nav._nav[0]]
+        assert len(letters) == 8
+        for ties in nav._ties[0].values():
+            assert [e[0] for e in ties] == letters
+
+    @pytest.mark.parametrize("sign", [0.0, -1.0])
+    def test_form_that_is_no_disk_ties_with_every_letter(self, sign):
+        forms = [e[1] for e in _Navigator(REP, DISKS, 0)._nav[0]]
+        shipped = _tie_sets(forms)
+        A, bre, bim, C = forms[3]
+        forms[3] = (sign * A, bre, bim, C)
+        ties = _tie_sets(forms)
+        assert ties[3] == tuple(range(8))
+        for k in range(8):
+            if k != 3:
+                assert ties[k] == tuple(sorted(set(shipped[k]) | {3}))
 
 
 class TestNoCyclicGarbage:
