@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from sepstab.disks import Disk, DiskError
-from sepstab.groups import GroupError, GroupSpec
+from sepstab.groups import GroupError, GroupSpec, LetterOutOfRange
 from sepstab.hyperbolic import MoebiusMap, Representation
 from sepstab.pingpong import (DiskCountMismatch, PingPongDisks,
                               check_disk_layout)
@@ -199,8 +199,12 @@ def parse_rep(text: str) -> RepFile:
                 name = m.group(1)
                 try:
                     key = group.parse_word(name)[0]
-                except Exception:
+                except LetterOutOfRange:
                     raise RepFileError(f"unknown letter {name!r}", idx)
+                if group.letter_factor(key) < group.n_surface:
+                    raise RepFileError(
+                        f"{name!r} is a surface letter; a surface factor "
+                        f"takes `factor N`", idx)
                 table = free
             if key in table:
                 raise RepFileError(f"repeated disk {name!r}", idx)

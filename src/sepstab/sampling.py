@@ -12,6 +12,11 @@ surface-group translates of a factor's complementary region contribute
 labeled loops on that factor's component.  The construction consumes only
 numeric data plus the disk certificate.
 
+An endpoint whose word starts with syllable s sits at ball vertex
+``whitehead.crossing(s) ^ 1``.  The axis of g = x_1 ... x_n runs from
+x_n^-1 ... to x_1 ..., so its pair joins x_n to x_1^-1, the edge that
+``whitehead.cyclic_links`` gives the adjacent crossings (x_n, x_1).
+
 Each sampled pair carries a parent link (x, j): the pair is x applied to
 pair j, or x applied to a pair the walk dropped because it has pair j's
 1e-9 key (for g = a1 b1 the pair of h = b1 repeats that of h = A1).  Only
@@ -330,13 +335,10 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
     labels: Dict[tuple, Optional[Word]] = {}  # (fid, tails) -> label
 
     def vertex_of(fid: int, syllable: Optional[Word]) -> Optional[int]:
-        if fid >= group.n_surface:
-            return W.free_letter_vertex(group, syllable[0])
         if not syllable:
             return None  # a limit point of the factor itself never straddles
         if (fid, syllable) not in vertices:
-            wc, wi = W.canonical_pair(syllable, group, fid)
-            vertices[fid, syllable] = W.ball_vertex(fid, 1 if wc <= wi else -1)
+            vertices[fid, syllable] = W.crossing(group, fid, syllable)[0] ^ 1
         return vertices[fid, syllable]
 
     def loop(fid: int, sp: Optional[Word], sq: Optional[Word]):
@@ -352,7 +354,7 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
         if key not in labels:
             reduced = G.dehn_reduce(
                 G.word_mul(G.word_inverse(sp[k:]), sq[k:]), group, fid)
-            labels[key] = (min(W.canonical_pair(reduced, group, fid))
+            labels[key] = (W.crossing(group, fid, reduced)[1]
                            if reduced else None)
         if labels[key] is not None:
             loops[fid, labels[key]] += 1

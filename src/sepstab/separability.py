@@ -3,14 +3,15 @@ peak reduction, one-sided certificates in mixed free products via the
 Whitehead-graph dichotomy.
 
 The free-group decision reads its moves off the Whitehead graph Wh(w) of a
-cyclically reduced word: the letters are its vertices, with one edge
-(x_i, x_{i+1}^-1) per cyclic position.  The Whitehead move (A, a), with a
-in A and a^-1 not in A, changes the cyclic length by cap(A) - deg(a),
-cap(A) counting the edges that leave A (Lyndon-Schupp, Combinatorial Group
-Theory, I.4).  So a move shortens w exactly when it comes from an a / a^-1
-edge cut smaller than deg(a), found by augmenting paths.  Peak reduction
-applies such moves until none is left; by Whitehead's theorem the result
-has minimal length in its Aut(F_r) orbit.
+cyclically reduced word: the letters are its vertices, and
+``whitehead.cyclic_links`` gives one edge per cyclic position.  The
+Whitehead move (A, a), with a in A and a^-1 not in A, changes the cyclic
+length by cap(A) - deg(a), cap(A) counting the edges that leave A
+(Lyndon-Schupp, Combinatorial Group Theory, I.4).  So a move shortens w
+exactly when it comes from an a / a^-1 edge cut smaller than deg(a), found
+by augmenting paths.  Peak reduction applies such moves until none is
+left; by Whitehead's theorem the result has minimal length in its
+Aut(F_r) orbit.
 
 At minimal length a word using every generator has a connected graph
 without a cut vertex: a component not closed under inversion, or a cut
@@ -91,9 +92,7 @@ def _shortening_move(word: Word, rank: int) -> Optional[WhiteheadMove]:
     One letter per generator suffices: deg(a) = deg(a^-1), and the
     complement of an a / a^-1 cut is an a^-1 / a cut of the same size."""
     graph: List[Dict[int, int]] = [{} for _ in range(2 * rank)]
-    n = len(word)
-    for i in range(n):
-        x, y = word[i], inv(word[(i + 1) % n])
+    for x, y in W.cyclic_links(word):
         graph[x][y] = graph[x].get(y, 0) + 1
         graph[y][x] = graph[y].get(x, 0) + 1
     for a in range(0, 2 * rank, 2):
@@ -197,11 +196,10 @@ def _checked_separable(original: Word, moves, witness_word,
 
 def _free_graph_certificate(word: Word, rank: int) -> bool:
     """Cut-vertex lemma on a cyclically reduced word: its Whitehead graph,
-    on the letter ids with an edge (x_i, x_{i+1}^-1) per cyclic position,
-    is connected and has no cut vertex."""
-    n = len(word)
-    return W.is_biconnected(
-        2 * rank, [(word[i], inv(word[(i + 1) % n])) for i in range(n)])
+    on the letter ids with the ``whitehead.cyclic_links`` of the word as
+    edges, is connected and has no cut vertex."""
+    blocks = W.block_structure(2 * rank, W.cyclic_links(word))
+    return len(blocks.pieces) == 1 and not blocks.cut_vertices
 
 
 def is_separable(word: Word, group: GroupSpec) -> SeparabilityVerdict:

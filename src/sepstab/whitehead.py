@@ -4,19 +4,23 @@ The meridian model is the canonical boundary-connect-sum system: one disc
 per surface factor and one per free letter.  Cutting produces one ball
 component and one surface component per surface factor.  The ball keeps a
 vertex pair per disc; for surface factors the pair is combinatorial
-bookkeeping (the crossing orientation of a factor syllable), chosen so that
-the limit-set-sampled construction reproduces the same graphs.  A
+bookkeeping (the crossing orientation of a factor syllable).  A
 component's ``cid`` derives from its ``fid``: "ball" or "surface<fid>".
+
+Ball vertex 2 f is the + side of factor f's disc and 2 f + 1 its - side,
+so v ^ 1 is the other side; in a free group these are the letter ids.
+``crossing`` puts a free letter on the side of its sign and a surface
+syllable w on the + side when dehn_canonical(w) <= dehn_canonical(w^-1);
+``cyclic_links`` joins each crossing u to the reverse v^-1 of the
+cyclically next crossing v.  Every builder of ball edges reads both rules
+from these two functions.
 
 Edges are stored one per distinct (vertex, label, vertex) triple with a
 support count; the count records how many syllable transitions or sampled
-axis pairs back the edge and only surfaces in DOT output.
-
-Both builders count edges on integer ball vertex ids and (factor, label)
-loop keys and hand the counts to ``graph_from_counts``, the one place that
-makes ``Edge`` and ``Component`` objects.  Ball vertex 2 f is the + side of
-factor f's disc and 2 f + 1 its - side; in a free group these are the
-letter ids.
+axis pairs back the edge and only surfaces in DOT output.  Both builders
+count edges on ball vertex ids and (factor, label) loop keys and hand the
+counts to ``graph_from_counts``, the one place that makes ``Edge`` and
+``Component`` objects.
 
 Strong connectedness follows the cycle-with-nontrivial-label definition on
 surface components.  Ball components have trivial label group, where the
@@ -43,7 +47,7 @@ from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
 from sepstab import groups as G
-from sepstab.groups import CyclicNormalForm, GroupSpec, Word, inv
+from sepstab.groups import CyclicNormalForm, GroupSpec, Word
 
 
 class WhiteheadError(Exception):
@@ -159,22 +163,23 @@ def standard_meridian_model(group: GroupSpec) -> List[Component]:
 # combinatorial construction
 
 
-def canonical_pair(word: Word, group: GroupSpec, fid: int) -> Tuple[Word, Word]:
-    """Canonical spellings (of w, of w^-1) of a surface syllable w.  The
-    crossing of w has sign +1 when the first is no larger than the second,
-    and min of the pair labels the loop of {w, w^-1}."""
-    return (G.dehn_canonical(word, group, fid),
-            G.dehn_canonical(G.word_inverse(word), group, fid))
+def crossing(group: GroupSpec, fid: int,
+             syllable: Word) -> Tuple[int, Optional[Word]]:
+    """(ball vertex, loop label) of a syllable crossing factor fid's disc.
+    A free syllable x^k crosses k times at one vertex and has no label; a
+    surface syllable w has the least canonical spelling of w and w^-1."""
+    if fid >= group.n_surface:
+        return 2 * fid + (syllable[0] & 1), None
+    wc = G.dehn_canonical(syllable, group, fid)
+    wi = G.dehn_canonical(G.word_inverse(syllable), group, fid)
+    return 2 * fid + (wi < wc), min(wc, wi)
 
 
-def ball_vertex(fid: int, sign: int) -> int:
-    """Ball vertex id of the ``sign`` side of factor fid's disc."""
-    return 2 * fid + (sign < 0)
-
-
-def free_letter_vertex(group: GroupSpec, letter: int) -> int:
-    """Ball vertex id of a free letter: odd letters are inverses."""
-    return 2 * group.letter_factor(letter) + (letter & 1)
+def cyclic_links(crossings: Sequence[int]) -> List[Tuple[int, int]]:
+    """Ball edges (u, v^-1) of each cyclically adjacent pair (u, v) of
+    crossing vertices; a free word's letters are their own vertices."""
+    return [(u, v ^ 1)
+            for u, v in zip(crossings, crossings[1:] + crossings[:1])]
 
 
 def graph_from_counts(group: GroupSpec,
@@ -206,11 +211,10 @@ def whitehead_graph_combinatorial(cnf: CyclicNormalForm,
                                   group: GroupSpec) -> WhiteheadGraph:
     """Whitehead graph of a conjugacy class for the standard disc system.
 
-    Ball edges come from cyclically adjacent crossings (u, v): an edge
-    between u's disc side and v^-1's disc side.  A pure single-syllable
-    surface class never leaves its I-bundle and produces no edges.  Surface
-    components get a loop labeled by each syllable flanked by crossings of
-    other factors.
+    Ball edges are the ``cyclic_links`` of the crossing sequence.  A pure
+    single-syllable surface class never leaves its I-bundle and produces
+    no edges.  Surface components get a loop labeled by each syllable
+    flanked by crossings of other factors.
     """
     _check_cyclically_reduced(cnf, group)
     ball: Counter = Counter()
@@ -219,19 +223,16 @@ def whitehead_graph_combinatorial(cnf: CyclicNormalForm,
     if len(sylls) == 1 and sylls[0][0] < group.n_surface:
         return graph_from_counts(group, ball, loops)
     # the cyclic crossing sequence, free syllables at letter level and each
-    # surface syllable as one oriented crossing of its factor disc; a
-    # crossing is (its vertex, the vertex of the same crossing reversed)
+    # surface syllable as one oriented crossing of its factor disc
     crossings = []
     for fid, w in sylls:
         if fid >= group.n_surface:
-            crossings.extend((free_letter_vertex(group, x),
-                              free_letter_vertex(group, inv(x))) for x in w)
+            crossings += [crossing(group, fid, w)[0]] * len(w)
             continue
-        wc, wi = canonical_pair(w, group, fid)
-        crossings.append((ball_vertex(fid, 1 if wc <= wi else -1),
-                          ball_vertex(fid, 1 if wi <= wc else -1)))
-        loops[fid, min(wc, wi)] += 1
-    for (a, _), (_, b) in zip(crossings, crossings[1:] + crossings[:1]):
+        vertex, label = crossing(group, fid, w)
+        crossings.append(vertex)
+        loops[fid, label] += 1
+    for a, b in cyclic_links(crossings):
         ball[min(a, b), max(a, b)] += 1
     return graph_from_counts(group, ball, loops)
 
@@ -313,12 +314,6 @@ def block_structure(n: int, links: Sequence[Tuple[int, int]]) -> Blocks:
             out.cut_vertices.add(root)
         out.pieces.append(piece)
     return out
-
-
-def is_biconnected(n: int, links: Sequence[Tuple[int, int]]) -> bool:
-    """Connected, and removing any one vertex leaves it connected."""
-    blocks = block_structure(n, links)
-    return len(blocks.pieces) == 1 and not blocks.cut_vertices
 
 
 def _analyse(comp: Component) -> Tuple[List[int], Blocks]:

@@ -258,12 +258,12 @@ class TestCli:
         ("surface 2", "surface 1", 1),
         ("radius 1.1733333333333191", "radius nan", 12),
         ("surface 2", "surface 2.5", 2),
-        # missing or misplaced disks are reported at the `disks` header
+        # a missing disk is reported at the `disks` header
         ("  T1 center (5.733333333333334, -0.0) radius 1.1733333333333384\n",
          "", 10),
-        ("  t1 center", "  a1 center", 10),
+        # a disk keyed by a surface letter is reported on its own line
         ("  factor 1 center", "  A1 center (0.0, 3.0) radius 0.5\n"
-         "  factor 1 center", 10),
+         "  factor 1 center", 11),
         # a repeated key is reported at the repeat
         ("  t1 = (9.625", "  t1 = (1.0, 0.0) (0.0, 0.0) (0.0, 0.0) "
          "(1.0, 0.0)\n  t1 = (9.625", 10),
@@ -282,6 +282,18 @@ class TestCli:
         code, _, err = run_cli("check-stability", str(path), "--depth", "2")
         assert code == 65
         assert f"line {line}," in err and "Traceback" not in err
+
+    def test_disk_keyed_by_a_surface_letter_is_65_on_its_line(self,
+                                                               tmp_path):
+        # before, the a1 disk went into the free-disk table and the file
+        # was refused at the `disks` header for the missing t1 disk
+        path = tmp_path / "bad.rep"
+        path.write_text(gallery_text("s2-times-z").replace(
+            "  t1 center", "  a1 center", 1))
+        code, out, err = run_cli("check-stability", str(path), "--depth", "2")
+        assert (code, out) == (65, "")
+        assert "line 12, column 1: 'a1' is a surface letter" in err
+        assert "`factor N`" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("entries", [
         # det 1, but the rounding noise of the entries overflows

@@ -8,7 +8,8 @@ import pytest
 
 from sepstab import sampling
 from sepstab import whitehead as W
-from sepstab.gallery import build
+from sepstab.disks import Disk, isometric_disk
+from sepstab.gallery import build, octagon_generators
 from sepstab.groups import (GroupSpec, cyclic_reduce, dehn_reduce,
                             enumerate_elements, inv, word_inverse, word_mul)
 from sepstab.hyperbolic import (MoebiusMap, Representation, classify,
@@ -148,6 +149,54 @@ class TestSampling:
             comb = whitehead_graph_combinatorial(cnf, GRP)
             samp = whitehead_graph_sampled_for(REP, DISKS, cnf, 3)
             assert graphs_agree(comb, samp), GRP.format_word(cnf.letters())
+
+
+def _grown_isometric_disks(rep, letters):
+    """Each letter's disk: the isometric disk of its inverse's image,
+    grown by 1.1, as the gallery gives its free letters."""
+    out = {}
+    for letter in letters:
+        idisk = isometric_disk(rep.image(letter).inverse())
+        out[letter] = Disk.interior(idisk.center, idisk.radius * 1.1)
+    return out
+
+
+class TestThreeFactors:
+    """On the two-factor gallery groups, flipping every ball vertex maps
+    each combinatorial edge set onto itself, so only a third factor tells
+    the sampled builder's sides from the combinatorial ones."""
+
+    def _disagreeing(self, rep, disks, classes):
+        ping_pong_verify(rep, disks)
+        return [rep.group.format_word(cnf.letters()) for cnf in classes
+                if not graphs_agree(
+                    whitehead_graph_combinatorial(cnf, rep.group),
+                    whitehead_graph_sampled_for(rep, disks, cnf, 3))]
+
+    def test_schottky_rank_three(self):
+        grp = GroupSpec((), 3)
+        rep = Representation(grp, [loxodromic_with_axis(-8.0, -2.0, 5.0),
+                                   loxodromic_with_axis(2.0, 8.0, 5.0),
+                                   loxodromic_with_axis(-3j, -9j, 5.0)])
+        disks = PingPongDisks(free=_grown_isometric_disks(rep, range(6)),
+                              factor={})
+        classes = list(enumerate_elements(grp, 3))
+        assert len(classes) == 70
+        assert self._disagreeing(rep, disks, classes) == []
+
+    def test_surface_times_rank_two(self):
+        grp = GroupSpec((2,), 2)
+        rep = Representation(grp, [*octagon_generators(),
+                                   loxodromic_with_axis(6.0, 10.0, 4.0),
+                                   loxodromic_with_axis(-6j, -10j, 4.0)])
+        disks = PingPongDisks(
+            free=_grown_isometric_disks(rep, range(grp.gen_base(1),
+                                                   grp.n_letters)),
+            factor={0: Disk.interior(0.0, 1.9)})
+        classes = [cnf for cnf in enumerate_elements(grp, 3)
+                   if len({fid for fid, _ in cnf.syllables}) == 3]
+        assert len(classes) == 64
+        assert self._disagreeing(rep, disks, classes) == []
 
 
 # ---------------------------------------------------------------------------
@@ -624,19 +673,15 @@ def navigation_reference(rep, disks, mu, cap):
     ball, loops = Counter(), Counter()
 
     def vertex_of(fid, syllable):
-        if fid >= group.n_surface:
-            return W.free_letter_vertex(group, syllable[0])
-        if not syllable:
-            return None
-        wc, wi = W.canonical_pair(syllable, group, fid)
-        return W.ball_vertex(fid, 1 if wc <= wi else -1)
+        # the shared rule: the other side of the syllable's crossing
+        return W.crossing(group, fid, syllable)[0] ^ 1 if syllable else None
 
     def loop(fid, sp, sq):
         if fid >= group.n_surface or sp is None or sq is None or sp == sq:
             return
         reduced = dehn_reduce(word_mul(word_inverse(sp), sq), group, fid)
         if reduced:
-            loops[fid, min(W.canonical_pair(reduced, group, fid))] += 1
+            loops[fid, W.crossing(group, fid, reduced)[1]] += 1
 
     for p, q in mu.sampled_pairs:
         lp, lq = locate(p), locate(q)
