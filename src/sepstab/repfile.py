@@ -189,6 +189,12 @@ def parse_rep(text: str) -> RepFile:
                 disk = Disk.interior(complex(cx, cy), r)
             except DiskError as exc:
                 raise RepFileError(str(exc), idx)
+            except OverflowError:  # |center|^2 overflows
+                disk = None
+            # radius^2 overflowing leaves A = 0 and C = nan
+            if disk is None or not math.isfinite(disk.C):
+                raise RepFileError(
+                    "disk too large for its circle form in floats", idx)
             if m.group(2) is not None:
                 surf_index = int(m.group(2))  # surface factor k has fid k - 1
                 if not 1 <= surf_index <= group.n_surface:

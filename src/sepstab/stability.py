@@ -131,6 +131,48 @@ def _qg_rows(rep: Representation, letters: Word, n: int,
     o = (0, 1), where the zero coordinates of o drop out.  The rows
     therefore equal those of the MoebiusMap path bit for bit while the
     entries are finite, and the same errors are raised.
+
+    The renormalization test runs in up to three steps.  A deviation
+    |det - 1| within DET_TOL keeps the product, as ``renormalized`` does.
+    A larger one is held first against denom * (16 * 2.3e-16), where
+    denom = fl(|d|^2 + |c|^2) is the distance's own denominator, and only
+    when that short test fails against ``det_noise``'s full sum
+    fl(16 * fl(((|a|^2 + |b|^2) + |c|^2) + |d|^2) * 2.3e-16).
+
+    Lemma: the short bound never exceeds the full one.  Rounding is
+    monotone and the squares are >= 0, so with S = fl(|a|^2 + |b|^2),
+    fl(S + |c|^2) >= |c|^2 and fl(fl(S + |c|^2) + |d|^2) >= fl(|c|^2 +
+    |d|^2) = denom.  16 * 2.3e-16 is exact in binary, so 16 * sum * 2.3e-16
+    and sum * (16 * 2.3e-16) are one real number rounded once (the full
+    bound is inf if 16 * sum overflows), and rounding keeps the order.  A
+    passed short test is therefore a passed full test: the product is
+    kept exactly when ``renormalized`` keeps it.
+
+    The guard.  The reference evaluates the full sum at every step past
+    DET_TOL, and |a|^2 or |b|^2 raises OverflowError there once it passes
+    1.8e308.  On a step that skipped the sum (``skipped``) the kernel
+    raises that error too, before anything else of the step:
+
+      * if the step raises, the handler first evaluates the full sum in
+        the reference's order, and what it raises is the reference's
+        error.  When denom overflowed, the sum squares the same |c| and
+        |d| and must raise.  Otherwise the short test passed; if the sum
+        raises nothing, the full test passes by the lemma, and the
+        reference keeps the same product and raises the kernel's error
+        from the same distance operations.
+      * if the step ends with x = cosh(dist) below 1e300, neither square
+        can overflow.  With D = |c|^2 + |d|^2 and N = a c' + b d' (' the
+        conjugate), the Lagrange identity (|a|^2 + |b|^2) D = |N|^2 +
+        |det|^2 and x = (|N|^2 + 1 + D^2) / (2 D), up to rounding, give
+        |a|^2 + |b|^2 <= 2x + |det|^2 / D.  The passed short test bounds
+        |det| by 1 + 3.7e-15 D plus a rounding error of a few ulps of
+        |a||d| + |b||c| <= sqrt((|a|^2 + |b|^2) D), while 1/D <= 2x and
+        D <= 2x; so |a|^2 + |b|^2 <= 9x < 1e301, and the rounding of N
+        and x moves this by a few ulps.  A det that overflowed is inf or
+        NaN and passes the short test only at denom = inf, where the
+        step raises.  An overflow in N or x makes x inf, and an inf - inf
+        in a product makes it NaN, so at x >= 1e300 or NaN the step
+        evaluates |a|^2 + |b|^2, which raises where the reference does.
     """
     period = len(letters)
     images = [(m.a, m.b, m.c, m.d) for m in map(rep.image, letters)]
@@ -139,28 +181,41 @@ def _qg_rows(rep: Representation, letters: Word, n: int,
     for i in range(min(period, n)):
         a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j  # MoebiusMap.identity()
         row = []
+        row_append = row.append
         for ia, ib, ic, id_ in path[i:i + min(window, n - i)]:
             a, b, c, d = (a * ia + b * ic, a * ib + b * id_,
                           c * ia + d * ic, c * ib + d * id_)
             det = a * d - b * c
             deviation = abs(det - 1.0)
-            if not (deviation <= DET_TOL or deviation <= 16.0 * (
-                    abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
-                    * 2.3e-16):  # MoebiusMap.renormalized / det_noise
-                if det == 0:
-                    raise HyperbolicError("singular matrix")
-                if not cmath.isfinite(det):
-                    raise HyperbolicError("determinant is not finite")
-                s = cmath.sqrt(det)
-                a, b, c, d = a / s, b / s, c / s, d / s
-            denom = abs(d) ** 2 + abs(c) ** 2
-            dz = abs((b * d.conjugate() + a * c.conjugate()) / denom)
-            t = 1.0 / denom
-            if not t > 0:
-                raise HyperbolicError("height must be positive")
-            dt = 1.0 - t
-            row.append(acosh(max(1.0 + (dz * dz + dt * dt) / (2.0 * t),
-                                 1.0)))
+            skipped = not deviation <= DET_TOL  # the reference sums here
+            try:
+                denom = abs(d) ** 2 + abs(c) ** 2
+                if skipped and not deviation <= denom * (16.0 * 2.3e-16):
+                    skipped = False  # the full sum, in the reference's order
+                    if not deviation <= 16.0 * (
+                            abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2
+                            + abs(d) ** 2) * 2.3e-16:
+                        if det == 0:
+                            raise HyperbolicError("singular matrix")
+                        if not cmath.isfinite(det):
+                            raise HyperbolicError(
+                                "determinant is not finite")
+                        s = cmath.sqrt(det)
+                        a, b, c, d = a / s, b / s, c / s, d / s
+                        denom = abs(d) ** 2 + abs(c) ** 2
+                dz = abs((b * d.conjugate() + a * c.conjugate()) / denom)
+                t = 1.0 / denom
+                if not t > 0:
+                    raise HyperbolicError("height must be positive")
+                dt = 1.0 - t
+                x = 1.0 + (dz * dz + dt * dt) / (2.0 * t)
+                if skipped and not x < 1e300:
+                    abs(a) ** 2 + abs(b) ** 2  # may raise, as det_noise
+            except (HyperbolicError, OverflowError, ZeroDivisionError):
+                if skipped:
+                    abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+                raise
+            row_append(acosh(x if not x < 1.0 else 1.0))
         rows.append(row)
     return rows
 

@@ -257,6 +257,9 @@ class TestCli:
         ("(9.625, 0.0)", "(nan, 0.0)", 9),
         ("surface 2", "surface 1", 1),
         ("radius 1.1733333333333191", "radius nan", 12),
+        # |center|^2 overflowed into a traceback; radius^2 into C = nan
+        ("(10.266666666666666, -0.0) radius", "(1e200, 0.0) radius", 12),
+        ("radius 1.9000000000000001", "radius 1e200", 11),
         ("surface 2", "surface 2.5", 2),
         # a missing disk is reported at the `disks` header
         ("  T1 center (5.733333333333334, -0.0) radius 1.1733333333333384\n",

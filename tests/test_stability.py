@@ -245,6 +245,60 @@ class TestPeriodicKernel:
         assert _outcome(_reference_rows, rep, letters, n, 24) == expected
         assert _outcome(stability._qg_rows, rep, letters, n, 24) == expected
 
+    # each class skips the det_noise sum on a step whose |a|^2 or |b|^2
+    # overflows there; x = cosh(dist) >= 1e300 makes the kernel square them
+    @pytest.mark.parametrize("k, word, powers, window", [
+        (14, "a a a b b", 16, 24), (14, "a a b a b", 16, 24),
+        (18, "a a a B B", 16, 24), (17, "a a B A A b", 5, 30)])
+    def test_skipped_noise_sum_raises_like_reference(self, k, word, powers,
+                                                     window):
+        rep, _ = pinched_phi(k)
+        letters = rep.group.parse_word(word)
+        n = len(letters) * powers
+        expected = _outcome(_reference_rows, rep, letters, n, window)
+        assert expected[0] is OverflowError
+        assert _outcome(stability._qg_rows, rep, letters, n, window) == \
+            expected
+
+    # the short noise test fails and the full det_noise sum keeps the
+    # product: on 2 steps of a1 b1 A1 t1 and 1 step of a a a b
+    @pytest.mark.parametrize("name, word", [("s2-times-z", "a1 b1 A1 t1"),
+                                            ("pinched-a", "a a a b")])
+    def test_full_noise_sum_keeps_product(self, name, word):
+        rep, _ = build(name)
+        letters = rep.group.parse_word(word)
+        n = len(letters) * 16
+        assert stability._qg_rows(rep, letters, n, 24) == _reference_rows(
+            rep, letters, n, 24)
+
+    def test_overflowing_denominator_raises_like_reference(self):
+        # det is inf, so the step skips DET_TOL; |d|^2 overflows in the
+        # kernel's denominator, but the reference's det_noise fails first,
+        # on |a| itself
+        class Images:  # the one method both kernels call
+            def image(self, letter):
+                return MoebiusMap(complex(1.5e308, 1.5e308), 0, 0, 1e200,
+                                  normalize=False)
+        expected = (OverflowError, "absolute value too large")
+        assert _outcome(_reference_rows, Images(), (0,), 2, 2) == expected
+        assert _outcome(stability._qg_rows, Images(), (0,), 2, 2) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(*[st.builds(complex, st.floats(-1e154, 1e154),
+                       st.floats(-1e154, 1e154))] * 4)
+    @example(0j, 0j, 5e-324j, 5e-324 + 0j)
+    @example(1e154 + 1e154j, 0j, 1e-160 + 0j, 3.0 + 0j)
+    @example(0j, 1.1e153 + 0j, 1e154 + 0j, 1e154 + 0j)
+    def test_short_noise_bound_is_below_det_noise(self, a, b, c, d):
+        # the kernel keeps a product on the short bound only because it
+        # never exceeds MoebiusMap.det_noise
+        try:
+            short = (abs(d) ** 2 + abs(c) ** 2) * (16.0 * 2.3e-16)
+            full = MoebiusMap(a, b, c, d, normalize=False).det_noise()
+        except OverflowError:
+            assume(False)
+        assert short <= full
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.lists(
         st.one_of(st.sampled_from([0.0, 5e-324, 1e-13, 1e-12, 2e-12]),
@@ -297,6 +351,29 @@ class TestPeriodicKernel:
         assert swept
         assert 0 < sum(products) <= sum(r.length * params.window
                                         for r in swept)
+
+    @pytest.mark.parametrize("name, depth", [
+        ("s2-times-z", 3), ("fuchsian-genus2", 2), ("pinched-a-phi14", 5)])
+    def test_report_matches_reference_kernel(self, monkeypatch, name,
+                                             depth):
+        # repr compares every float bit for bit, NaN fields included
+        rep = pinched_phi(14)[0] if name == "pinched-a-phi14" else \
+            build(name)[0]
+        params = StabilityParams(depth=depth)
+        errors = []
+
+        def reference_rows(*args):
+            try:
+                return _reference_rows(*args)
+            except (HyperbolicError, OverflowError, ZeroDivisionError):
+                errors.append(args[1])
+                raise
+        report = stability_margin(rep, params)
+        monkeypatch.setattr(stability, "_qg_rows", reference_rows)
+        assert repr(stability_margin(rep, params)) == repr(report)
+        assert report.records
+        # pinched-a o phi_14 reaches the numeric_error blockers
+        assert bool(errors) == (name == "pinched-a-phi14")
 
 
 class TestStabilityMargin:
