@@ -16,6 +16,8 @@ from typing import Iterator, Optional, Sequence
 
 Word = tuple  # tuple of int letters
 
+MAX_LETTERS = 1 << 16  # GroupSpec refuses larger generating sets
+
 
 class GroupError(Exception):
     pass
@@ -50,6 +52,9 @@ class GroupSpec:
     over ``range(n_factors)``, surface factors first: the k-th surface
     factor has fid k - 1 and the k-th free factor fid n_surface + k - 1, so
     ``fid < n_surface`` is the one test of "is a surface factor".
+
+    A group with more than MAX_LETTERS letters is refused before any
+    per-letter table is built.
     """
 
     def __init__(self, surface_genera: Sequence[int] = (), free_rank: int = 0):
@@ -63,6 +68,10 @@ class GroupSpec:
                                  f"not {g!r}")
             if g < 2:
                 raise GroupError("surface factors need genus >= 2")
+        n_letters = 4 * sum(surface_genera) + 2 * free_rank
+        if n_letters > MAX_LETTERS:
+            raise GroupError(f"the group has {n_letters} letters; at most "
+                             f"{MAX_LETTERS} are supported")
         self.surface_genera = tuple(int(g) for g in surface_genera)
         self.free_rank = free_rank = int(free_rank)
         self.n_surface = n_surface = len(self.surface_genera)
@@ -190,6 +199,13 @@ def word_inverse(word: Word) -> Word:
 
 def word_mul(*words: Word) -> Word:
     return free_reduce(tuple(itertools.chain.from_iterable(words)))
+
+
+def least_period(word: Word) -> int:
+    """The least p with word == word[:p] * (len(word) // p); 0 for ()."""
+    n = len(word)
+    return next((p for p in range(1, n + 1)
+                 if n % p == 0 and word == word[:p] * (n // p)), n)
 
 
 # ---------------------------------------------------------------------------

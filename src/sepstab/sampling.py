@@ -76,8 +76,7 @@ def sample_mu(rep: Representation, cnf: CyclicNormalForm,
     fps = fixed_points(g_mat)
     if len(fps) != 2:
         return MuSpec()
-    period = next(p for p in range(1, len(word) + 1)
-                  if word == word[:p] * (len(word) // p))
+    period = G.least_period(word)
     roots = {word[:period], G.word_inverse(word[:period])}
     # (letter, a, b, c, d), pushed in descending order, so popped ascending
     descending = []

@@ -212,6 +212,13 @@ def is_separable(word: Word, group: GroupSpec) -> SeparabilityVerdict:
     if not group.n_surface:
         return is_separable_free(word, group)
     cnf, _ = G.cyclic_reduce(word, group)  # raises TrivialElement
+    return is_separable_mixed(cnf, group)
+
+
+def is_separable_mixed(cnf: G.CyclicNormalForm,
+                       group: GroupSpec) -> SeparabilityVerdict:
+    """is_separable's decision for a class in cyclic normal form, in a
+    group with a surface factor."""
     fids_used = {fid for fid, _ in cnf.syllables}
     if len(fids_used) == 1:
         return SeparabilityVerdict(
@@ -241,9 +248,11 @@ def swept_classes(group: GroupSpec, max_len: int
     """(class, separability status) for every class of cyclic length
     <= max_len not proven non-separable, in enumerate_elements order.
 
-    In general this filters enumerate_elements through is_separable.  In
-    a rank-2 free group it generates the separable classes instead, the
-    powers r^k of the primitive classes r, with the same output:
+    In general this filters enumerate_elements through is_separable's
+    decision.  An enumerated class is already in cyclic normal form, so
+    it skips is_separable's reduction.  In a rank-2 free group it
+    generates the separable classes instead, the powers r^k of the
+    primitive classes r, with the same output:
 
     1. In F2 a proper free factor is trivial or <p> with p primitive, so g
        is separable iff g ~ p^k with p primitive and k >= 1 (p^-1 is
@@ -263,7 +272,8 @@ def swept_classes(group: GroupSpec, max_len: int
     """
     if group.n_surface or group.free_rank != 2:
         for cnf in G.enumerate_elements(group, max_len):
-            status = is_separable(cnf.letters(), group).status
+            status = (is_separable_mixed(cnf, group) if group.n_surface else
+                      is_separable_free(cnf.letters(), group)).status
             if status != "not_separable":
                 yield cnf, status
         return

@@ -17,14 +17,19 @@ Inconclusive, never Fail.
 
 Pair distances are computed in local frames, dist(x, rho(w[i:j]) x), so
 window products stay short and no global drift accumulates.  The path of
-g^N is periodic: offset i + |g| reads the same letters as offset i over a
-window that is no longer, so its distances are a prefix of offset i's and
-the sweep measures one period of offsets, |g| * W products per class.  The
-fit at N // 2 powers folds the same rows cut to the shorter path, row i to
-its first |g| * (N // 2) - i distances; it can therefore differ from the
-fit at N powers only while |g| * (N // 2) < |g| - 1 + W (ROADMAP item 6).
-The fit over all classes keeps, per window length c, only the least distance
-and the least distance above ZERO_DIST, which determine qg_fit exactly.
+g^N is periodic with the least period p of g's letters (p = |g| unless g
+is spelled as a proper power r^k, then p = |r|): offset i + p reads the
+same letters as offset i over a window that is no longer, so its distances
+are a prefix of offset i's and the sweep measures one primitive period of
+offsets, p * W products per class.  Rows depend on the path length n only
+through min(n, p - 1 + W), so a proper power whose root was swept with
+the same bound reuses the root's rows and worst ratio, and makes no
+window product.  The fit at N // 2 powers folds the same rows cut to the
+shorter path, row i to its first |g| * (N // 2) - i distances; it can
+therefore differ from the fit at N powers only while |g| * (N // 2) <
+p - 1 + W (ROADMAP item 6).  The fit over all classes keeps, per window
+length c, only the least distance and the least distance above ZERO_DIST,
+which determine qg_fit exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from math import acosh
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from sepstab import separability as S
-from sepstab.groups import GroupSpec, Word
+from sepstab.groups import GroupSpec, Word, least_period
 from sepstab.hyperbolic import (DET_TOL, H3Point, HyperbolicError,
                                 Representation, classify,
                                 translation_length)
@@ -119,11 +124,11 @@ class StabilityReport:
 def _qg_rows(rep: Representation, letters: Word, n: int,
              window: int) -> List[List[float]]:
     """Row i holds dist(o, rho(path[i:i+c]) o), o = BASE_POINT, for
-    c = 1..min(window, n - i), for the offsets i < min(|g|, n) of the
-    length-n letter path of g^N whose period is ``letters``.
+    c = 1..min(window, n - i), for the offsets i < min(p, n) of the
+    length-n letter path whose period is ``letters``, p = len(letters).
 
-    Row i + |g| of the whole path would be a prefix of row i, so these
-    rows hold every (c, d) pair of the path.
+    Row i + p of the whole path would be a prefix of row i, so these rows
+    hold every (c, d) pair of the path.
 
     One flat loop on (a, b, c, d) tuples of complex numbers.  Each window
     product repeats the IEEE operations of ``m * image`` followed by
@@ -176,7 +181,7 @@ def _qg_rows(rep: Representation, letters: Word, n: int,
     """
     period = len(letters)
     images = [(m.a, m.b, m.c, m.d) for m in map(rep.image, letters)]
-    path = images * (window // period + 2)  # covers i + c - 1 < |g| + W
+    path = images * (window // period + 2)  # covers i + c - 1 < p + W
     rows = []
     for i in range(min(period, n)):
         a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j  # MoebiusMap.identity()
@@ -311,6 +316,12 @@ def stability_margin(rep: Representation,
     Each class has at most one problem, a fail (certified, and
     non-loxodromic or decreasing_qg) or a blocker.  The verdict is the
     first fail, else the first blocker, else the K_MAX cap, else pass.
+
+    ``measured`` maps (primitive period, min(n, p - 1 + W)) to the rows
+    and worst ratio of a class with 2p <= L, for a later power with the
+    same key; its pairs are already folded into ``least``.  Classes come
+    shortest first, so a root precedes its powers; a root that raised or
+    is non-loxodromic stores nothing, and its powers measure their own.
     """
     group = rep.group
     if params is None:
@@ -319,6 +330,7 @@ def stability_margin(rep: Representation,
     records: List[ElementRecord] = []
     problems: List[Tuple[str, str, ElementRecord]] = []  # verdict, reason, rec
     least: Dict[int, List[Optional[float]]] = {}
+    measured: Dict[Tuple[Word, int], Tuple[List[List[float]], float]] = {}
     n_sep = n_unk = 0
 
     for cnf, status in S.swept_classes(group, params.depth):
@@ -328,6 +340,10 @@ def stability_margin(rep: Representation,
         n_unk += not certified
         spelling = group.format_word(letters)
         length = cnf.cyclic_length
+        period = letters[:least_period(letters)]
+        n = length * params.powers
+        key = (period, min(n, len(period) - 1 + params.window))
+        known = measured.get(key)
         try:
             m = rep.evaluate(letters)
             kind = classify(m)
@@ -337,8 +353,9 @@ def stability_margin(rep: Representation,
                          band <= PARABOLIC_EXACT or kind != "parabolic")
                      else ["parabolic_adjacent"] if band < PARABOLIC_FUZZY
                      else [])
-            rows = (None if "non_loxodromic" in flags else _qg_rows(
-                rep, letters, length * params.powers, params.window))
+            rows = (None if "non_loxodromic" in flags else
+                    known[0] if known else
+                    _qg_rows(rep, period, n, params.window))
         except (HyperbolicError, OverflowError, ZeroDivisionError) as exc:
             # no number of this class can be trusted, so it blocks a pass
             nan = float("nan")
@@ -358,7 +375,12 @@ def stability_margin(rep: Representation,
                        ("inconclusive", "unknown-separability element with "
                                         "a non-loxodromic image"))
         else:
-            worst = _fold_rows(least, rows, params.window)
+            if known:
+                worst = known[1]
+            else:
+                worst = _fold_rows(least, rows, params.window)
+                if 2 * len(period) <= params.depth:
+                    measured[key] = rows, worst
             if worst < params.margin or ratio < params.margin:
                 # the path of g^(N/2): row i cut to its first half - i pairs
                 half = length * max(1, params.powers // 2)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sepstab.groups import (_SPELL_CAP, CyclicNormalForm, GroupSpec,
-                            TrivialElement, UniquelyFreelyDecomposable,
+from sepstab.groups import (_SPELL_CAP, MAX_LETTERS, CyclicNormalForm,
+                            GroupSpec, TrivialElement,
+                            UniquelyFreelyDecomposable,
                             GroupError, MixedFactors, _factor_runs,
                             canonical_class, canonical_spelling,
                             cyclic_reduce, dehn_reduce, dehn_spellings,
@@ -71,6 +72,17 @@ class TestGroupSpec:
             GroupSpec((genus,), 1)
         with pytest.raises(GroupError, match="surface genus"):
             GroupSpec((2, genus), 1)
+
+    @pytest.mark.parametrize("genera, rank", [
+        ((), MAX_LETTERS // 2 + 1), ((), 10 ** 9), ((10 ** 9,), 1),
+        ((2,) * (MAX_LETTERS // 8), 1)])
+    def test_refuses_more_than_max_letters(self, genera, rank):
+        # refused before any per-letter table is built
+        with pytest.raises(GroupError, match=f"at most {MAX_LETTERS}"):
+            GroupSpec(genera, rank)
+
+    def test_allows_max_letters(self):
+        assert GroupSpec((), MAX_LETTERS // 2).n_letters == MAX_LETTERS
 
     def test_allows_two_surfaces_with_free_part(self):
         g = GroupSpec((2, 3), 1)
@@ -492,6 +504,14 @@ class TestEnumeration:
     def test_necklace_walk_matches_unpruned_walk(self, group, max_len):
         got = [c.syllables for c in enumerate_elements(group, max_len)]
         assert got == [c.syllables for c in unpruned_walk(group, max_len)]
+
+    @pytest.mark.parametrize("group, max_len", [
+        (S2Z, 5), (MIXED["F3"], 5), (MIXED["S2*S2*Z"], 3),
+        (MIXED["S3*F2"], 3)], ids=["S2*Z", "F3", "S2*S2*Z", "S3*F2"])
+    def test_yields_cyclic_normal_forms(self, group, max_len):
+        # swept_classes decides each class without reducing it again
+        for cnf in enumerate_elements(group, max_len):
+            assert cyclic_reduce(cnf.letters(), group)[0] == cnf
 
     def test_only_necklaces_are_canonicalised(self, monkeypatch):
         # only necklace leaves with a surface letter are canonicalised;

@@ -54,6 +54,11 @@ class TestRepFile:
             parse_rep(text)
         assert "line 4" in str(err.value)
 
+    def test_huge_group_is_refused_at_the_group_line(self):
+        # before, a billion letters' tables were built
+        with pytest.raises(RepFileError, match="line 1,.*at most 65536"):
+            parse_rep("group\n  free 1000000000\n")
+
     def test_unknown_group_key_rejected(self):
         with pytest.raises(RepFileError):
             parse_rep("group\n  torus 1\n")
@@ -227,6 +232,16 @@ class TestCli:
                                "--rank", "-1")
         assert code == 65
         assert "free rank" in err and "Traceback" not in err
+
+    def test_huge_group_is_65(self, capsys, tmp_path):
+        # in-process: both used to build a billion letters' tables
+        path = tmp_path / "huge.rep"
+        path.write_text("group\n  free 1000000000\n")
+        for argv in (["separable", "t1", "--rank", "1000000000"],
+                     ["check-stability", str(path)]):
+            assert main(argv) == 65
+            out, err = capsys.readouterr()
+            assert out == "" and "at most 65536 are supported" in err
 
     @pytest.mark.parametrize("command", [
         ("check-stability", "schottky2"), ("sweep", "--grid", "2")])

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from sepstab import stability
 from sepstab.gallery import build
-from sepstab.groups import GroupSpec, TrivialElement, cyclic_reduce
+from sepstab.groups import (GroupSpec, TrivialElement, cyclic_reduce,
+                            least_period)
 from sepstab.hyperbolic import (H3Point, HyperbolicError, MoebiusMap,
                                 Representation, apply, dist,
                                 loxodromic_with_axis)
+from sepstab.separability import swept_classes
 from sepstab.stability import (PathTooShort, StabilityError, StabilityParams,
                                qg_fit, stability_margin, sweep)
 
@@ -331,26 +333,108 @@ class TestPeriodicKernel:
         assert len(reduced) <= 2 * len({c for c, _ in raw})
         assert _fit(reduced, window, a_max) == _fit(raw, window, a_max)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(REPS)), st.data(), st.integers(2, 3),
+           st.integers(1, 3), st.integers(2, 30))
+    def test_power_rows_are_prefixes_of_root_rows(self, name, data, k,
+                                                  powers, window):
+        # offset i >= |w| of the path of w^k reads the letters of offset
+        # i - |w| over a window no longer, so it adds no (c, d) pair
+        rep = self.REPS[name]
+        word = tuple(data.draw(st.lists(
+            st.integers(0, rep.group.n_letters - 1), min_size=1,
+            max_size=6)))
+        letters = word * k
+        rows = _outcome(_reference_rows, rep, letters,
+                        len(letters) * powers, window)
+        assume(isinstance(rows, list))
+        assert len(rows) == len(letters)
+        for i in range(len(word), len(rows)):
+            assert rows[i] == rows[i - len(word)][:len(rows[i])]
+
     @pytest.mark.parametrize("name,depth", [("schottky2", 4),
                                             ("s2-times-z", 2)])
     def test_window_products_bounded_by_one_period(self, monkeypatch, name,
                                                    depth):
-        products = []
+        products = {}  # (period letters, n) -> window products
 
-        def counting_rows(*args):
-            rows = qg_rows(*args)
-            products.append(sum(map(len, rows)))
+        def counting_rows(rep, letters, n, window):
+            rows = qg_rows(rep, letters, n, window)
+            products[letters, n] = sum(map(len, rows))
             return rows
         qg_rows = stability._qg_rows
         monkeypatch.setattr(stability, "_qg_rows", counting_rows)
         rep, _ = build(name)
         params = StabilityParams(depth=depth)
         report = stability_margin(rep, params)
-        swept = [r for r in report.records
-                 if "non_loxodromic" not in r.flags]
+        swept = [(rep.group.parse_word(r.spelling), r.length)
+                 for r in report.records if "non_loxodromic" not in r.flags]
         assert swept
-        assert 0 < sum(products) <= sum(r.length * params.window
-                                        for r in swept)
+        assert 0 < sum(products.values()) <= sum(
+            least_period(letters) * params.window for letters, _ in swept)
+        # a power of a swept root whose path already spans p - 1 + W
+        # letters makes no window product
+        roots = {letters for letters, length in swept
+                 if length * params.powers >= length - 1 + params.window}
+        reused = [(letters, length) for letters, length in swept
+                  if letters[:least_period(letters)] in roots
+                  and least_period(letters) < length]
+        for letters, length in reused:
+            root = letters[:least_period(letters)]
+            assert (root, length * params.powers) not in products
+        assert bool(reused) == (name == "schottky2")
+
+    @pytest.mark.parametrize("name, depth, powers, window", [
+        ("schottky2", 16, 16, 24), ("pinched-a", 8, 16, 24),
+        ("s2-times-z", 4, 16, 24), ("pinched-a-phi14", 8, 16, 24),
+        # paths of 3 and 4 letter roots end inside W <= n < p - 1 + W
+        ("schottky2", 8, 2, 6)])
+    def test_records_match_full_period_rows(self, name, depth, powers,
+                                            window):
+        # the sweep before primitive periods and reuse: every class
+        # measured over all |g| offsets of its own letters
+        rep = pinched_phi(14)[0] if name == "pinched-a-phi14" else \
+            build(name)[0]
+        group = rep.group
+        params = StabilityParams(depth=depth, powers=powers, window=window)
+        report = stability_margin(rep, params)
+        least = {}
+        for r in report.records:
+            if "non_loxodromic" in r.flags:
+                continue
+            letters = group.parse_word(r.spelling)
+            rows = stability._qg_rows(rep, letters, r.length * powers,
+                                      window)
+            assert repr(stability._fold_rows(least, rows, window)) == \
+                repr(r.worst_qg)
+            if r.worst_qg_half is not None:
+                half = r.length * max(1, powers // 2)
+                assert repr(stability._fold_rows(
+                    {}, [row[:half - i] for i, row in enumerate(rows)],
+                    window)) == repr(r.worst_qg_half)
+        k_est, a_est, _ = qg_fit(stability._least_pairs(least), window,
+                                 stability.A_MAX)
+        assert (repr(k_est), repr(a_est)) == (repr(report.k_est),
+                                              repr(report.a_est))
+        # the classes without a record are numeric errors on their own
+        # letters too; in phi_14 they include the powers of a, whose root
+        # raised and stored no rows
+        recorded = {r.spelling for r in report.records}
+        errors = []
+        for cnf, _ in swept_classes(group, depth):
+            letters = cnf.letters()
+            if group.format_word(letters) in recorded:
+                continue
+            try:
+                rep.evaluate(letters)
+                stability._qg_rows(rep, letters, len(letters) * powers,
+                                   window)
+            except (HyperbolicError, OverflowError, ZeroDivisionError):
+                errors.append(group.format_word(letters))
+            else:
+                raise AssertionError(group.format_word(letters))
+        assert ({"a a", "a a a"} <= set(errors)) == (
+            name == "pinched-a-phi14")
 
     @pytest.mark.parametrize("name, depth", [
         ("s2-times-z", 3), ("fuchsian-genus2", 2), ("pinched-a-phi14", 5)])
