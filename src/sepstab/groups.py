@@ -465,16 +465,16 @@ def enumerate_elements(group: GroupSpec, max_len: int) -> Iterator[CyclicNormalF
     only on the rotation class, and every rotation of w is reduced since
     w[0] != w[-1]^-1.  The least rotation is a necklace with w's key that
     the walk reaches first, so classes come in the order of the full walk.
+    A necklace whose last letter inverts its first is cyclically shorter.
 
     A surface-free necklace is yielded as its own representative, with no
     canonicalisation.  A necklace starts with its least letter and surface
     letters come first, so it is surface-free iff its first letter is.
     Without surface runs the key is simply the least rotation: the
     necklace itself, which no other necklace and no key with a surface
-    letter shares.  Its cyclic length is its length unless its last letter
-    inverts its first.  Its maximal same-factor runs are its
-    cyclic normal form: a free factor has the letters x and x^-1 only, and
-    a necklace x ... x is a power of x, so no other syllable wraps round.
+    letter shares.  Its maximal same-factor runs are its cyclic normal
+    form: a free factor has the letters x and x^-1 only, and a necklace
+    x ... x is a power of x, so no other syllable wraps round.
 
     canonical_spelling respells each linear run of a rotation on its own,
     so in mixed products some classes get two keys and are yielded twice
@@ -493,9 +493,9 @@ def enumerate_elements(group: GroupSpec, max_len: int) -> Iterator[CyclicNormalF
             if m == length:
                 if length % p:
                     continue  # not a necklace: its least rotation came first
+                if length > 1 and prefix[-1] == inv(prefix[0]):
+                    continue  # cyclically shorter
                 if prefix[0] >= free_low:
-                    if length > 1 and prefix[-1] == inv(prefix[0]):
-                        continue  # cyclically shorter
                     yield CyclicNormalForm(tuple(_factor_runs(prefix, group)))
                     continue
                 try:

@@ -20,6 +20,19 @@ shortening A.  By Whitehead's cut-vertex lemma (Whitehead 1936; Stallings,
 "Whitehead graphs on handlebodies", 1999) such a word lies in no proper
 free factor.  So the element is separable exactly when its minimal form
 omits a generator, and no search of the minimal level set remains.
+
+A mixed-product class of two or more syllables using every factor is not
+separable when each component of its Whitehead graph is strongly
+connected without strong cutpoints.  Lemma: that holds iff the ball edges
+of ``whitehead.edge_counts`` form one piece with no bridge.  Each surface
+syllable is flanked by other factors, so each one-vertex surface
+component has a loop with a nontrivial label and passes (``whitehead``
+module).  On the ball's 2 n_factors >= 4 vertices, one piece without a
+bridge has min degree >= 2, as a vertex without a non-loop edge is a
+piece of its own and a lone non-loop edge is a bridge: so it is strongly
+connected, and has no strong cutpoint, these being its bridge endpoints.
+Conversely a strongly connected ball is one piece, and bridge endpoints
+are strong cutpoints.
 """
 
 from __future__ import annotations
@@ -137,9 +150,6 @@ class SeparabilityVerdict:
     omitted_generator: Optional[int] = None
     omitted_factor: Optional[int] = None
     single_factor: Optional[int] = None
-    # set by the mixed graph certificate only: the graph it read.  Free
-    # verdicts carry none; build the graph of witness_word when needed.
-    witness_graph: Optional[W.WhiteheadGraph] = None
     reason: str = ""
 
     @property
@@ -203,12 +213,8 @@ def _free_graph_certificate(word: Word, rank: int) -> bool:
 
 
 def is_separable(word: Word, group: GroupSpec) -> SeparabilityVerdict:
-    """Separability in a general free product.
-
-    Separable with witness when the cyclic form sits in a visible proper
-    factor; NotSeparable when every Whitehead-graph component is strongly
-    connected without strong cutpoints; Unknown otherwise.
-    """
+    """Separability in a general free product: is_separable_free in a
+    free group, else is_separable_mixed on the cyclic normal form."""
     if not group.n_surface:
         return is_separable_free(word, group)
     cnf, _ = G.cyclic_reduce(word, group)  # raises TrivialElement
@@ -218,7 +224,7 @@ def is_separable(word: Word, group: GroupSpec) -> SeparabilityVerdict:
 def is_separable_mixed(cnf: G.CyclicNormalForm,
                        group: GroupSpec) -> SeparabilityVerdict:
     """is_separable's decision for a class in cyclic normal form, in a
-    group with a surface factor."""
+    group with a surface factor (module docstring)."""
     fids_used = {fid for fid, _ in cnf.syllables}
     if len(fids_used) == 1:
         return SeparabilityVerdict(
@@ -230,16 +236,15 @@ def is_separable_mixed(cnf: G.CyclicNormalForm,
             "separable", omitted_factor=missing[0],
             reason="class omits a factor, so it lies in the factor "
                    "generated by the others")
-    wh = W.whitehead_graph_combinatorial(cnf, group)
-    strong = W.is_strongly_connected(wh)
-    cuts = W.strong_cutpoints(wh)
-    if all(strong.values()) and not any(cuts.values()):
+    ball, _ = W.edge_counts(cnf, group)
+    blocks = W.block_structure(2 * group.n_factors, sorted(ball))
+    if len(blocks.pieces) == 1 and not blocks.bridges:
         return SeparabilityVerdict(
-            "not_separable", witness_graph=wh,
+            "not_separable",
             reason="every component strongly connected without strong "
                    "cutpoints")
     return SeparabilityVerdict(
-        "unknown", witness_graph=wh,
+        "unknown",
         reason="graph certificate inconclusive for a mixed free product")
 
 

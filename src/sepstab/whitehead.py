@@ -207,34 +207,35 @@ def graph_from_counts(group: GroupSpec,
         for c in model))
 
 
+def edge_counts(cnf: CyclicNormalForm,
+                group: GroupSpec) -> Tuple[Counter, Counter]:
+    """Ball edge and surface loop counts of a class for ``graph_from_counts``:
+    the ``cyclic_links`` of its crossing sequence, where a free syllable w
+    crosses its vertex |w| times and a surface syllable once, with a loop."""
+    crossings: List[int] = []
+    loops: Counter = Counter()
+    for fid, w in cnf.syllables:
+        vertex, label = crossing(group, fid, w)
+        if label is None:
+            crossings += [vertex] * len(w)
+        else:
+            crossings.append(vertex)
+            loops[fid, label] += 1
+    ball = Counter((min(a, b), max(a, b)) for a, b in cyclic_links(crossings))
+    return ball, loops
+
+
 def whitehead_graph_combinatorial(cnf: CyclicNormalForm,
                                   group: GroupSpec) -> WhiteheadGraph:
-    """Whitehead graph of a conjugacy class for the standard disc system.
-
-    Ball edges are the ``cyclic_links`` of the crossing sequence.  A pure
-    single-syllable surface class never leaves its I-bundle and produces
-    no edges.  Surface components get a loop labeled by each syllable
-    flanked by crossings of other factors.
+    """Whitehead graph of a conjugacy class for the standard disc system,
+    with its ``edge_counts``.  A pure single-syllable surface class never
+    leaves its I-bundle and produces no edges.
     """
     _check_cyclically_reduced(cnf, group)
-    ball: Counter = Counter()
-    loops: Counter = Counter()
     sylls = cnf.syllables
     if len(sylls) == 1 and sylls[0][0] < group.n_surface:
-        return graph_from_counts(group, ball, loops)
-    # the cyclic crossing sequence, free syllables at letter level and each
-    # surface syllable as one oriented crossing of its factor disc
-    crossings = []
-    for fid, w in sylls:
-        if fid >= group.n_surface:
-            crossings += [crossing(group, fid, w)[0]] * len(w)
-            continue
-        vertex, label = crossing(group, fid, w)
-        crossings.append(vertex)
-        loops[fid, label] += 1
-    for a, b in cyclic_links(crossings):
-        ball[min(a, b), max(a, b)] += 1
-    return graph_from_counts(group, ball, loops)
+        return graph_from_counts(group, {}, {})
+    return graph_from_counts(group, *edge_counts(cnf, group))
 
 
 def _check_cyclically_reduced(cnf: CyclicNormalForm, group: GroupSpec):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,8 +14,8 @@ from sepstab.groups import (GroupSpec, TrivialElement, canonical_class,
                             inv, word_inverse, word_mul)
 from sepstab.separability import (WhiteheadMove, _cyclic_word,
                                   _free_graph_certificate, is_separable,
-                                  is_separable_free, peak_reduce,
-                                  swept_classes)
+                                  is_separable_free, is_separable_mixed,
+                                  peak_reduce, swept_classes)
 from sepstab.whitehead import (is_strongly_connected, strong_cutpoints,
                                whitehead_graph_combinatorial)
 
@@ -488,7 +489,10 @@ class TestMixed:
         # graph certificate confirms it
         v = is_separable(S2Z.parse_word("a1 t1 A1 T1"), S2Z)
         assert v.status == "not_separable"
-        assert v.witness_graph is not None
+        cnf, _ = cyclic_reduce(S2Z.parse_word("a1 t1 A1 T1"), S2Z)
+        wh = whitehead_graph_combinatorial(cnf, S2Z)
+        assert all(is_strongly_connected(wh).values())
+        assert not any(strong_cutpoints(wh).values())
 
     def test_free_subcase_delegates(self):
         v = is_separable(F2.parse_word("a b"), F2)
@@ -523,3 +527,69 @@ class TestMixed:
             except TrivialElement:
                 continue
             assert a == b
+
+
+class TestMixedCertificate:
+    """The mixed certificate reads the block structure of the ball links;
+    the oracle is the full analysis of the Whitehead graph."""
+
+    REASONS = {
+        "not_separable": "every component strongly connected without "
+                         "strong cutpoints",
+        "unknown": "graph certificate inconclusive for a mixed free product"}
+
+    @staticmethod
+    def graph_status(cnf, group):
+        wh = whitehead_graph_combinatorial(cnf, group)
+        if (all(is_strongly_connected(wh).values())
+                and not any(strong_cutpoints(wh).values())):
+            return "not_separable"
+        return "unknown"
+
+    def check(self, cnf, group):
+        v = is_separable_mixed(cnf, group)
+        if v.status == "separable":
+            assert v.single_factor is not None or v.omitted_factor is not None
+        else:
+            status = self.graph_status(cnf, group)
+            assert (v.status, v.reason) == (status, self.REASONS[status]), \
+                group.format_word(cnf.letters())
+        return v.status
+
+    @pytest.mark.parametrize("group, max_len, counts", [
+        (S2Z, 5, {"separable": 4126, "not_separable": 1632,
+                  "unknown": 8002}),
+        (GroupSpec((2, 2), 1), 3, None),
+        (GroupSpec((3,), 2), 3, None)], ids=["S2*Z", "S2*S2*Z", "S3*F2"])
+    def test_every_class_matches_the_graph_analysis(self, group, max_len,
+                                                    counts):
+        seen = Counter(self.check(cnf, group)
+                       for cnf in enumerate_elements(group, max_len))
+        if counts is not None:
+            assert seen == counts
+
+    @pytest.mark.parametrize("group", [GroupSpec((2, 2), 1),
+                                       GroupSpec((2,), 2)],
+                             ids=["S2*S2*Z", "S2*F2"])
+    def test_long_three_factor_classes_match(self, group):
+        # random words reach not-separable classes using all three factors,
+        # which the enumerations above are too short to contain
+        rng = random.Random(24)
+        seen = Counter()
+        while sum(seen.values()) < 3000:
+            word = tuple(rng.randrange(group.n_letters)
+                         for _ in range(rng.randrange(6, 10)))
+            try:
+                cnf, _ = cyclic_reduce(word, group)
+            except TrivialElement:
+                continue
+            if 6 <= cnf.cyclic_length <= 9:
+                seen[self.check(cnf, group)] += 1
+        assert seen["not_separable"] >= 50 and seen["unknown"] >= 50
+
+    def test_sweep_builds_no_graph(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the separability sweep built a graph")
+        monkeypatch.setattr(W, "graph_from_counts", refuse)
+        statuses = Counter(s for _, s in swept_classes(S2Z, 4))
+        assert statuses["unknown"] > 0
