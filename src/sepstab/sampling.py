@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from sepstab import groups as G
@@ -47,11 +48,29 @@ from sepstab.disks import isometric_disk
 from sepstab.groups import CyclicNormalForm, Word, inv
 from sepstab.hyperbolic import Representation, classify, fixed_points
 from sepstab.pingpong import PingPongDisks
-from sepstab.whitehead import MuSpec, WhiteheadGraph
+from sepstab.whitehead import WhiteheadGraph
 
 MEMBERSHIP_TOL = 1e-12
 
 Location = Optional[Tuple[int, Optional[Word]]]
+
+
+@dataclass(frozen=True)
+class MuSpec:
+    """Endpoint data: sampled axis endpoint pairs, one unordered pair per
+    axis, and optionally one parent link (x, j) per pair: pair i is the
+    image under letter x of pair j, an earlier one, or of a pair that the
+    walk dropped because it has pair j's 1e-9 key; j = -1 for none."""
+    sampled_pairs: Tuple[Tuple[complex, complex], ...] = ()
+    parent_links: Tuple[Tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        if self.parent_links and (
+                len(self.parent_links) != len(self.sampled_pairs)
+                or any(j >= i for i, (_, j) in enumerate(self.parent_links))):
+            raise ValueError(
+                "parent_links needs one link per sampled pair, each to an "
+                "earlier pair")
 
 
 def sample_mu(rep: Representation, cnf: CyclicNormalForm,

@@ -21,25 +21,36 @@ shortening A.  By Whitehead's cut-vertex lemma (Whitehead 1936; Stallings,
 free factor.  So the element is separable exactly when its minimal form
 omits a generator, and no search of the minimal level set remains.
 
-A mixed-product class of two or more syllables using every factor is not
-separable when each component of its Whitehead graph is strongly
-connected without strong cutpoints.  Lemma: that holds iff the ball edges
-of ``whitehead.edge_counts`` form one piece with no bridge.  Each surface
-syllable is flanked by other factors, so each one-vertex surface
-component has a loop with a nontrivial label and passes (``whitehead``
-module).  On the ball's 2 n_factors >= 4 vertices, one piece without a
-bridge has min degree >= 2, as a vertex without a non-loop edge is a
-piece of its own and a lone non-loop edge is a bridge: so it is strongly
-connected, and has no strong cutpoint, these being its bridge endpoints.
-Conversely a strongly connected ball is one piece, and bridge endpoints
-are strong cutpoints.
+Both certificates read one predicate, ``_graph_certificate``: the
+``whitehead.cyclic_links`` of a crossing sequence form one piece without
+a cut vertex.  A free word's letters are their own crossings; a
+mixed-product class has the sequence of ``whitehead.crossings``.
+
+In mixed products the certificate runs only in S_g * Z, on a class of two
+or more syllables using both factors.  Lemma: its ball has the four
+vertices D+-, Dt+-, and each surface syllable is flanked by free ones, so
+no edge joins D+ to D-.  So the ball is one piece without a cut vertex
+exactly when all four cross edges D+- -- Dt+- occur.  That needs two
+t-syllables in the class's primitive root, whose links are the class's.
+A separable class is not such: the proper free factor holding it is
+infinite cyclic or a conjugate of S_g (Grushko, Kurosh), so with two or
+more syllables it is a power of h, where t -> h, S_g -> w S_g w^-1 is an
+automorphism.  The Fouxe-Rabinovitch generators (factor automorphisms,
+t -> t^-1, t -> u t, t -> t u and partial conjugations) keep the set of
+classes u t^+-1, u in S_g, so h is one and its root has one t-letter.
+On S_g * Z the certificate is the ``whitehead`` module's "every component
+strongly connected without strong cutpoints", the surface loops always
+passing.  With three or more factors neither rule is sound: both accept
+A1 B1 t1 A1 t2 b1 T2 a1 T1 b1 t2 B1 t1 in S2 * F2, an automorphic image of
+the separable t1 t2.  So with three or more factors a class using all of
+them is unknown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from sepstab import groups as G
 from sepstab import whitehead as W
@@ -179,7 +190,7 @@ def is_separable_free(word: Word, group: GroupSpec) -> SeparabilityVerdict:
     omitted = _omitted_generators(reduced, rank)
     if omitted:
         return _checked_separable(w0, applied, reduced, omitted[0])
-    if _free_graph_certificate(reduced, rank):
+    if _graph_certificate(reduced, rank):
         return SeparabilityVerdict(
             "not_separable", witness_word=reduced,
             reason="connected, cutpoint-free graph at minimal length")
@@ -204,11 +215,11 @@ def _checked_separable(original: Word, moves, witness_word,
         reason="peak-reduced form omits a generator")
 
 
-def _free_graph_certificate(word: Word, rank: int) -> bool:
-    """Cut-vertex lemma on a cyclically reduced word: its Whitehead graph,
-    on the letter ids with the ``whitehead.cyclic_links`` of the word as
-    edges, is connected and has no cut vertex."""
-    blocks = W.block_structure(2 * rank, W.cyclic_links(word))
+def _graph_certificate(crossings: Sequence[int], n_factors: int) -> bool:
+    """Cut-vertex lemma on a crossing sequence: the ball graph on the
+    2 n_factors vertices, with the ``whitehead.cyclic_links`` of the
+    sequence as edges, is connected and has no cut vertex."""
+    blocks = W.block_structure(2 * n_factors, W.cyclic_links(crossings))
     return len(blocks.pieces) == 1 and not blocks.cut_vertices
 
 
@@ -236,9 +247,11 @@ def is_separable_mixed(cnf: G.CyclicNormalForm,
             "separable", omitted_factor=missing[0],
             reason="class omits a factor, so it lies in the factor "
                    "generated by the others")
-    ball, _ = W.edge_counts(cnf, group)
-    blocks = W.block_structure(2 * group.n_factors, sorted(ball))
-    if len(blocks.pieces) == 1 and not blocks.bridges:
+    if group.n_factors > 2:
+        return SeparabilityVerdict(
+            "unknown", reason="no graph certificate with three or more "
+                              "factors")
+    if _graph_certificate(W.crossings(cnf, group)[0], 2):
         return SeparabilityVerdict(
             "not_separable",
             reason="every component strongly connected without strong "
@@ -255,9 +268,10 @@ def swept_classes(group: GroupSpec, max_len: int
 
     In general this filters enumerate_elements through is_separable's
     decision.  An enumerated class is already in cyclic normal form, so
-    it skips is_separable's reduction.  In a rank-2 free group it
-    generates the separable classes instead, the powers r^k of the
-    primitive classes r, with the same output:
+    it skips is_separable's reduction, and with three or more factors it
+    keeps every class, as a class using all factors is unknown.  In a
+    rank-2 free group it generates the separable classes instead, the
+    powers r^k of the primitive classes r, with the same output:
 
     1. In F2 a proper free factor is trivial or <p> with p primitive, so g
        is separable iff g ~ p^k with p primitive and k >= 1 (p^-1 is

@@ -13,7 +13,8 @@ so v ^ 1 is the other side; in a free group these are the letter ids.
 syllable w on the + side when dehn_canonical(w) <= dehn_canonical(w^-1);
 ``cyclic_links`` joins each crossing u to the reverse v^-1 of the
 cyclically next crossing v.  Every builder of ball edges reads both rules
-from these two functions.
+from these two functions; ``crossings`` gives a class's crossing sequence
+to the combinatorial graph and to the separability certificate.
 
 Edges are stored one per distinct (vertex, label, vertex) triple with a
 support count; the count records how many syllable transitions or sampled
@@ -29,7 +30,11 @@ connected with min degree >= 2, loops counting twice.  That is the degree
 form of "every vertex lies on a cycle"; the two differ only at a vertex of
 degree >= 2 whose edges are all bridges.  This degeneration recovers the
 classical Whitehead-graph criteria and is an interpretation, not a
-quotation.
+quotation.  The analysis is a graph report: the ``separability``
+certificate agrees with it on S_g * Z, and with three or more factors it
+certifies nothing.  It reports every component strongly connected
+without strong cutpoints for A1 B1 t1 A1 t2 b1 T2 a1 T1 b1 t2 B1 t1 in
+S2 * F2, an automorphic image of the separable t1 t2.
 
 All analysis runs on one lowpoint DFS (``block_structure``), which yields
 the connected pieces, bridges and cut vertices.  In a strongly connected
@@ -117,24 +122,6 @@ class WhiteheadGraph:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class MuSpec:
-    """Endpoint data: sampled axis endpoint pairs, one unordered pair per
-    axis, and optionally one parent link (x, j) per pair: pair i is the
-    image under letter x of pair j, an earlier one, or of a pair that the
-    walk dropped because it has pair j's 1e-9 key; j = -1 for none."""
-    sampled_pairs: Tuple[Tuple[complex, complex], ...] = ()
-    parent_links: Tuple[Tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.parent_links and (
-                len(self.parent_links) != len(self.sampled_pairs)
-                or any(j >= i for i, (_, j) in enumerate(self.parent_links))):
-            raise ValueError(
-                "parent_links needs one link per sampled pair, each to an "
-                "earlier pair")
-
-
 # ---------------------------------------------------------------------------
 # meridian model
 
@@ -147,16 +134,11 @@ def _disc_name(group: GroupSpec, fid: int) -> str:
 
 def standard_meridian_model(group: GroupSpec) -> List[Component]:
     """Vertex layout of the canonical boundary-connect-sum disc system."""
-    ball_vertices = []
-    comps: List[Component] = []
-    for fid in range(group.n_factors):
-        name = _disc_name(group, fid)
-        ball_vertices.append(DiscVertex(name, +1))
-        ball_vertices.append(DiscVertex(name, -1))
-    comps.append(Component(None, tuple(ball_vertices)))
-    for fid in range(group.n_surface):
-        comps.append(Component(fid, (DiscVertex(_disc_name(group, fid), 0),)))
-    return comps
+    ball = tuple(DiscVertex(_disc_name(group, fid), side)
+                 for fid in range(group.n_factors) for side in (+1, -1))
+    return [Component(None, ball)] + [
+        Component(fid, (DiscVertex(_disc_name(group, fid), 0),))
+        for fid in range(group.n_surface)]
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +179,8 @@ def graph_from_counts(group: GroupSpec,
     for (a, b), support in ball.items():
         u, v = sorted((ball_vertices[a], ball_vertices[b]))
         edges[None].append(Edge(u, v, (), support))
-    loop_vertex = {c.fid: c.vertices[0] for c in model[1:]}
     for (fid, label), support in loops.items():
-        v = loop_vertex[fid]
+        v = model[fid + 1].vertices[0]
         edges[fid].append(Edge(v, v, label, support))
     return WhiteheadGraph(group, tuple(
         Component(c.fid, c.vertices,
@@ -207,35 +188,37 @@ def graph_from_counts(group: GroupSpec,
         for c in model))
 
 
-def edge_counts(cnf: CyclicNormalForm,
-                group: GroupSpec) -> Tuple[Counter, Counter]:
-    """Ball edge and surface loop counts of a class for ``graph_from_counts``:
-    the ``cyclic_links`` of its crossing sequence, where a free syllable w
-    crosses its vertex |w| times and a surface syllable once, with a loop."""
-    crossings: List[int] = []
+def crossings(cnf: CyclicNormalForm,
+              group: GroupSpec) -> Tuple[List[int], Counter]:
+    """Crossing sequence of a class and its surface loop counts by
+    (factor id, label): a free syllable w crosses its vertex |w| times, a
+    surface syllable once, with a loop."""
+    sequence: List[int] = []
     loops: Counter = Counter()
     for fid, w in cnf.syllables:
         vertex, label = crossing(group, fid, w)
         if label is None:
-            crossings += [vertex] * len(w)
+            sequence += [vertex] * len(w)
         else:
-            crossings.append(vertex)
+            sequence.append(vertex)
             loops[fid, label] += 1
-    ball = Counter((min(a, b), max(a, b)) for a, b in cyclic_links(crossings))
-    return ball, loops
+    return sequence, loops
 
 
 def whitehead_graph_combinatorial(cnf: CyclicNormalForm,
                                   group: GroupSpec) -> WhiteheadGraph:
-    """Whitehead graph of a conjugacy class for the standard disc system,
-    with its ``edge_counts``.  A pure single-syllable surface class never
-    leaves its I-bundle and produces no edges.
+    """Whitehead graph of a conjugacy class for the standard disc system:
+    the ``cyclic_links`` of its ``crossings`` on the ball, and its loops.
+    A pure single-syllable surface class never leaves its I-bundle and
+    produces no edges.
     """
     _check_cyclically_reduced(cnf, group)
     sylls = cnf.syllables
     if len(sylls) == 1 and sylls[0][0] < group.n_surface:
         return graph_from_counts(group, {}, {})
-    return graph_from_counts(group, *edge_counts(cnf, group))
+    sequence, loops = crossings(cnf, group)
+    ball = Counter((min(a, b), max(a, b)) for a, b in cyclic_links(sequence))
+    return graph_from_counts(group, ball, loops)
 
 
 def _check_cyclically_reduced(cnf: CyclicNormalForm, group: GroupSpec):

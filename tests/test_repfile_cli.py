@@ -192,6 +192,12 @@ class TestCli:
         code, _, _ = run_cli("separable", "a1 t1", "--genera", "2",
                              "--rank", "1")
         assert code == 2
+        # an automorphic image of the separable t1 t2: no certificate with
+        # three factors
+        code, _, _ = run_cli("separable",
+                             "A1 B1 t1 A1 t2 b1 T2 a1 T1 b1 t2 B1 t1",
+                             "--genera", "2", "--rank", "2")
+        assert code == 2
 
     @pytest.mark.parametrize("args, line", [
         (("a1 b1", "--genera", "2", "--rank", "1"),

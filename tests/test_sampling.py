@@ -15,10 +15,11 @@ from sepstab.groups import (GroupSpec, cyclic_reduce, dehn_reduce,
 from sepstab.hyperbolic import (MoebiusMap, Representation, classify,
                                 fixed_points, loxodromic_with_axis)
 from sepstab.pingpong import PingPongDisks, UnverifiedDisks, ping_pong_verify
-from sepstab.sampling import (MEMBERSHIP_TOL, _Navigator, _tie_sets,
-                              graphs_agree, sample_mu, whitehead_graph_sampled,
+from sepstab.sampling import (MEMBERSHIP_TOL, MuSpec, _Navigator,
+                              _tie_sets, graphs_agree, sample_mu,
+                              whitehead_graph_sampled,
                               whitehead_graph_sampled_for)
-from sepstab.whitehead import MuSpec, whitehead_graph_combinatorial
+from sepstab.whitehead import whitehead_graph_combinatorial
 
 
 def _reference():

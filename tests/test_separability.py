@@ -9,11 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sepstab import whitehead as W
-from sepstab.groups import (GroupSpec, TrivialElement, canonical_class,
-                            cyclic_reduce, enumerate_elements, free_reduce,
-                            inv, word_inverse, word_mul)
+from sepstab.groups import (GroupSpec, LetterOutOfRange, TrivialElement,
+                            canonical_class, cyclic_reduce,
+                            enumerate_elements, free_reduce, inv,
+                            word_inverse, word_mul)
 from sepstab.separability import (WhiteheadMove, _cyclic_word,
-                                  _free_graph_certificate, is_separable,
+                                  _graph_certificate, is_separable,
                                   is_separable_free, is_separable_mixed,
                                   peak_reduce, swept_classes)
 from sepstab.whitehead import (is_strongly_connected, strong_cutpoints,
@@ -142,7 +143,7 @@ def test_decision_matches_reference_search(rank, max_len):
         word = cnf.letters()
         reduced, _ = peak_reduce(word, rank)
         assert len({x >> 1 for x in reduced}) < rank \
-            or _free_graph_certificate(reduced, rank), cnf
+            or _graph_certificate(reduced, rank), cnf
         ref_reduced, ref_status = _reference_decision(word, rank)
         assert len(reduced) == len(ref_reduced), cnf
         assert is_separable_free(word, group).status == ref_status, cnf
@@ -371,7 +372,7 @@ def test_free_certificate_is_cut_vertex_test(group, max_len):
                        [e for e in ball.edges if v not in (e.u, e.v)])
             for v in ball.vertices)
         word = cnf.letters()
-        assert _free_graph_certificate(word, group.free_rank) == expected, \
+        assert _graph_certificate(word, group.free_rank) == expected, \
             group.format_word(word)
 
 
@@ -530,13 +531,15 @@ class TestMixed:
 
 
 class TestMixedCertificate:
-    """The mixed certificate reads the block structure of the ball links;
-    the oracle is the full analysis of the Whitehead graph."""
+    """In S_g * Z the mixed certificate reads the block structure of the
+    ball links; the oracle is the full analysis of the Whitehead graph.
+    With three or more factors there is no certificate."""
 
     REASONS = {
         "not_separable": "every component strongly connected without "
                          "strong cutpoints",
         "unknown": "graph certificate inconclusive for a mixed free product"}
+    THREE_FACTORS = "no graph certificate with three or more factors"
 
     @staticmethod
     def graph_status(cnf, group):
@@ -550,6 +553,8 @@ class TestMixedCertificate:
         v = is_separable_mixed(cnf, group)
         if v.status == "separable":
             assert v.single_factor is not None or v.omitted_factor is not None
+        elif group.n_factors > 2:
+            assert (v.status, v.reason) == ("unknown", self.THREE_FACTORS)
         else:
             status = self.graph_status(cnf, group)
             assert (v.status, v.reason) == (status, self.REASONS[status]), \
@@ -572,8 +577,9 @@ class TestMixedCertificate:
                                        GroupSpec((2,), 2)],
                              ids=["S2*S2*Z", "S2*F2"])
     def test_long_three_factor_classes_match(self, group):
-        # random words reach not-separable classes using all three factors,
-        # which the enumerations above are too short to contain
+        # random classes using all three factors come out unknown, never
+        # not separable: the graph analysis accepts automorphic images of
+        # separable elements there (module docstring of separability)
         rng = random.Random(24)
         seen = Counter()
         while sum(seen.values()) < 3000:
@@ -585,7 +591,29 @@ class TestMixedCertificate:
                 continue
             if 6 <= cnf.cyclic_length <= 9:
                 seen[self.check(cnf, group)] += 1
-        assert seen["not_separable"] >= 50 and seen["unknown"] >= 50
+        assert not seen["not_separable"] and seen["unknown"] >= 50
+
+    @pytest.mark.parametrize("group, word", [
+        (GroupSpec((2,), 2), w) for w in (
+            "A1 B1 t1 A1 t2 b1 T2 a1 T1 b1 t2 B1 t1",
+            "t1 t1 t1 A2 t2 a2 t2 A2 T2 a2",
+            "t1 t1 t1 B2 B2 t2 a1 t2 A1 T2 b2 b2",
+            "A2 a1 t2 A2 t2 A2 B2 t1 B2 t1 a2 T2 a2 T2 A1 t2",
+            "B1 T2 A1 B1 T2 A1 t1 a1 T1 a1 t2 b1 a1 t2 T1",
+            "B1 T2 A1 B1 T2 A1 t1 a1 b1 T1 a1 t2 b1 a1 t2 T1",
+            "a1 t2 t2 A1 t1 t1 a1 T2 T2 A1 t2",
+            "t1 t1 A2 A1 t2 t2 a1 t2 A1 T2 T2 a1 a2",
+            "t2 t2 T1 T1 B1 t1 a1 t1 A1 T1 b1 t1 t1")] + [
+        (GroupSpec((2, 2), 1), "A1.2 A2.1 t1 t1 a2.1 a1.2 B2.2 a1.1 b2.2 "
+                               "A1.2 A2.1 T1 T1 a2.1 a1.2 a2.1")],
+        ids=lambda v: v if isinstance(v, str) else
+        "S2*F2" if v.free_rank == 2 else "S2*S2*Z")
+    def test_automorphic_images_of_separable_elements(self, group, word):
+        # each class is the image of a separable element under a product
+        # of Fouxe-Rabinovitch generators; the graph analysis accepts all
+        # ten, and a cut-vertex test on the ball still accepts four
+        v = is_separable(group.parse_word(word), group)
+        assert (v.status, v.reason) == ("unknown", self.THREE_FACTORS)
 
     def test_sweep_builds_no_graph(self, monkeypatch):
         def refuse(*args):
@@ -593,3 +621,83 @@ class TestMixedCertificate:
         monkeypatch.setattr(W, "graph_from_counts", refuse)
         statuses = Counter(s for _, s in swept_classes(S2Z, 4))
         assert statuses["unknown"] > 0
+
+
+def _factor_element(group, fid, rng):
+    """A random nontrivial element of factor fid: t^k for a free factor,
+    a reduced word of length 1-3 for a surface factor."""
+    letters = group.factor_letters(fid)
+    if fid >= group.n_surface:
+        return (rng.choice(letters),) * rng.randrange(1, 3)
+    while True:
+        u = free_reduce(tuple(rng.choice(letters)
+                              for _ in range(rng.randrange(1, 4))))
+        if u:
+            return u
+
+
+def _fouxe_rabinovitch(group, rng):
+    """A random Fouxe-Rabinovitch generator of Aut(group) as a letter
+    table: a transvection t -> u t or t -> t u, a factor conjugated by an
+    element u of another factor, or an inversion t -> t^-1, for a free
+    letter t and u in another factor than t's."""
+    images = [(x,) for x in range(group.n_letters)]
+    kind = rng.randrange(3)
+    fid = rng.randrange(0 if kind == 1 else group.n_surface, group.n_factors)
+    t = group.factor_letters(fid)[0]
+    other = rng.choice([f for f in range(group.n_factors) if f != fid])
+    u = _factor_element(group, other, rng)
+    if kind == 0 and rng.randrange(2):
+        images[t], images[inv(t)] = u + (t,), (inv(t),) + word_inverse(u)
+    elif kind == 0:
+        images[t], images[inv(t)] = (t,) + u, word_inverse(u) + (inv(t),)
+    elif kind == 1:
+        for x in group.factor_letters(fid):
+            images[x] = u + (x,) + word_inverse(u)
+    else:
+        images[t], images[inv(t)] = (inv(t),), (t,)
+    return WhiteheadMove(tuple(images))
+
+
+class TestFouxeRabinovitch:
+    """One-sided oracle: automorphisms keep separability, so an image of
+    a separable class is never refuted and an image of a certified class
+    is never called separable."""
+
+    GROUPS = [S2Z, GroupSpec((2,), 2), GroupSpec((2, 2), 1)]
+    SEEDS = ["t1", "a1 t1", "a1 b1 t1", "a1", "t1 t2", "a1.1 a2.1"]
+
+    @staticmethod
+    def images(group, words, rng, count):
+        for _ in range(count):
+            word = rng.choice(words)
+            for _ in range(rng.randrange(1, 9)):
+                word = _fouxe_rabinovitch(group, rng).apply(word)
+            yield word
+
+    @pytest.mark.parametrize("group", GROUPS, ids=["S2*Z", "S2*F2",
+                                                   "S2*S2*Z"])
+    def test_images_of_separable_seeds_are_never_refuted(self, group):
+        seeds = []
+        for text in self.SEEDS:
+            try:
+                seeds.append(group.parse_word(text))
+            except LetterOutOfRange:
+                continue
+        for word in self.images(group, seeds, random.Random(25), 2000):
+            assert is_separable(word, group).status != "not_separable", \
+                group.format_word(word)
+
+    def test_images_of_certified_classes_are_never_separable(self):
+        certified = [cnf.letters() for cnf in enumerate_elements(S2Z, 4)
+                     if is_separable_mixed(cnf, S2Z).status
+                     == "not_separable"]
+        assert certified
+        for word in self.images(S2Z, certified, random.Random(26), 2000):
+            assert not is_separable(word, S2Z).separable, \
+                S2Z.format_word(word)
+
+    def test_three_factor_sweep_keeps_every_class(self):
+        group = GroupSpec((2,), 2)
+        assert [cnf for cnf, _ in swept_classes(group, 3)] == \
+            list(enumerate_elements(group, 3))
