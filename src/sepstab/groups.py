@@ -54,7 +54,9 @@ class GroupSpec:
     ``fid < n_surface`` is the one test of "is a surface factor".
 
     A group with more than MAX_LETTERS letters is refused before any
-    per-letter table is built.
+    per-letter table is built.  Every per-group table is linear in the
+    letters (Dehn's algorithm keeps 8g index entries per genus-g factor),
+    so MAX_LETTERS bounds them all.
     """
 
     def __init__(self, surface_genera: Sequence[int] = (), free_rank: int = 0):
@@ -213,48 +215,56 @@ def least_period(word: Word) -> int:
 
 
 class _DehnTable:
-    """Lookup structure for subwords of cyclic rotations of R and R^-1.
+    """One index of the 8g rotations of R and R^-1, keyed by their first
+    two letters: a pair maps to (the doubled word r + r, offset k), and
+    the rotation is rr[k:k + 4g].
 
-    Genus >= 2 makes the presentation C'(1/6), so replacing any subword
-    longer than half the relator by the inverse of its complement strictly
-    shortens, and the empty word is reached exactly for trivial elements.
+    Piece lemma: each letter occurs once in R = [a1, b1] ... [ag, bg] and
+    once in R^-1, followed by different letters, so a piece (a common
+    prefix of two distinct rotations) has at most one letter.  An adjacent
+    letter pair therefore fixes the rotation it starts, and a prefix of at
+    least two letters is found at its first two; the constructor checks
+    that the 8g pairs are distinct.  Genus >= 2 makes the presentation
+    C'(1/6), so replacing a subword longer than half the relator by the
+    inverse of its complement strictly shortens, and the empty word is
+    reached exactly for trivial elements (Lyndon-Schupp V.4).
     """
 
     def __init__(self, relator: Word):
-        self.relator = relator
-        self.length = len(relator)        # 4g
-        self.half = self.length // 2      # 2g
-        rotations = set()
+        self.length = length = len(relator)  # 4g
+        self.half = length // 2               # 2g
+        self.index: dict[Word, tuple[Word, int]] = {}
         for r in (relator, word_inverse(relator)):
-            for k in range(self.length):
-                rotations.add(r[k:] + r[:k])
-        self.rotations = rotations
-        # prefix -> full rotation, for prefixes strictly longer than half
-        self.long_prefix: dict[Word, Word] = {}
-        for rot in rotations:
-            for m in range(self.half + 1, self.length + 1):
-                self.long_prefix.setdefault(rot[:m], rot)
-        # exactly-half prefixes, for length-preserving respelling
-        self.half_swap: dict[Word, Word] = {}
-        for rot in rotations:
-            head, tail = rot[: self.half], rot[self.half:]
-            self.half_swap.setdefault(head, word_inverse(tail))
+            rr = r + r
+            for k in range(length):
+                self.index[rr[k:k + 2]] = (rr, k)
+        if len(self.index) != 2 * length:
+            raise GroupError("relator has a repeated letter pair, so its "
+                             "pieces are longer than one letter")
+
+    def matches(self, word: Word, m: int, start: int = 0,
+                stop: Optional[int] = None) -> Iterator[tuple]:
+        """(i, rr, k) for each start i in [start, stop) with word[i:i + m]
+        == rr[k:k + m], a prefix of a rotation; 2 <= m <= 4g."""
+        get = self.index.get
+        for i in range(start, len(word) - m + 1 if stop is None else stop):
+            hit = get(word[i:i + 2])
+            if hit is not None:
+                rr, k = hit
+                if word[i:i + m] == rr[k:k + m]:
+                    yield i, rr, k
 
     def reduce_once(self, word: Word) -> Optional[Word]:
-        n = len(word)
-        m = self.half + 1
-        if n < m:
+        """Replace the first 2g + 1 letters that start a rotation by the
+        inverse of the rest of it.  Where the match runs on, free reduction
+        cancels the inverse against the rest of the match, so the result
+        is that of replacing the longest match."""
+        m, length = self.half + 1, self.length
+        if len(word) < m:
             return None
-        for i in range(n - m + 1):
-            probe = word[i:i + m]
-            if probe in self.long_prefix:
-                # extend the match as far as possible
-                k = m
-                while i + k < n and word[i:i + k + 1] in self.long_prefix:
-                    k += 1
-                rot = self.long_prefix[word[i:i + k]]
-                replacement = word_inverse(rot[k:])
-                return free_reduce(word[:i] + replacement + word[i + k:])
+        for i, rr, k in self.matches(word, m):
+            return free_reduce(word[:i] + word_inverse(rr[k + m:k + length])
+                               + word[i + m:])
         return None
 
 
@@ -281,23 +291,24 @@ _SPELL_CAP = 4096
 def dehn_spellings(word: Word, group: GroupSpec, fid: int) -> set:
     """All minimal-length spellings reachable by half-relator swaps.
 
-    Bounded closure; surface-group conjugacy in full is out of scope, so a
-    rarely-hit cap only costs canonicality of ties, never correctness.
+    A swap replaces a subword of exactly 2g letters that starts a rotation
+    of R^{+-1} by the inverse of the rotation's other half; by the piece
+    lemma (``_DehnTable``) the subword's first two letters fix the
+    rotation.  Bounded closure; surface-group conjugacy in full is out of
+    scope, so a rarely-hit cap only costs canonicality of ties, never
+    correctness.
     """
     table = group._dehn_tables[fid]
     start = dehn_reduce(word, group, fid)
+    half, length = table.half, table.length
     seen = {start}
-    frontier = [start]
-    half = table.half
+    frontier = [start] if len(start) >= half else []
     while frontier and len(seen) < _SPELL_CAP:
         w = frontier.pop()
         n = len(w)
-        for i in range(n - half + 1):
-            probe = w[i:i + half]
-            swap = table.half_swap.get(probe)
-            if swap is None:
-                continue
-            cand = free_reduce(w[:i] + swap + w[i + half:])
+        for i, rr, k in table.matches(w, half):
+            cand = free_reduce(w[:i] + word_inverse(rr[k + half:k + length])
+                               + w[i + half:])
             if len(cand) == n and cand not in seen:
                 seen.add(cand)
                 frontier.append(cand)
@@ -388,28 +399,34 @@ def cyclic_reduce(word: Word, group: GroupSpec):
 
 
 def _cyclic_dehn_reduce(word: Word, group: GroupSpec, fid: int):
-    """Dehn-reduce reading the word cyclically; returns (word, conjugator)."""
+    """Dehn-reduce reading the word cyclically; returns (word, conjugator).
+
+    Each round rotates the least reducible rotation w[k:] + w[:k] to the
+    front and Dehn-reduces it.  w is Dehn-reduced at every round; with
+    |w| = n >= m = 2g + 1 and s the first start in w + w of an m-letter
+    rotation prefix, that k is s + m - n: a match inside w or its copy
+    would reduce w, so every match straddles the seam, and rotation k
+    holds the one at s iff s + m - n <= k <= s.
+    """
     table = group._dehn_tables[fid]
+    m = table.half + 1
     w = dehn_reduce(word, group, fid)
     conj: Word = ()
-    changed = True
-    while changed and w:
-        changed = False
+    while w:
         # cyclic free reduction
         while len(w) >= 2 and w[0] == inv(w[-1]):
             conj = word_mul((w[-1],), conj)
             w = w[1:-1]
         n = len(w)
-        if n > table.half:
-            for k in range(1, n):
-                rot = w[k:] + w[:k]
-                red = dehn_reduce(rot, group, fid)
-                if len(red) < n:
-                    # w = w[:k] * rot * w[:k]^-1
-                    conj = word_mul(word_inverse(w[:k]), conj)
-                    w = red
-                    changed = True
-                    break
+        if n < m:
+            break
+        hit = next(table.matches(w + w, m, n - m + 1, n), None)
+        if hit is None:
+            break
+        k = hit[0] + m - n
+        # w = w[:k] * rot * w[:k]^-1
+        conj = word_mul(word_inverse(w[:k]), conj)
+        w = dehn_reduce(w[k:] + w[:k], group, fid)
     return w, conj
 
 

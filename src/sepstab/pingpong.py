@@ -54,6 +54,15 @@ class PingPongCertificate:
     surface_circles: Dict[int, Tuple[complex, float]] = field(default_factory=dict)
 
 
+def disk_name(group: GroupSpec, letter: int) -> str:
+    """The name a .rep file gives the disk of ``letter``: ``factor k`` for
+    a letter of the k-th surface factor, the letter's own name otherwise."""
+    fid = group.letter_factor(letter)
+    if fid < group.n_surface:
+        return f"factor {fid + 1}"
+    return group.letter_name(letter)
+
+
 @dataclass
 class PingPongDisks:
     """Round disk per generator letter; surface letters share their factor's
@@ -69,9 +78,12 @@ class PingPongDisks:
             return self.factor[fid]
         return self.free[letter]
 
-    def distinct_disks(self) -> List[Tuple[str, Disk]]:
-        out = [(f"factor{fid}", d) for fid, d in sorted(self.factor.items())]
-        out += [(f"letter{lid}", d) for lid, d in sorted(self.free.items())]
+    def distinct_disks(self, group: GroupSpec) -> List[Tuple[str, Disk]]:
+        """(name, disk) per disk, factor disks first, in .rep file order."""
+        out = [(disk_name(group, group.gen_base(fid)), d)
+               for fid, d in sorted(self.factor.items())]
+        out += [(disk_name(group, lid), d)
+                for lid, d in sorted(self.free.items())]
         return out
 
     def require_verified(self):
@@ -104,11 +116,12 @@ def check_disk_layout(group: GroupSpec, disks: PingPongDisks):
     free_letters = range(group.gen_base(group.n_surface), group.n_letters)
     for fid in surface_fids:
         if fid not in disks.factor:
-            raise DiskCountMismatch(f"no disk for surface factor {fid}")
+            raise DiskCountMismatch(
+                f"no disk for {disk_name(group, group.gen_base(fid))}")
     for lid in free_letters:
         if lid not in disks.free:
             raise DiskCountMismatch(
-                f"no disk for free letter {group.letter_name(lid)}")
+                f"no disk for free letter {disk_name(group, lid)}")
     if set(disks.free) - set(free_letters) or \
             set(disks.factor) - set(surface_fids):
         raise DiskCountMismatch("disks for letters outside the group")
@@ -122,7 +135,7 @@ def ping_pong_verify(rep: Representation,
     failures: List[str] = []
     check_disk_layout(group, disks)
 
-    named = disks.distinct_disks()
+    named = disks.distinct_disks(group)
     for i, (ni, di) in enumerate(named):
         for nj, dj in named[i + 1:]:
             try:
@@ -147,11 +160,12 @@ def ping_pong_verify(rep: Representation,
     circles: Dict[int, Tuple[complex, float]] = {}
     residuals = rep.relator_residuals()
     for fid in range(group.n_surface):
+        letters = list(group.factor_letters(fid))
+        fname = disk_name(group, letters[0])
         if residuals[fid] >= RELATOR_RESIDUAL_MAX:
             failures.append(
                 f"relator residual {residuals[fid]:.3g} too large for "
-                f"factor {fid}")
-        letters = list(group.factor_letters(fid))
+                f"{fname}")
         # fit the invariant circle through attracting fixed points
         pts = []
         for lid in letters[::2]:
@@ -166,17 +180,17 @@ def ping_pong_verify(rep: Representation,
                 pts.append(fp)
         circle = _fit_circle(*pts[:3]) if len(pts) >= 3 else None
         if circle is None:
-            failures.append(f"no invariant circle for factor {fid}")
+            failures.append(f"no invariant circle for {fname}")
             continue
         center, radius = circle
         circles[fid] = (center, radius)
         fdisk = disks.factor[fid]
         if not fdisk.bounded:
-            failures.append(f"factor {fid} disk must be bounded")
+            failures.append(f"{fname} disk must be bounded")
             continue
         circle_disk = Disk.interior(center, radius)
         if not fdisk.contains_disk(circle_disk, DISK_MARGIN):
-            failures.append(f"invariant circle not inside factor {fid} disk")
+            failures.append(f"invariant circle not inside {fname} disk")
         # generators preserve the circle and their isometric disks fit
         for lid in letters:
             mm = rep.image(lid)
@@ -198,7 +212,7 @@ def ping_pong_verify(rep: Representation,
             if not fdisk.contains_disk(idisk, DISK_MARGIN):
                 failures.append(
                     f"isometric disk of {group.letter_name(lid)} leaves "
-                    f"factor {fid} disk")
+                    f"{fname} disk")
 
     cert = PingPongCertificate(ok=not failures, failures=failures,
                                surface_circles=circles)

@@ -39,7 +39,7 @@ from sepstab.disks import Disk, DiskError
 from sepstab.groups import GroupError, GroupSpec, LetterOutOfRange
 from sepstab.hyperbolic import MoebiusMap, Representation
 from sepstab.pingpong import (DiskCountMismatch, PingPongDisks,
-                              check_disk_layout)
+                              check_disk_layout, disk_name)
 
 DET_REJECT = 1e-6
 
@@ -199,8 +199,8 @@ def parse_rep(text: str) -> RepFile:
                 surf_index = int(m.group(2))  # surface factor k has fid k - 1
                 if not 1 <= surf_index <= group.n_surface:
                     raise RepFileError(f"no surface factor {m.group(2)}", idx)
-                name = f"factor {surf_index}"
                 table, key = factor, surf_index - 1
+                name = disk_name(group, group.gen_base(key))
             else:
                 name = m.group(1)
                 try:
@@ -216,7 +216,7 @@ def parse_rep(text: str) -> RepFile:
                 raise RepFileError(f"repeated disk {name!r}", idx)
             table[key] = disk
             disk_params[name if table is factor
-                        else group.letter_name(key)] = (cx, cy, r)
+                        else disk_name(group, key)] = (cx, cy, r)
         disks = PingPongDisks(free=free, factor=factor)
         try:
             check_disk_layout(group, disks)
@@ -245,8 +245,7 @@ def emit_rep(repfile: RepFile) -> str:
                    f"{_fmt_complex(m.c)} {_fmt_complex(m.d)}")
     if repfile.disks is not None:
         out.append("disks")
-
-        def disk_line(key: str, d: Disk) -> str:
+        for key, d in repfile.disks.distinct_disks(group):
             if not d.bounded:
                 raise ValueError(f"disk {key} is not bounded; a .rep file "
                                  f"holds bounded disks only")
@@ -254,14 +253,7 @@ def emit_rep(repfile: RepFile) -> str:
                 cx, cy, r = repfile.disk_params[key]
             else:
                 cx, cy, r = d.center.real, d.center.imag, d.radius
-            return f"  {key} center ({cx!r}, {cy!r}) radius {r!r}"
-
-        for fid in sorted(repfile.disks.factor):
-            out.append(disk_line(f"factor {fid + 1}",
-                                 repfile.disks.factor[fid]))
-        for letter in sorted(repfile.disks.free):
-            out.append(disk_line(group.letter_name(letter),
-                                 repfile.disks.free[letter]))
+            out.append(f"  {key} center ({cx!r}, {cy!r}) radius {r!r}")
     if repfile.meta:
         out.append("meta")
         for k in sorted(repfile.meta):

@@ -181,7 +181,8 @@ def _qg_rows(rep: Representation, letters: Word, n: int,
     """
     period = len(letters)
     images = [(m.a, m.b, m.c, m.d) for m in map(rep.image, letters)]
-    path = images * (window // period + 2)  # covers i + c - 1 < p + W
+    # the rows read path[i + c - 1] for i + c <= min(n, p - 1 + W)
+    path = images * -(-min(n, period - 1 + window) // period)
     rows = []
     for i in range(min(period, n)):
         a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j  # MoebiusMap.identity()

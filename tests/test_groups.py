@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from sepstab.groups import (_SPELL_CAP, MAX_LETTERS, CyclicNormalForm,
                             GroupSpec, TrivialElement,
                             UniquelyFreelyDecomposable,
-                            GroupError, MixedFactors, _factor_runs,
+                            GroupError, MixedFactors, _DehnTable,
+                            _cyclic_dehn_reduce, _factor_runs,
                             canonical_class, canonical_spelling,
                             cyclic_reduce, dehn_reduce, dehn_spellings,
                             enumerate_elements, free_reduce, inv,
@@ -232,6 +235,121 @@ class TestDehnReduceProperties:
         half = len(group.relator(0)) // 2
         assert not any(r[i:j] in pieces for i in range(len(r))
                        for j in range(i + half + 1, len(r) + 1))
+
+
+class _PrefixTables:
+    """Reference: Dehn's algorithm on prefix tables of every rotation of
+    R^{+-1}, the layout that the pair index replaced.  ``long_prefix`` holds
+    every rotation prefix longer than half the relator, ``half_swap`` every
+    exactly-half prefix with the inverse of its complement."""
+
+    def __init__(self, group, fid):
+        rel = group.relator(fid)
+        self.length, self.half = len(rel), len(rel) // 2
+        rotations = {r[k:] + r[:k] for r in (rel, word_inverse(rel))
+                     for k in range(self.length)}
+        self.long_prefix = {rot[:m]: rot for rot in rotations
+                            for m in range(self.half + 1, self.length + 1)}
+        self.half_swap = {rot[:self.half]: word_inverse(rot[self.half:])
+                          for rot in rotations}
+
+    def reduce(self, word):
+        w = free_reduce(word)
+        m = self.half + 1
+        while True:
+            for i in range(len(w) - m + 1):
+                if w[i:i + m] in self.long_prefix:
+                    k = m
+                    while (i + k < len(w)
+                           and w[i:i + k + 1] in self.long_prefix):
+                        k += 1
+                    rot = self.long_prefix[w[i:i + k]]
+                    w = free_reduce(w[:i] + word_inverse(rot[k:]) + w[i + k:])
+                    break
+            else:
+                return w
+
+    def spellings(self, word):
+        start = self.reduce(word)
+        seen, frontier = {start}, [start]
+        while frontier and len(seen) < _SPELL_CAP:
+            w = frontier.pop()
+            for i in range(len(w) - self.half + 1):
+                swap = self.half_swap.get(w[i:i + self.half])
+                if swap is None:
+                    continue
+                cand = free_reduce(w[:i] + swap + w[i + self.half:])
+                if len(cand) == len(w) and cand not in seen:
+                    seen.add(cand)
+                    frontier.append(cand)
+        return seen
+
+    def cyclic(self, word):
+        """Dehn-reduce every rotation until one shortens."""
+        w, conj, changed = self.reduce(word), (), True
+        while changed and w:
+            changed = False
+            while len(w) >= 2 and w[0] == inv(w[-1]):
+                conj = word_mul((w[-1],), conj)
+                w = w[1:-1]
+            n = len(w)
+            if n > self.half:
+                for k in range(1, n):
+                    red = self.reduce(w[k:] + w[:k])
+                    if len(red) < n:
+                        conj = word_mul(word_inverse(w[:k]), conj)
+                        w, changed = red, True
+                        break
+        return w, conj
+
+
+class TestDehnIndex:
+    """The pair index against the prefix tables it replaced."""
+
+    @pytest.mark.parametrize("genus", [2, 3, 4, 5, 6])
+    def test_matches_prefix_tables(self, genus):
+        # 10,000 seeded words per genus, each with up to two relator
+        # pieces spliced in (a piece may be a whole rotation)
+        group = GroupSpec((genus,), 1)
+        ref = _PrefixTables(group, 0)
+        rel = group.relator(0)
+        rotations = [r[k:] + r[:k] for r in (rel, word_inverse(rel))
+                     for k in range(len(rel))]
+        letters = list(group.factor_letters(0))
+        rng = random.Random(genus)
+        for _ in range(10_000):
+            w = tuple(rng.choice(letters) for _ in range(rng.randrange(13)))
+            for _ in range(rng.randrange(3)):
+                piece = rng.choice(rotations)[:rng.randrange(1, len(rel) + 1)]
+                i = rng.randrange(len(w) + 1)
+                w = w[:i] + piece + w[i:]
+            assert dehn_reduce(w, group, 0) == ref.reduce(w)
+            assert dehn_spellings(w, group, 0) == ref.spellings(w)
+            assert _cyclic_dehn_reduce(w, group, 0) == ref.cyclic(w)
+
+    def test_repeated_letter_pair_is_refused(self):
+        # [a, b][a, b]: every letter pair occurs twice, so pieces are longer
+        # than one letter and a pair no longer fixes its rotation
+        with pytest.raises(GroupError, match="repeated letter pair"):
+            _DehnTable((0, 2, 1, 3, 0, 2, 1, 3))
+
+    def test_largest_genus_builds_small_and_fast(self):
+        # every per-group table is linear in the letters, so the largest
+        # surface factor MAX_LETTERS admits builds in a fresh process
+        script = (
+            "import resource, time\n"
+            "from sepstab.groups import GroupSpec, dehn_reduce\n"
+            "t = time.perf_counter()\n"
+            "g = GroupSpec((16383,), 1)\n"
+            "t = time.perf_counter() - t\n"
+            "assert dehn_reduce(g.relator(0), g, 0) == ()\n"
+            "print(t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        r = subprocess.run([sys.executable, "-c", script],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        seconds, rss_kib = r.stdout.split()
+        assert float(seconds) < 1.0
+        assert int(rss_kib) < 100 * 1024
 
 
 class TestNormalForm:

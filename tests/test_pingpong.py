@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sepstab.disks import Disk, DiskError, isometric_disk
-from sepstab.gallery import build, octagon_generators
+from sepstab.gallery import _surface_with_t, build, octagon_generators
 from sepstab.groups import GroupSpec
 from sepstab.hyperbolic import MoebiusMap, Representation, loxodromic_with_axis
 from sepstab.pingpong import (DiskCountMismatch, PingPongDisks,
@@ -244,6 +244,15 @@ class TestPingPong:
         with pytest.raises(DiskCountMismatch):
             ping_pong_verify(rep, PingPongDisks(
                 free={0: Disk.interior(-2, 1)}, factor={}))
+
+    def test_diagnostics_name_disks_as_rep_files_do(self):
+        # s2-times-z with t's axis moved to (2, 6): the factor disk meets
+        # the disk of T1; a .rep file names them `factor 1` and `T1`
+        rep, disks = _surface_with_t((2.0, 6.0))
+        assert ping_pong_verify(rep, disks).failures == [
+            "disks factor 1 and T1 are not disjoint"]
+        with pytest.raises(DiskCountMismatch, match="^no disk for factor 1$"):
+            ping_pong_verify(rep, PingPongDisks(free=disks.free, factor={}))
 
     def test_certificate_attached(self):
         rep, disks = build("schottky2")

@@ -307,6 +307,15 @@ class TestCli:
         assert code == 65
         assert f"line {line}," in err and "Traceback" not in err
 
+    def test_missing_factor_disk_is_named_as_written(self, tmp_path):
+        path = tmp_path / "bad.rep"
+        path.write_text(gallery_text("s2-times-z").replace(
+            "  factor 1 center (0.0, -0.0) radius 1.9000000000000001\n", "",
+            1))
+        code, out, err = run_cli("check-stability", str(path), "--depth", "2")
+        assert (code, out) == (65, "")
+        assert "line 10, column 1: no disk for factor 1\n" in err
+
     def test_disk_keyed_by_a_surface_letter_is_65_on_its_line(self,
                                                                tmp_path):
         # before, the a1 disk went into the free-disk table and the file

@@ -436,6 +436,19 @@ class TestPeriodicKernel:
         assert ({"a a", "a a a"} <= set(errors)) == (
             name == "pinched-a-phi14")
 
+    @pytest.mark.parametrize("name, depth", [("schottky2", 3),
+                                             ("s2-times-z", 2)])
+    def test_window_past_every_path_sweeps_as_at_the_longest(self, name,
+                                                             depth):
+        # the rows read min(n, p - 1 + W) letters of each path, so a window
+        # of 10**9 builds no longer path than W = L * N, the longest n
+        rep, _ = build(name)
+        wide, at_n = (stability_margin(rep, StabilityParams(
+            depth=depth, window=window)) for window in (10 ** 9, depth * 16))
+        assert wide.records and repr(wide.records) == repr(at_n.records)
+        assert (wide.verdict, repr(wide.k_est), repr(wide.a_est)) == (
+            at_n.verdict, repr(at_n.k_est), repr(at_n.a_est))
+
     @pytest.mark.parametrize("name, depth", [
         ("s2-times-z", 3), ("fuchsian-genus2", 2), ("pinched-a-phi14", 5)])
     def test_report_matches_reference_kernel(self, monkeypatch, name,
