@@ -4,17 +4,18 @@ A region is {z : A|z|^2 + 2 Re(conj(B) z) + C <= 0} with A, C real.  For
 A > 0 this is a bounded euclidean disk, for A < 0 the exterior of a circle
 (a disk containing infinity), for A = 0 a half-plane.  Möbius maps act on
 forms by one congruence, written over real coordinates so that it runs in
-floats (``Disk.image``) or in ``mpmath.iv`` intervals (the containment and
-disjointness predicates).  The predicates are interval-only: they return
-True only when interval arithmetic proves the inequality.
+floats (``Disk.image``) or in exact rationals (the containment and
+disjointness predicates).  Every finite float is a rational, so the
+predicates lift the float forms and maps to ``fractions.Fraction`` and
+decide the sign of A, the reality of the circle and the disk inequality
+exactly; they return True only when the inequality is proved.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional
-
-from mpmath import iv
 
 from sepstab.hyperbolic import MoebiusMap
 
@@ -27,7 +28,7 @@ def _congruence(form, m: MoebiusMap, num):
     """Form (A, Bx, By, C) of m(region) for the region with that form.
 
     The form matrix H = [[A, B], [conj(B), C]] becomes N^H H N with
-    N = m^-1, whose float entries are exact; ``num`` (float or iv.mpf)
+    N = m^-1, whose float entries are exact; ``num`` (float or ``_exact``)
     lifts them, and the form's entries must already be of that kind.
     """
     A, Bx, By, C = form
@@ -50,20 +51,59 @@ def _congruence(form, m: MoebiusMap, num):
     return A2, B2x, B2y, C2
 
 
-def _iv_circle(form):
-    """(bounded, cx, cy, r) of an interval form, once the sign of A and the
-    reality of the circle are proved."""
+def _exact(x: float) -> Fraction:
+    """The rational value of a finite float."""
+    if not math.isfinite(x):
+        raise DiskError(f"form entry {x} is not finite")
+    return Fraction(x)
+
+
+def _circle(form):
+    """(bounded, cx, cy, r^2) of an exact form: the sign of A, the centre
+    and the squared radius, all exact."""
     A, Bx, By, C = form
-    if A > 0:
-        bounded = True
-    elif A < 0:
-        bounded = False
-    else:
-        raise DiskError("sign of A not proved (half-plane or near it)")
-    disc = Bx ** 2 + By ** 2 - A * C
-    if not disc > 0:
+    if A == 0:
+        raise DiskError("form is a half-plane")
+    disc = Bx * Bx + By * By - A * C
+    if disc <= 0:
         raise DiskError("form does not define a real circle")
-    return bounded, -Bx / A, -By / A, iv.sqrt(disc) / abs(A)
+    return A > 0, -Bx / A, -By / A, disc / (A * A)
+
+
+SQRT_BITS = 64   # relative precision of the square-root brackets
+
+
+def _sqrt_bracket(q: Fraction):
+    """(lo, hi) with lo <= sqrt(q) < hi and hi - lo <= 2^(1 - SQRT_BITS) lo
+    for a rational q > 0, and (0, 0) for q = 0.
+
+    Write q = n/d in lowest terms, so sqrt(q) = sqrt(N)/d with N = n d.
+    With e the bit length of N and j = floor((e - 2P) / 2) (P = SQRT_BITS;
+    j may be negative), let M = floor(N / 4^j) and s = isqrt(M).  Then
+    s^2 <= M <= N / 4^j gives s 2^j <= sqrt(N), and (s + 1)^2 >= M + 1 >
+    N / 4^j gives (s + 1) 2^j > sqrt(N): the bracket is s 2^j / d and
+    (s + 1) 2^j / d.  Since 2j <= e - 2P and N >= 2^(e-1), M >= 2^(2P-1)
+    and s >= 2^(P-1), so hi / lo - 1 = 1 / s <= 2^(1-P).
+    """
+    n, d = q.numerator, q.denominator
+    if n == 0:
+        return q, q
+    N = n * d
+    j = (N.bit_length() - 2 * SQRT_BITS) // 2
+    if j >= 0:
+        s = math.isqrt(N >> 2 * j)
+        return Fraction(s << j, d), Fraction((s + 1) << j, d)
+    s = math.isqrt(N << -2 * j)
+    return Fraction(s, d << -j), Fraction(s + 1, d << -j)
+
+
+def _proved(small, margin: Fraction, big) -> bool:
+    """Whether sum(sqrt(small)) + margin <= sum(sqrt(big)) is proved from
+    the brackets: the upper ends on the left against the lower ends on the
+    right.  Some term on the left is a positive squared radius, whose upper
+    end is strictly above its root, so a tie is never proved."""
+    left = sum(_sqrt_bracket(q)[1] for q in small) + margin
+    return left <= sum(_sqrt_bracket(q)[0] for q in big)
 
 
 class Disk:
@@ -138,29 +178,30 @@ class Disk:
 
     def contains_disk(self, other: "Disk", margin: float = 0.0,
                       m: Optional[MoebiusMap] = None) -> bool:
-        """True when interval arithmetic proves that m(other), widened by
-        margin, lies inside self (m defaults to the identity).
+        """True when exact rational arithmetic proves that m(other), widened
+        by margin, lies inside self (m defaults to the identity).
 
-        An uncertain comparison counts as False; a sign of A that cannot be
-        proved (a half-plane, or a near one) raises DiskError.
+        The inequality is decided on the rational values of the float
+        forms and of m^-1; a tie or an unproved comparison counts as False.
+        An exact half-plane, a form without a real circle or a non-finite
+        entry raises DiskError.
         """
-        inner = other._form(iv.mpf)
+        inner = other._form(_exact)
         if m is not None:
-            inner = _congruence(inner, m, iv.mpf)
-        bs, xs, ys, rs = _iv_circle(self._form(iv.mpf))
-        bo, xo, yo, ro = _iv_circle(inner)
+            inner = _congruence(inner, m, _exact)
+        bs, xs, ys, rs = _circle(self._form(_exact))
+        bo, xo, yo, ro = _circle(inner)
         if bs and not bo:
             return False
-        dist = iv.sqrt((xs - xo) ** 2 + (ys - yo) ** 2)
+        dist = (xs - xo) ** 2 + (ys - yo) ** 2
+        margin = _exact(margin)
         if bs:
-            holds = dist + ro <= rs - margin
-        elif bo:
+            return _proved((dist, ro), margin, (rs,))
+        if bo:
             # an exterior region holds a bounded disk that avoids its circle
-            holds = dist >= rs + ro + margin
-        else:
-            # exterior holds exterior iff the complementary disks nest
-            holds = dist + rs <= ro - margin
-        return holds is True
+            return _proved((rs, ro), margin, (dist,))
+        # exterior holds exterior iff the complementary disks nest
+        return _proved((dist, rs), margin, (ro,))
 
     def disjoint_from(self, other: "Disk", margin: float = 0.0) -> bool:
         """other lies in the complement of self, proved as for

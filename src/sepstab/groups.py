@@ -232,6 +232,7 @@ class _DehnTable:
 
     def __init__(self, relator: Word):
         self.length = length = len(relator)  # 4g
+        self.letters = frozenset(relator)     # the factor's 4g letters
         self.half = length // 2               # 2g
         self.index: dict[Word, tuple[Word, int]] = {}
         for r in (relator, word_inverse(relator)):
@@ -272,11 +273,12 @@ def dehn_reduce(word: Word, group: GroupSpec, fid: int) -> Word:
     """Dehn-reduce a word lying in surface factor ``fid``."""
     if not 0 <= fid < group.n_surface:
         raise MixedFactors(f"factor {fid} is not a surface factor")
-    for x in word:
-        if group.letter_factor(x) != fid:
-            raise MixedFactors(
-                f"letter {group.letter_name(x)} is outside factor {fid}")
     table = group._dehn_tables[fid]
+    if not table.letters.issuperset(word):
+        x = next(x for x in word if x not in table.letters)
+        # letter_name raises LetterOutOfRange outside [0, n_letters)
+        raise MixedFactors(
+            f"letter {group.letter_name(x)} is outside factor {fid}")
     w = free_reduce(word)
     while True:
         nxt = table.reduce_once(w)

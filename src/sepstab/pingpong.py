@@ -11,10 +11,12 @@ share a single factor disk.  The verified inequalities:
     factor disk and have all generator isometric disks inside it, and their
     relator residual must be below 1e-8.
 
-Every disk inequality is proved in interval arithmetic by the one path in
-``sepstab.disks``: a mapped region's form is the congruence of the float
-matrix, evaluated in intervals, and nothing is sampled.  Only the relator
-residual and circle preservation are float tolerances.
+Every disk inequality is proved in exact rational arithmetic by the one
+path in ``sepstab.disks``: a mapped region's form is the congruence of the
+float matrix, evaluated on the floats' rational values, and nothing is
+sampled.  A disk inequality that raises ``DiskError`` (a half-plane, an
+imaginary circle, a non-finite entry) is recorded as a failure.  Only the
+relator residual and circle preservation are float tolerances.
 
 A passing certificate witnesses discreteness, faithfulness and the
 free-product structure for the letters checked; for surface factors this is
@@ -127,6 +129,17 @@ def check_disk_layout(group: GroupSpec, disks: PingPongDisks):
         raise DiskCountMismatch("disks for letters outside the group")
 
 
+def _require(failures: List[str], outer: Disk, inner: Disk, fails: str,
+             undecided: str, m=None):
+    """Record ``fails`` unless outer proves it contains m(inner) with the
+    slack DISK_MARGIN, and ``undecided`` when the forms raise DiskError."""
+    try:
+        if not outer.contains_disk(inner, DISK_MARGIN, m):
+            failures.append(fails)
+    except DiskError:
+        failures.append(undecided)
+
+
 def ping_pong_verify(rep: Representation,
                      disks: PingPongDisks) -> PingPongCertificate:
     """Check the Klein-combination inequalities; attaches and returns the
@@ -138,23 +151,19 @@ def ping_pong_verify(rep: Representation,
     named = disks.distinct_disks(group)
     for i, (ni, di) in enumerate(named):
         for nj, dj in named[i + 1:]:
-            try:
-                if not di.disjoint_from(dj, DISK_MARGIN):
-                    failures.append(f"disks {ni} and {nj} are not disjoint")
-            except DiskError:
-                failures.append(f"disjointness of {ni}, {nj} undecidable")
+            _require(failures, di.complement(), dj,
+                     f"disks {ni} and {nj} are not disjoint",
+                     f"disjointness of {ni}, {nj} undecidable")
 
     # per-letter mapping inequality
     for letter in range(group.n_letters):
-        m = rep.image(letter)
         src = disks.disk_for_letter(group, inv(letter))
         tgt = disks.disk_for_letter(group, letter)
         name = group.letter_name(letter)
-        try:
-            if not tgt.contains_disk(src.complement(), DISK_MARGIN, m):
-                failures.append(f"mapping inequality fails for {name}")
-        except DiskError:
-            failures.append(f"mapping inequality degenerate for {name}")
+        _require(failures, tgt, src.complement(),
+                 f"mapping inequality fails for {name}",
+                 f"mapping inequality degenerate for {name}",
+                 rep.image(letter))
 
     # surface-factor conditions
     circles: Dict[int, Tuple[complex, float]] = {}
@@ -189,8 +198,9 @@ def ping_pong_verify(rep: Representation,
             failures.append(f"{fname} disk must be bounded")
             continue
         circle_disk = Disk.interior(center, radius)
-        if not fdisk.contains_disk(circle_disk, DISK_MARGIN):
-            failures.append(f"invariant circle not inside {fname} disk")
+        _require(failures, fdisk, circle_disk,
+                 f"invariant circle not inside {fname} disk",
+                 f"invariant circle in {fname} disk undecidable")
         # generators preserve the circle and their isometric disks fit
         for lid in letters:
             mm = rep.image(lid)
@@ -209,10 +219,11 @@ def ping_pong_verify(rep: Representation,
                 failures.append(
                     f"{group.letter_name(lid)} has no isometric disk")
                 continue
-            if not fdisk.contains_disk(idisk, DISK_MARGIN):
-                failures.append(
-                    f"isometric disk of {group.letter_name(lid)} leaves "
-                    f"{fname} disk")
+            _require(failures, fdisk, idisk,
+                     f"isometric disk of {group.letter_name(lid)} leaves "
+                     f"{fname} disk",
+                     f"isometric disk of {group.letter_name(lid)} in "
+                     f"{fname} disk undecidable")
 
     cert = PingPongCertificate(ok=not failures, failures=failures,
                                surface_circles=circles)

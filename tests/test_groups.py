@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from sepstab.groups import (_SPELL_CAP, MAX_LETTERS, CyclicNormalForm,
                             GroupSpec, TrivialElement,
                             UniquelyFreelyDecomposable,
-                            GroupError, MixedFactors, _DehnTable,
+                            GroupError, LetterOutOfRange, MixedFactors,
+                            _DehnTable,
                             _cyclic_dehn_reduce, _factor_runs,
                             canonical_class, canonical_spelling,
                             cyclic_reduce, dehn_reduce, dehn_spellings,
@@ -140,6 +141,16 @@ class TestDehnReduce:
     def test_mixed_factors_rejected(self):
         with pytest.raises(MixedFactors):
             dehn_reduce(S2Z.parse_word("a1 t1"), S2Z, 0)
+
+    def test_letters_are_checked_against_the_factor(self):
+        # a negative letter must not index the letter table from its end
+        group = GroupSpec((2, 2, 2), 0)
+        for x in (-1, group.n_letters):
+            with pytest.raises(LetterOutOfRange):
+                dehn_reduce((x,), group, 2)
+        for x in (group.gen_base(1), group.gen_base(2) - 1):
+            with pytest.raises(MixedFactors):
+                dehn_reduce((group.gen_base(2), x), group, 2)
 
     def test_trivial_iff_empty_on_relator_products(self):
         # random products of conjugated relators must reduce to empty,

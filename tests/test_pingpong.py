@@ -1,12 +1,16 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
-from sepstab.disks import Disk, DiskError, isometric_disk
+from sepstab.disks import (SQRT_BITS, Disk, DiskError, _circle, _congruence,
+                           _exact, _sqrt_bracket, isometric_disk)
 from sepstab.gallery import _surface_with_t, build, octagon_generators
 from sepstab.groups import GroupSpec
 from sepstab.hyperbolic import MoebiusMap, Representation, loxodromic_with_axis
@@ -148,8 +152,73 @@ def _sample_inside(outer: Disk, region: Disk, m: MoebiusMap) -> bool:
     return True
 
 
+# the interval predicate that the exact one replaced, kept as an oracle:
+# whatever it proved, the exact predicate must prove too, ties aside
+
+
+def _iv_circle(form):
+    """(bounded, cx, cy, r) of an interval form, once the sign of A and the
+    reality of the circle are proved."""
+    A, Bx, By, C = form
+    if A > 0:
+        bounded = True
+    elif A < 0:
+        bounded = False
+    else:
+        raise DiskError("sign of A not proved (half-plane or near it)")
+    disc = Bx ** 2 + By ** 2 - A * C
+    if not disc > 0:
+        raise DiskError("form does not define a real circle")
+    return bounded, -Bx / A, -By / A, iv.sqrt(disc) / abs(A)
+
+
+def _iv_contains(outer: Disk, inner: Disk, margin: float,
+                 m: MoebiusMap) -> bool:
+    """``outer.contains_disk(inner, margin, m)`` as mpmath interval
+    arithmetic decided it before the exact predicate: the oracle of
+    ``_check``."""
+    form = _congruence(inner._form(iv.mpf), m, iv.mpf)
+    bs, xs, ys, rs = _iv_circle(outer._form(iv.mpf))
+    bo, xo, yo, ro = _iv_circle(form)
+    if bs and not bo:
+        return False
+    dist = iv.sqrt((xs - xo) ** 2 + (ys - yo) ** 2)
+    if bs:
+        holds = dist + ro <= rs - margin
+    elif bo:
+        holds = dist >= rs + ro + margin
+    else:
+        holds = dist + rs <= ro - margin
+    return holds is True
+
+
+def _exact_slack(outer: Disk, inner: Disk, margin: float,
+                 m: MoebiusMap) -> mpmath.mpf:
+    """Right side minus left side of the exact inequality that
+    ``contains_disk`` decides, to 300 bits; 0 up to that precision at a
+    tie."""
+    form = _congruence(inner._form(_exact), m, _exact)
+    bs, xs, ys, rs = _circle(outer._form(_exact))
+    bo, xo, yo, ro = _circle(form)
+    dist = (xs - xo) ** 2 + (ys - yo) ** 2
+    small, big = (((dist, ro), (rs,)) if bs else
+                  ((rs, ro), (dist,)) if bo else ((dist, rs), (ro,)))
+    with mpmath.workprec(300):
+        def root(q):
+            return mpmath.sqrt(mpmath.mpf(q.numerator) / q.denominator)
+        return (sum(root(q) for q in big) - sum(root(q) for q in small)
+                - mpmath.mpf(margin))
+
+
 def _check(outer: Disk, inner: Disk, m: MoebiusMap, margin: float,
            proved: bool):
+    try:
+        old = _iv_contains(outer, inner, margin, m)
+    except DiskError:
+        old = False
+    if old and not proved:
+        # intervals of exact point values prove ties; exact never does
+        assert abs(_exact_slack(outer, inner, margin, m)) < 2.0 ** -250
     image = inner.image(m)
     if proved:
         assert _sample_inside(outer, inner, m)
@@ -164,6 +233,9 @@ class TestDiskPredicateProperties:
     # infinity maps to 1e218, whose squared modulus overflows a float
     @example(inner=Disk.exterior(0, 1), m=MoebiusMap(1, 0, 1.00099e-218, 1),
              placement=(0.0, 0.0, True, 0.5), margin_units=0.0)
+    # an exact internal tangency, which intervals of point values proved
+    @example(inner=Disk.interior(0, 1), m=MoebiusMap.identity(),
+             placement=(1.0, 0.0, False, 2.0), margin_units=0.0)
     def test_contains_disk_under_map(self, inner, m, placement, margin_units):
         image = inner.image(m)
         assume(image.A != 0 and 1e-2 <= image.radius
@@ -180,6 +252,84 @@ class TestDiskPredicateProperties:
         margin = margin_units * disk.radius
         _check(disk.complement(), other, MoebiusMap.identity(), margin,
                disk.disjoint_from(other, margin))
+
+
+# exact dyadic disks: centres on an axis, so |c|^2 and the normalization
+# by the radius (a power of 2) are exact in floats
+_axes = st.sampled_from([1, -1, 1j, -1j])
+_eighths = st.integers(-64, 64).map(lambda k: k / 8)
+_powers = st.integers(-3, 3).map(lambda k: 2.0 ** k)
+
+
+class TestExactPredicate:
+    @given(_axes, _eighths, _powers, _powers)
+    def test_tangencies_are_not_proved(self, axis, t, r, s):
+        assume(r > s)
+        c = axis * t
+        inner = Disk.interior(c + axis * (r - s), s)   # touches from inside
+        outside = Disk.interior(c + axis * (r + s), s)  # touches outside
+        ties = [(Disk.interior(c, r), inner),
+                (Disk.exterior(c, r), outside),
+                (Disk.exterior(c + axis * (r - s), s), Disk.exterior(c, r))]
+        for outer, other in ties:
+            assert not outer.contains_disk(other)
+            # the tie is decided by exactness, not by a coarse bracket
+            assert outer.contains_disk(other, -2.0 ** -40)
+        assert not Disk.interior(c, r).disjoint_from(outside)
+        assert Disk.interior(c, r).disjoint_from(outside, -2.0 ** -40)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_disks, _maps(), st.floats(0.0, 0.8), st.floats(-4.0, 4.0),
+           st.integers(-15, -6), st.booleans())
+    def test_near_ties(self, inner, m, shift, angle, log_gap, nested):
+        # outer is placed so that the inequality holds with slack
+        # 10^log_gap times the image's radius, up to float rounding
+        image = inner.image(m)
+        assume(image.A != 0 and 1e-2 <= image.radius
+               and abs(image.center) + image.radius <= 100.0)
+        c, r, u = image.center, image.radius, cmath.exp(1j * angle)
+        gap = 10.0 ** log_gap
+        if not image.bounded:
+            outer = Disk.exterior(c + shift * r * u, (1 - shift - gap) * r)
+        elif nested:
+            outer = Disk.interior(c + shift * r * u, (1 + shift + gap) * r)
+        else:
+            outer = Disk.exterior(c + (1.1 + shift + gap) * r * u,
+                                  (0.1 + shift) * r)
+        proved = outer.contains_disk(inner, 0.0, m)
+        _check(outer, inner, m, 0.0, proved)
+        if gap >= 1e-9:
+            assert proved
+
+    @settings(max_examples=300)
+    @given(st.floats(2.0 ** -1074, 1e308), st.integers(1, 2 ** 80),
+           st.integers(1, 2 ** 80))
+    @example(x=4.0, n=1, d=1)
+    @example(x=2.0 ** -1074, n=1, d=1)
+    @example(x=1e308, n=1, d=1)
+    def test_sqrt_bracket(self, x, n, d):
+        for q in (Fraction(x), Fraction(x) * n / d):
+            lo, hi = _sqrt_bracket(q)
+            assert 0 < lo and lo * lo <= q < hi * hi
+            assert hi - lo <= lo / 2 ** (SQRT_BITS - 1)
+        assert _sqrt_bracket(Fraction(0)) == (0, 0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("entry", ["A", "B", "C"])
+    @pytest.mark.parametrize("name", ["schottky2", "s2-times-z"])
+    def test_non_finite_entry_is_a_failure(self, name, entry, value):
+        rep, disks = build(name)
+        disk = (disks.factor or disks.free)[0]
+        setattr(disk, entry, complex(value) if entry == "B" else value)
+        with pytest.raises(DiskError):
+            Disk.interior(0, 1).contains_disk(disk)
+        cert = ping_pong_verify(rep, disks)
+        assert not cert.ok and cert.failures
+
+    def test_non_finite_map_entry_raises(self):
+        m = MoebiusMap(math.inf, 0, 0, 1, normalize=False)
+        with pytest.raises(DiskError):
+            Disk.interior(0, 3).contains_disk(Disk.interior(0, 1), 0.0, m)
 
 
 class TestPingPong:

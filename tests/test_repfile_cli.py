@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -421,6 +422,40 @@ class TestCli:
                            capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert "parameter,margin" in r.stdout
+
+    def test_runtime_needs_no_mpmath(self, tmp_path):
+        # mpmath is a test dependency only: with its import blocked, every
+        # module imports and the CLI prints what it prints with it
+        script = ("import contextlib, importlib, io, json, pkgutil, sys\n"
+                  "if sys.argv[1] == 'block':\n"
+                  "    sys.modules['mpmath'] = None\n"
+                  "import sepstab\n"
+                  "for mod in pkgutil.iter_modules(sepstab.__path__):\n"
+                  "    importlib.import_module('sepstab.' + mod.name)\n"
+                  "from sepstab.cli import main\n"
+                  "runs = []\n"
+                  "for argv in json.loads(sys.argv[2]):\n"
+                  "    out = io.StringIO()\n"
+                  "    with contextlib.redirect_stdout(out):\n"
+                  "        runs.append((main(argv), out.getvalue()))\n"
+                  "print(json.dumps(runs))\n")
+        commands = json.dumps([
+            ["check-stability", "s2-times-z", "--depth", "3"],
+            ["check-stability", "pinched-a", "--depth", "2"],
+            ["separable", "a1 t1 A1 T1", "--genera", "2", "--rank", "1"],
+            ["whitehead", "a1 t1 b1 T1", "--genera", "2", "--rank", "1",
+             "--dot", str(tmp_path / "g.dot")],
+            ["examples", "--write", str(tmp_path)],
+            ["check-stability", str(tmp_path / "schottky2.rep"),
+             "--depth", "4"]])
+        runs = {}
+        for mode in ("block", "allow"):
+            r = subprocess.run([sys.executable, "-c", script, mode, commands],
+                               capture_output=True, text=True)
+            assert r.returncode == 0, r.stderr
+            runs[mode] = json.loads(r.stdout)
+        assert runs["block"] == runs["allow"]
+        assert [code for code, _ in runs["block"]] == [0, 1, 1, 0, 0, 0]
 
     def test_sweep_empty_grid_header_only(self, tmp_path):
         out = tmp_path / "s.csv"
