@@ -113,7 +113,7 @@ def _cmd_separable(args) -> int:
 def _cmd_whitehead(args) -> int:
     group = _group_from_flags(args)
     word = _parse_word(group, args.word)
-    cnf, _ = G.cyclic_reduce(word, group)
+    cnf = G.cyclic_reduce(word, group)
     wh = W.whitehead_graph_combinatorial(cnf, group)
     strong = W.is_strongly_connected(wh)
     cuts = W.strong_cutpoints(wh)

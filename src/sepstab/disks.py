@@ -8,11 +8,13 @@ floats (``Disk.image``) or in exact rationals (the containment and
 disjointness predicates).  Every finite float is a rational, so the
 predicates lift the float forms and maps to ``fractions.Fraction`` and
 decide the sign of A, the reality of the circle and the disk inequality
-exactly; they return True only when the inequality is proved.
+exactly; they return True only when the inequality is proved.  A disk
+whose normalised float form overflows is refused with ``DiskError``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from typing import Optional
@@ -106,18 +108,35 @@ def _proved(small, margin: Fraction, big) -> bool:
     return left <= sum(_sqrt_bracket(q)[0] for q in big)
 
 
+_TOO_LARGE = "disk too large for its circle form in floats"
+
+
+def _abs_squared(z: complex) -> float:
+    """|z|^2, raising DiskError where it overflows."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        raise DiskError(_TOO_LARGE) from None
+
+
 class Disk:
     __slots__ = ("A", "B", "C")
 
     def __init__(self, A: float, B: complex, C: float):
+        """The region of the form (A, B, C), normalised; DiskError when it
+        has no real circle or when the normalised form is not finite in
+        floats."""
         # normalize so the circle data is scale-free: |B|^2 - AC = r^2 A^2 > 0
-        disc = abs(B) ** 2 - A * C
+        disc = _abs_squared(B) - A * C
         if disc <= 0:
             raise DiskError("form does not define a real circle")
         s = math.sqrt(disc)
         self.A = A / s
         self.B = complex(B) / s
         self.C = C / s
+        if not (math.isfinite(self.A) and cmath.isfinite(self.B)
+                and math.isfinite(self.C)):
+            raise DiskError(_TOO_LARGE)
 
     # -- constructors ---------------------------------------------------
 
@@ -126,14 +145,14 @@ class Disk:
         if radius <= 0:
             raise DiskError("radius must be positive")
         c = complex(center)
-        return Disk(1.0, -c, abs(c) ** 2 - radius * radius)
+        return Disk(1.0, -c, _abs_squared(c) - radius * radius)
 
     @staticmethod
     def exterior(center: complex, radius: float) -> "Disk":
         if radius <= 0:
             raise DiskError("radius must be positive")
         c = complex(center)
-        return Disk(-1.0, c, radius * radius - abs(c) ** 2)
+        return Disk(-1.0, c, radius * radius - _abs_squared(c))
 
     def complement(self) -> "Disk":
         """The closure of the complementary region: the negated form,

@@ -153,6 +153,13 @@ class GroupSpec:
 
     # -- structure ------------------------------------------------------
 
+    def check_letters(self, word: Word) -> None:
+        """Raise LetterOutOfRange unless every letter of ``word`` is one
+        of the group's; one C-level min and max per word."""
+        if word and (min(word) < 0 or max(word) >= self.n_letters):
+            bad = next(x for x in word if not 0 <= x < self.n_letters)
+            raise LetterOutOfRange(f"letter {bad}")
+
     def letter_factor(self, letter: int) -> int:
         return self._letter_factor[letter]
 
@@ -344,64 +351,75 @@ class CyclicNormalForm:
         return tuple(itertools.chain.from_iterable(w for _, w in self.syllables))
 
 
+def _reduce_syllable(word: Word, group: GroupSpec, fid: int) -> Word:
+    """Dehn-reduce a surface syllable, free-reduce a free one."""
+    if fid < group.n_surface:
+        return dehn_reduce(word, group, fid)
+    return free_reduce(word)
+
+
 def _merge_syllables(sylls: list, group: GroupSpec) -> list:
-    """Merge adjacent same-factor syllables and drop factor identities."""
-    changed = True
-    while changed:
-        changed = False
+    """Merge adjacent same-factor syllables, reduce each result and drop
+    factor identities.
+
+    A pass leaves adjacent syllables in distinct factors until it drops
+    one, whose neighbours may then share a factor; so a pass repeats only
+    after a syllable vanished.  Reducing an already reduced syllable
+    returns it unchanged.
+    """
+    while True:
         out = []
         for fid, w in sylls:
             if out and out[-1][0] == fid:
                 out[-1] = (fid, out[-1][1] + w)
-                changed = True
             else:
                 out.append((fid, w))
-        sylls = []
-        for fid, w in out:
-            if fid < group.n_surface:
-                w = dehn_reduce(w, group, fid)
-            else:
-                w = free_reduce(w)
-            if w:
-                sylls.append((fid, w))
-            else:
-                changed = True
-    return sylls
+        sylls = [(fid, r) for fid, w in out
+                 if (r := _reduce_syllable(w, group, fid))]
+        if len(sylls) == len(out):
+            return sylls
 
 
 def normal_form(word: Word, group: GroupSpec) -> list:
-    """Linear syllable decomposition (first/last may share a factor)."""
+    """Linear syllable decomposition (first/last may share a factor).
+
+    Raises LetterOutOfRange for a letter outside the group."""
+    group.check_letters(word)
     sylls = [(group.letter_factor(x), (x,)) for x in free_reduce(word)]
     return _merge_syllables(sylls, group)
 
 
-def cyclic_reduce(word: Word, group: GroupSpec):
-    """Return (CyclicNormalForm, conjugator) with
-    conjugator^-1 * cyclic * conjugator == word in the group."""
+def cyclic_reduce(word: Word, group: GroupSpec) -> CyclicNormalForm:
+    """The cyclic normal form of the conjugacy class of ``word``
+    (Lyndon-Schupp IV.1); raises TrivialElement for the identity.
+
+    While the two end syllables share a factor, the last is merged into
+    the first: their product is reduced once, and if it vanishes the
+    middle syllables remain.  Adjacent syllables of a normal form lie in
+    distinct factors, so ends that share one have a middle syllable
+    between them, and the list never empties.  A lone surface syllable is
+    then cyclically Dehn-reduced; it stays nonempty, as a nonempty
+    Dehn-reduced word is nontrivial and so are its conjugates.
+    """
     sylls = normal_form(word, group)
     if not sylls:
         raise TrivialElement("cannot cyclically reduce the identity")
-    conj: Word = ()
     while len(sylls) >= 2 and sylls[0][0] == sylls[-1][0]:
-        fid, last = sylls[-1]
-        # w = last^-1 * (last w last^-1) * last: rotate the tail to the front
-        conj = word_mul(last, conj)
-        sylls = _merge_syllables([(fid, last)] + sylls[:-1], group)
-        if not sylls:
-            raise TrivialElement("word is trivial in the group")
-    # a single surface syllable must additionally be cyclically Dehn-reduced
+        fid, last = sylls.pop()
+        merged = _reduce_syllable(last + sylls[0][1], group, fid)
+        if merged:
+            sylls[0] = (fid, merged)
+        else:
+            del sylls[0]
     if len(sylls) == 1 and sylls[0][0] < group.n_surface:
         fid, w = sylls[0]
-        w, extra = _cyclic_dehn_reduce(w, group, fid)
-        conj = word_mul(extra, conj)
-        if not w:
-            raise TrivialElement("word is trivial in the group")
-        sylls = [(fid, w)]
-    return CyclicNormalForm(tuple(sylls)), conj
+        sylls = [(fid, _cyclic_dehn_reduce(w, group, fid))]
+    return CyclicNormalForm(tuple(sylls))
 
 
-def _cyclic_dehn_reduce(word: Word, group: GroupSpec, fid: int):
-    """Dehn-reduce reading the word cyclically; returns (word, conjugator).
+def _cyclic_dehn_reduce(word: Word, group: GroupSpec, fid: int) -> Word:
+    """Dehn-reduce reading the word cyclically: a conjugate of the word
+    in which no rotation holds more than half a relator rotation.
 
     Each round rotates the least reducible rotation w[k:] + w[:k] to the
     front and Dehn-reduces it.  w is Dehn-reduced at every round; with
@@ -413,23 +431,18 @@ def _cyclic_dehn_reduce(word: Word, group: GroupSpec, fid: int):
     table = group._dehn_tables[fid]
     m = table.half + 1
     w = dehn_reduce(word, group, fid)
-    conj: Word = ()
-    while w:
+    while True:
         # cyclic free reduction
         while len(w) >= 2 and w[0] == inv(w[-1]):
-            conj = word_mul((w[-1],), conj)
             w = w[1:-1]
         n = len(w)
         if n < m:
-            break
+            return w
         hit = next(table.matches(w + w, m, n - m + 1, n), None)
         if hit is None:
-            break
+            return w
         k = hit[0] + m - n
-        # w = w[:k] * rot * w[:k]^-1
-        conj = word_mul(word_inverse(w[:k]), conj)
         w = dehn_reduce(w[k:] + w[:k], group, fid)
-    return w, conj
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +480,7 @@ def _factor_runs(letters: Word, group: GroupSpec) -> list:
 
 
 def canonical_class(word: Word, group: GroupSpec) -> Word:
-    cnf, _ = cyclic_reduce(word, group)
-    return canonical_spelling(cnf, group)
+    return canonical_spelling(cyclic_reduce(word, group), group)
 
 
 def enumerate_elements(group: GroupSpec, max_len: int) -> Iterator[CyclicNormalForm]:
@@ -518,7 +530,7 @@ def enumerate_elements(group: GroupSpec, max_len: int) -> Iterator[CyclicNormalF
                     yield CyclicNormalForm(tuple(_factor_runs(prefix, group)))
                     continue
                 try:
-                    cnf, _ = cyclic_reduce(prefix, group)
+                    cnf = cyclic_reduce(prefix, group)
                 except TrivialElement:
                     continue
                 if cnf.cyclic_length != length:
@@ -527,8 +539,7 @@ def enumerate_elements(group: GroupSpec, max_len: int) -> Iterator[CyclicNormalF
                 if key in seen:
                     continue
                 seen.add(key)
-                kcnf, _ = cyclic_reduce(key, group)
-                yield kcnf
+                yield cyclic_reduce(key, group)
                 continue
             low = prefix[m - p] if m else 0
             for x in range(n - 1, low - 1, -1):

@@ -14,9 +14,10 @@ share a single factor disk.  The verified inequalities:
 Every disk inequality is proved in exact rational arithmetic by the one
 path in ``sepstab.disks``: a mapped region's form is the congruence of the
 float matrix, evaluated on the floats' rational values, and nothing is
-sampled.  A disk inequality that raises ``DiskError`` (a half-plane, an
-imaginary circle, a non-finite entry) is recorded as a failure.  Only the
-relator residual and circle preservation are float tolerances.
+sampled.  Every disk is built and compared inside ``DiskError`` handling:
+a disk or inequality that raises it (a half-plane, an imaginary circle, a
+non-finite entry, a form too large for floats) is recorded as a failure.
+Only the relator residual and circle preservation are float tolerances.
 
 A passing certificate witnesses discreteness, faithfulness and the
 free-product structure for the letters checked; for surface factors this is
@@ -188,7 +189,11 @@ def ping_pong_verify(rep: Representation,
             if fp is not None:
                 pts.append(fp)
         circle = _fit_circle(*pts[:3]) if len(pts) >= 3 else None
-        if circle is None:
+        try:
+            circle_disk = Disk.interior(*circle) if circle else None
+        except DiskError:  # a fitted circle that is not finite in floats
+            circle_disk = None
+        if circle_disk is None:
             failures.append(f"no invariant circle for {fname}")
             continue
         center, radius = circle
@@ -197,7 +202,6 @@ def ping_pong_verify(rep: Representation,
         if not fdisk.bounded:
             failures.append(f"{fname} disk must be bounded")
             continue
-        circle_disk = Disk.interior(center, radius)
         _require(failures, fdisk, circle_disk,
                  f"invariant circle not inside {fname} disk",
                  f"invariant circle in {fname} disk undecidable")

@@ -45,10 +45,9 @@ DET_REJECT = 1e-6
 
 
 class RepFileError(Exception):
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}, column 1: {message}")
         self.line = line
-        self.column = column
 
 
 @dataclass
@@ -65,13 +64,13 @@ class RepFile:
 _COMPLEX = r"\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)"
 
 
-def _parse_float(tok: str, line_no: int, col: int) -> float:
+def _parse_float(tok: str, line_no: int) -> float:
     try:
         x = float(tok)
     except ValueError:
-        raise RepFileError(f"bad number {tok!r}", line_no, col)
+        raise RepFileError(f"bad number {tok!r}", line_no)
     if not math.isfinite(x):
-        raise RepFileError(f"non-finite number {tok!r}", line_no, col)
+        raise RepFileError(f"non-finite number {tok!r}", line_no)
     return x
 
 
@@ -149,7 +148,7 @@ def parse_rep(text: str) -> RepFile:
             raise RepFileError(f"unknown generator {name!r}", idx)
         if name in images:
             raise RepFileError(f"repeated generator {name!r}", idx)
-        vals = [_parse_float(m.group(k), idx, 1) for k in range(2, 10)]
+        vals = [_parse_float(m.group(k), idx) for k in range(2, 10)]
         mm = MoebiusMap(*(complex(vals[k], vals[k + 1]) for k in (0, 2, 4, 6)),
                         normalize=False)
         try:
@@ -182,19 +181,13 @@ def parse_rep(text: str) -> RepFile:
             if not m:
                 raise RepFileError(
                     "expected `factor N|letter center (x,y) radius r`", idx)
-            cx = _parse_float(m.group(3), idx, 1)
-            cy = _parse_float(m.group(4), idx, 1)
-            r = _parse_float(m.group(5), idx, 1)
+            cx = _parse_float(m.group(3), idx)
+            cy = _parse_float(m.group(4), idx)
+            r = _parse_float(m.group(5), idx)
             try:
                 disk = Disk.interior(complex(cx, cy), r)
-            except DiskError as exc:
+            except DiskError as exc:  # a bad radius, or too large
                 raise RepFileError(str(exc), idx)
-            except OverflowError:  # |center|^2 overflows
-                disk = None
-            # radius^2 overflowing leaves A = 0 and C = nan
-            if disk is None or not math.isfinite(disk.C):
-                raise RepFileError(
-                    "disk too large for its circle form in floats", idx)
             if m.group(2) is not None:
                 surf_index = int(m.group(2))  # surface factor k has fid k - 1
                 if not 1 <= surf_index <= group.n_surface:

@@ -178,11 +178,13 @@ def is_separable_free(word: Word, group: GroupSpec) -> SeparabilityVerdict:
     omits a generator, with the moves as a replayable witness.  A minimal
     form that uses every generator has a connected, cutpoint-free graph
     (module docstring), which certifies non-separability; the certificate
-    is checked rather than assumed, and no search follows it.
+    is checked rather than assumed, and no search follows it.  A letter
+    outside the group raises LetterOutOfRange.
     """
     rank = group.free_rank
     if group.n_surface:
         raise SeparabilityError("is_separable_free needs a free group spec")
+    group.check_letters(word)
     w0 = _cyclic_word(word)
     if not w0:
         raise TrivialElement("the identity is not classified")
@@ -228,7 +230,7 @@ def is_separable(word: Word, group: GroupSpec) -> SeparabilityVerdict:
     free group, else is_separable_mixed on the cyclic normal form."""
     if not group.n_surface:
         return is_separable_free(word, group)
-    cnf, _ = G.cyclic_reduce(word, group)  # raises TrivialElement
+    cnf = G.cyclic_reduce(word, group)  # raises TrivialElement
     return is_separable_mixed(cnf, group)
 
 

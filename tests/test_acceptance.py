@@ -35,7 +35,7 @@ def run_cli(*args):
 def _graph_defective(word, group):
     """The dichotomy side: some component not strongly connected, or with a
     strong cutpoint."""
-    cnf, _ = cyclic_reduce(word, group)
+    cnf = cyclic_reduce(word, group)
     wh = whitehead_graph_combinatorial(cnf, group)
     strong = is_strongly_connected(wh)
     if not all(strong.values()):

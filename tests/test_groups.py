@@ -297,21 +297,19 @@ class _PrefixTables:
 
     def cyclic(self, word):
         """Dehn-reduce every rotation until one shortens."""
-        w, conj, changed = self.reduce(word), (), True
+        w, changed = self.reduce(word), True
         while changed and w:
             changed = False
             while len(w) >= 2 and w[0] == inv(w[-1]):
-                conj = word_mul((w[-1],), conj)
                 w = w[1:-1]
             n = len(w)
             if n > self.half:
                 for k in range(1, n):
                     red = self.reduce(w[k:] + w[:k])
                     if len(red) < n:
-                        conj = word_mul(word_inverse(w[:k]), conj)
                         w, changed = red, True
                         break
-        return w, conj
+        return w
 
 
 class TestDehnIndex:
@@ -391,37 +389,46 @@ class TestNormalForm:
             assert normal_form(flat, S2Z) == nf
 
 
+@pytest.fixture(scope="module")
+def s2z_rep():
+    from sepstab.gallery import build
+    return build("s2-times-z")[0]
+
+
+def assert_conjugate_traces(rep, word, cnf):
+    """Conjugate elements have equal |tr| under a representation."""
+    assert abs(rep.evaluate(cnf.letters()).trace()) == pytest.approx(
+        abs(rep.evaluate(word).trace()), rel=1e-9, abs=1e-12)
+
+
 class TestCyclicReduce:
-    def test_conjugate(self):
-        cnf, conj = cyclic_reduce(S2Z.parse_word("t1 a1 T1"), S2Z)
+    def test_conjugate(self, s2z_rep):
+        w = S2Z.parse_word("t1 a1 T1")
+        cnf = cyclic_reduce(w, S2Z)
         assert [(fid, S2Z.format_word(w)) for fid, w in cnf.syllables] == [(0, "a1")]
-        assert S2Z.format_word(conj) == "T1"
+        assert_conjugate_traces(s2z_rep, w, cnf)
 
     def test_already_reduced(self):
-        cnf, conj = cyclic_reduce(S2Z.parse_word("a1 t1"), S2Z)
+        w = S2Z.parse_word("a1 t1")
+        cnf = cyclic_reduce(w, S2Z)
         assert cnf.cyclic_length == 2
-        assert conj == ()
+        assert cnf.letters() == w
 
     def test_trivial_raises(self):
         with pytest.raises(TrivialElement):
             cyclic_reduce(S2Z.parse_word("t1 T1"), S2Z)
 
-    def test_cyclic_dehn_rotation(self):
+    def test_cyclic_dehn_rotation(self, s2z_rep):
         # no linear Dehn step applies; the rotation B2 a1 b1 A1 B1 holds
         # five letters of the relator and shortens to a2 B2 A2
         w = S2Z.parse_word("a1 b1 A1 B1 B2")
-        cnf, conj = cyclic_reduce(w, S2Z)
+        cnf = cyclic_reduce(w, S2Z)
         assert [(fid, S2Z.format_word(x)) for fid, x in cnf.syllables] == [
             (0, "B2")]
-        assert S2Z.format_word(conj) == "A2 b1 a1 B1 A1"
-        with pytest.raises(TrivialElement):
-            cyclic_reduce(word_mul(word_inverse(conj), cnf.letters(), conj,
-                                   word_inverse(w)), S2Z)
+        assert_conjugate_traces(s2z_rep, w, cnf)
 
-    def test_conjugation_identity_under_matrices(self):
-        # conj^-1 * cyclic * conj == word under a verified representation
-        from sepstab.gallery import build
-        rep, _ = build("s2-times-z")
+    def test_conjugate_under_matrices(self, s2z_rep):
+        # the class keeps |tr| under a verified representation
         rng = random.Random(17)
         for _ in range(40):
             w = tuple(rng.randrange(S2Z.n_letters)
@@ -429,12 +436,148 @@ class TestCyclicReduce:
             if not free_reduce(w):
                 continue
             try:
-                cnf, conj = cyclic_reduce(w, S2Z)
+                cnf = cyclic_reduce(w, S2Z)
             except TrivialElement:
                 continue
-            lhs = rep.evaluate(word_mul(word_inverse(conj), cnf.letters(), conj))
-            rhs = rep.evaluate(w)
-            assert lhs.eq_up_to_sign(rhs)
+            assert_conjugate_traces(s2z_rep, w, cnf)
+
+    def test_wrapped_syllable_vanishes(self):
+        # the wrap merges A1 into a1; the middle syllable t1 remains
+        cnf = cyclic_reduce(S2Z.parse_word("a1 t1 A1"), S2Z)
+        assert [(fid, S2Z.format_word(x)) for fid, x in cnf.syllables] == [
+            (1, "t1")]
+
+    @pytest.mark.parametrize("group, letter", [
+        (S2Z, -1), (S2Z, S2Z.n_letters), (F2, 7)])
+    def test_letters_outside_the_group_are_refused(self, group, letter):
+        with pytest.raises(LetterOutOfRange, match=f"letter {letter}"):
+            cyclic_reduce((0, letter), group)
+        with pytest.raises(LetterOutOfRange):
+            normal_form((letter,), group)
+
+
+def _multipass_merge(sylls, group, drop_rounds):
+    """Reference: _merge_syllables as it was, re-running every pass that
+    merged.  Appends to ``drop_rounds`` how many passes dropped a
+    syllable."""
+    changed, drops = True, 0
+    while changed:
+        changed = False
+        out = []
+        for fid, w in sylls:
+            if out and out[-1][0] == fid:
+                out[-1] = (fid, out[-1][1] + w)
+                changed = True
+            else:
+                out.append((fid, w))
+        sylls = []
+        for fid, w in out:
+            if fid < group.n_surface:
+                w = dehn_reduce(w, group, fid)
+            else:
+                w = free_reduce(w)
+            if w:
+                sylls.append((fid, w))
+            else:
+                changed = True
+        drops += len(sylls) < len(out)
+    drop_rounds.append(drops)
+    return sylls
+
+
+def _multipass_normal_form(word, group, drop_rounds):
+    sylls = [(group.letter_factor(x), (x,)) for x in free_reduce(word)]
+    return _multipass_merge(sylls, group, drop_rounds)
+
+
+def _multipass_cyclic_reduce(word, group, drop_rounds):
+    """Reference: cyclic_reduce as it was, re-merging the whole list at
+    each wrap step; its conjugator, which nothing read, is left out."""
+    sylls = _multipass_normal_form(word, group, drop_rounds)
+    if not sylls:
+        raise TrivialElement("cannot cyclically reduce the identity")
+    while len(sylls) >= 2 and sylls[0][0] == sylls[-1][0]:
+        fid, last = sylls[-1]
+        sylls = _multipass_merge([(fid, last)] + sylls[:-1], group,
+                                 drop_rounds)
+        if not sylls:
+            raise TrivialElement("word is trivial in the group")
+    if len(sylls) == 1 and sylls[0][0] < group.n_surface:
+        fid, w = sylls[0]
+        w = _multipass_cyclic_dehn_reduce(w, group, fid)
+        if not w:
+            raise TrivialElement("word is trivial in the group")
+        sylls = [(fid, w)]
+    return CyclicNormalForm(tuple(sylls))
+
+
+def _multipass_cyclic_dehn_reduce(word, group, fid):
+    """Reference: _cyclic_dehn_reduce as it was, less its conjugator."""
+    table = group._dehn_tables[fid]
+    m = table.half + 1
+    w = dehn_reduce(word, group, fid)
+    while w:
+        while len(w) >= 2 and w[0] == inv(w[-1]):
+            w = w[1:-1]
+        n = len(w)
+        if n < m:
+            break
+        hit = next(table.matches(w + w, m, n - m + 1, n), None)
+        if hit is None:
+            break
+        k = hit[0] + m - n
+        w = dehn_reduce(w[k:] + w[:k], group, fid)
+    return w
+
+
+MULTIPASS_GROUPS = {"S2*Z": S2Z, "S2*S2*Z": MIXED["S2*S2*Z"],
+                    "S3*F2": MIXED["S3*F2"], "S2*F2": GroupSpec((2,), 2),
+                    "F3": MIXED["F3"], "S2*S2*S2": GroupSpec((2, 2, 2), 0)}
+
+
+def seeded_spliced_words(group, rng, count):
+    """Random letter words with up to three pieces of relator rotations
+    spliced in; half the pieces are whole rotations, which vanish."""
+    rotations = [r[k:] + r[:k] for fid in range(group.n_surface)
+                 for r in (group.relator(fid),
+                           word_inverse(group.relator(fid)))
+                 for k in range(len(r))]
+    for _ in range(count):
+        w = tuple(rng.randrange(group.n_letters)
+                  for _ in range(rng.randrange(13)))
+        for _ in range(rng.randrange(4) if rotations else 0):
+            rot = rng.choice(rotations)
+            i = rng.randrange(len(w) + 1)
+            n = rng.choice((len(rot), rng.randrange(1, len(rot) + 1)))
+            w = w[:i] + rot[:n] + w[i:]
+        yield w
+
+
+class TestMultiPassReference:
+    """The one-pass normal forms against the passes they replaced."""
+
+    def test_one_pass_matches(self):
+        # 5,000 seeded words in each of six groups
+        drop_rounds, trivial = [], 0
+        for name, group in MULTIPASS_GROUPS.items():
+            rng = random.Random(name)
+            for w in seeded_spliced_words(group, rng, 5_000):
+                assert normal_form(w, group) == _multipass_normal_form(
+                    w, group, [])
+                try:
+                    ref = _multipass_cyclic_reduce(w, group, drop_rounds)
+                except TrivialElement as exc:
+                    trivial += 1
+                    with pytest.raises(TrivialElement) as err:
+                        cyclic_reduce(w, group)
+                    assert str(err.value) == str(exc)
+                    continue
+                assert cyclic_reduce(w, group) == ref
+        # the words reach the reference's repeated passes: some drop a
+        # syllable, and on some the drops run over two or more passes
+        assert trivial > 0
+        assert sum(r > 0 for r in drop_rounds) > 1000
+        assert sum(r >= 2 for r in drop_rounds) > 100
 
 
 class TestRotationInvariance:
@@ -450,7 +593,7 @@ class TestRotationInvariance:
         w = free_reduce(tuple(data.draw(letter_words(group, 9))))
         assume(w)
         try:
-            cnf, _ = cyclic_reduce(w, group)
+            cnf = cyclic_reduce(w, group)
         except TrivialElement:
             assume(False)
         assume(cnf.cyclic_length == len(w))
@@ -458,7 +601,7 @@ class TestRotationInvariance:
         assert cnf.letters() in rotations
         key = canonical_spelling(cnf, group)
         for rot in rotations:
-            rcnf, _ = cyclic_reduce(rot, group)
+            rcnf = cyclic_reduce(rot, group)
             assert rcnf.cyclic_length == len(w)
             assert canonical_spelling(rcnf, group) == key
 
@@ -468,12 +611,12 @@ class TestRotationInvariance:
         group = MIXED[name]
         w = tuple(data.draw(letter_words(group, 12)))
         try:
-            cnf, _ = cyclic_reduce(w, group)
+            cnf = cyclic_reduce(w, group)
         except TrivialElement:
             with pytest.raises(TrivialElement):
                 cyclic_reduce(word_inverse(w), group)
             return
-        inverse, _ = cyclic_reduce(word_inverse(w), group)
+        inverse = cyclic_reduce(word_inverse(w), group)
         assert inverse.cyclic_length == cnf.cyclic_length
 
     @settings(max_examples=200, deadline=None)
@@ -485,7 +628,7 @@ class TestRotationInvariance:
         w = tuple(data.draw(st.lists(st.integers(low, group.n_letters - 1),
                                      max_size=12)))
         try:
-            cnf, _ = cyclic_reduce(w, group)
+            cnf = cyclic_reduce(w, group)
         except TrivialElement:
             assume(False)
         letters = cnf.letters()
@@ -527,7 +670,7 @@ def _respell(letters, group):
 
 def cyclic_class(group, word):
     try:
-        return cyclic_reduce(word, group)[0]
+        return cyclic_reduce(word, group)
     except TrivialElement:
         assume(False)
 
@@ -580,7 +723,7 @@ class TestCanonicalSpelling:
     def test_respells_every_surface_run(self):
         # the least rotation starts at a1 a1, and its second surface run
         # b2 a2 B2 A2 is a half-relator swap away from a1 b1 A1 B1
-        cnf, _ = cyclic_reduce(S2Z.parse_word("a1 a1 T1 b2 a2 B2 A2 T1"), S2Z)
+        cnf = cyclic_reduce(S2Z.parse_word("a1 a1 T1 b2 a2 B2 A2 T1"), S2Z)
         assert S2Z.format_word(canonical_spelling(cnf, S2Z)) == (
             "a1 a1 T1 a1 b1 A1 B1 T1")
 
@@ -599,7 +742,7 @@ def unpruned_walk(group, max_len):
             prefix = stack.pop()
             if len(prefix) == length:
                 try:
-                    cnf, _ = cyclic_reduce(prefix, group)
+                    cnf = cyclic_reduce(prefix, group)
                 except TrivialElement:
                     continue
                 if cnf.cyclic_length != length:
@@ -608,8 +751,7 @@ def unpruned_walk(group, max_len):
                 if key in seen:
                     continue
                 seen.add(key)
-                kcnf, _ = cyclic_reduce(key, group)
-                yield kcnf
+                yield cyclic_reduce(key, group)
                 continue
             for x in range(n - 1, -1, -1):
                 if prefix and inv(prefix[-1]) == x:
@@ -640,7 +782,7 @@ class TestEnumeration:
     def test_yields_cyclic_normal_forms(self, group, max_len):
         # swept_classes decides each class without reducing it again
         for cnf in enumerate_elements(group, max_len):
-            assert cyclic_reduce(cnf.letters(), group)[0] == cnf
+            assert cyclic_reduce(cnf.letters(), group) == cnf
 
     def test_only_necklaces_are_canonicalised(self, monkeypatch):
         # only cyclically reduced necklace leaves with a surface letter are

@@ -91,6 +91,21 @@ class TestDisks:
         with pytest.raises(DiskError):
             isometric_disk(MoebiusMap(2, 0, 0, 0.5))
 
+    @pytest.mark.parametrize("make", [
+        lambda: Disk.interior(0, 1e200),      # r^2 overflows
+        lambda: Disk.exterior(0, 1e200),
+        lambda: Disk.interior(1e160, 1),      # |c|^2 overflows
+        lambda: Disk.exterior(1e160, 1),
+        lambda: isometric_disk(MoebiusMap(2, 0, 1e-201, 0.5)),
+        lambda: Disk(1.0, complex(1e308, 1e308), 0.0)],
+        ids=["radius", "exterior-radius", "center", "exterior-center",
+             "isometric", "form"])
+    def test_too_large_for_floats_raises(self, make):
+        # no silent form with A = 0 and C = nan, and no OverflowError
+        with pytest.raises(DiskError, match="^disk too large for its "
+                           "circle form in floats$"):
+            make()
+
 
 # -- the predicates against a float boundary sample -------------------------
 
@@ -388,6 +403,26 @@ class TestPingPong:
         if not ok:
             assert cert.failures == ["mapping inequality fails for a",
                                      "mapping inequality fails for A"]
+
+    def test_overflowing_disks_are_failures(self):
+        # b1 = diag(2, 0.5) with c = 1e-201: its isometric disks overflow
+        rep, disks = build("s2-times-z")
+        images = list(rep.generator_images())
+        images[1] = MoebiusMap(2, 0, 1e-201, 0.5)
+        cert = ping_pong_verify(Representation(rep.group, images), disks)
+        assert not cert.ok
+        assert {"b1 has no isometric disk",
+                "B1 has no isometric disk"} <= set(cert.failures)
+
+    @pytest.mark.parametrize("circle", [(1e160 + 0j, 1.0),
+                                        (complex(math.nan, 0), math.nan)])
+    def test_fitted_circle_not_finite_is_no_circle(self, monkeypatch, circle):
+        import sepstab.pingpong as pingpong
+        monkeypatch.setattr(pingpong, "_fit_circle", lambda *pts: circle)
+        rep, disks = build("s2-times-z")
+        cert = ping_pong_verify(rep, disks)
+        assert cert.failures == ["no invariant circle for factor 1"]
+        assert cert.surface_circles == {}
 
     def test_disk_count_mismatch(self):
         rep, _ = build("schottky2")

@@ -401,6 +401,21 @@ class TestCli:
             "check-stability", str(tmp_path / "schottky2.rep"), "--depth", "4")
         assert code == 0 and "ping-pong certificate: verified" in out
 
+    def test_overflowing_isometric_disk_is_a_failed_certificate(
+            self, tmp_path, capsys):
+        # b1's isometric disks are too large for floats: the certificate
+        # records the failure and the sweep still runs
+        lines = gallery_text("s2-times-z").splitlines(keepends=True)
+        b1, = [k for k, line in enumerate(lines)
+               if line.startswith("  b1 = ")]
+        lines[b1] = "  b1 = (2.0, 0.0) (0.0, 0.0) (1e-201, 0.0) (0.5, 0.0)\n"
+        path = tmp_path / "big-b1.rep"
+        path.write_text("".join(lines))
+        main(["check-stability", str(path), "--depth", "2"])
+        out = capsys.readouterr().out
+        assert "ping-pong certificate: FAILED" in out
+        assert any(line.startswith("verdict: ") for line in out.splitlines())
+
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "s.csv"
         code, _, _ = run_cli("sweep", "--grid", "1,2", "--depth", "3",

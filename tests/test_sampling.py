@@ -37,7 +37,7 @@ CROSS_WORDS = ("t1", "a1", "B1", "a1 a2", "a1 b1", "a1 t1", "t1 t1",
 
 
 def cnf_of(text):
-    cnf, _ = cyclic_reduce(GRP.parse_word(text), GRP)
+    cnf = cyclic_reduce(GRP.parse_word(text), GRP)
     return cnf
 
 
@@ -123,7 +123,7 @@ class TestSampling:
         ping_pong_verify(rep, disks)
         grp = rep.group
         for text in ("a", "b", "a b"):
-            cnf, _ = cyclic_reduce(grp.parse_word(text), grp)
+            cnf = cyclic_reduce(grp.parse_word(text), grp)
             comb = whitehead_graph_combinatorial(cnf, grp)
             samp = whitehead_graph_sampled_for(rep, disks, cnf, 1)
             assert graphs_agree(comb, samp)
@@ -133,7 +133,7 @@ class TestSampling:
         ping_pong_verify(rep, disks)
         grp = rep.group
         for text in ("a b A B", "a a b", "a B a B"):
-            cnf, _ = cyclic_reduce(grp.parse_word(text), grp)
+            cnf = cyclic_reduce(grp.parse_word(text), grp)
             comb = whitehead_graph_combinatorial(cnf, grp)
             samp = whitehead_graph_sampled_for(rep, disks, cnf, 3)
             assert graphs_agree(comb, samp)
@@ -340,7 +340,7 @@ class TestEndpointsAsImagesOfFixedPoints:
         rep = REP if name == "s2-times-z" else _schottky()[0]
         grp = rep.group
         classes = (enumerate_elements(grp, 4) if texts is None else
-                   [cyclic_reduce(grp.parse_word(t), grp)[0] for t in texts])
+                   [cyclic_reduce(grp.parse_word(t), grp) for t in texts])
         for cnf in classes:
             for depth in depths:
                 pairs = sample_mu(rep, cnf, depth).sampled_pairs
@@ -375,7 +375,7 @@ class TestEndpointsAsImagesOfFixedPoints:
         b = MoebiusMap(2, 1, 1, -1)
         assert b.moebius(1) is None
         rep = Representation(grp, [a, b])
-        cnf, _ = cyclic_reduce(grp.parse_word("a"), grp)
+        cnf = cyclic_reduce(grp.parse_word("a"), grp)
         pairs = sample_mu(rep, cnf, 2).sampled_pairs
         assert all(p is not None and q is not None for p, q in pairs)
         ab = rep.image(0) * rep.image(2)
@@ -459,7 +459,7 @@ class TestStripMemo:
             rep, disks = (REP, DISKS) if name == "s2-times-z" else _schottky()
             grp = rep.group
             for text in texts:
-                cnf, _ = cyclic_reduce(grp.parse_word(text), grp)
+                cnf = cyclic_reduce(grp.parse_word(text), grp)
                 graph_cap = 3 + cnf.cyclic_length + 2
                 nav = _Navigator(rep, disks, cap or graph_cap)
                 mu = sample_mu(rep, cnf, 3)

@@ -297,6 +297,17 @@ class TestFreeDecision:
         with pytest.raises(TrivialElement):
             is_separable_free(F2.parse_word("a A"), F2)
 
+    @pytest.mark.parametrize("letter", [-1, 4, 7])
+    def test_letters_outside_the_group_are_refused(self, letter):
+        with pytest.raises(LetterOutOfRange, match=f"letter {letter}"):
+            is_separable_free((letter,), F2)
+        with pytest.raises(LetterOutOfRange, match=f"letter {letter}"):
+            is_separable((0, letter), F2)
+        with pytest.raises(LetterOutOfRange):
+            is_separable((0, letter % 4 + S2Z.n_letters), S2Z)
+        with pytest.raises(LetterOutOfRange):
+            is_separable((0, -1 - letter % 4), S2Z)
+
     def test_separable_witness_omits_generator(self):
         for text in ("a b", "a a b", "a b a b", "b b"):
             v = is_separable_free(F2.parse_word(text), F2)
@@ -307,7 +318,7 @@ class TestFreeDecision:
             w = free_reduce(F2.parse_word(text))
             for m in v.witness_moves:
                 w = m.apply(w)
-            cnf, _ = cyclic_reduce(w, F2)
+            cnf = cyclic_reduce(w, F2)
             used = {x >> 1 for x in cnf.letters()}
             assert v.omitted_generator not in used
 
@@ -490,7 +501,7 @@ class TestMixed:
         # graph certificate confirms it
         v = is_separable(S2Z.parse_word("a1 t1 A1 T1"), S2Z)
         assert v.status == "not_separable"
-        cnf, _ = cyclic_reduce(S2Z.parse_word("a1 t1 A1 T1"), S2Z)
+        cnf = cyclic_reduce(S2Z.parse_word("a1 t1 A1 T1"), S2Z)
         wh = whitehead_graph_combinatorial(cnf, S2Z)
         assert all(is_strongly_connected(wh).values())
         assert not any(strong_cutpoints(wh).values())
@@ -586,7 +597,7 @@ class TestMixedCertificate:
             word = tuple(rng.randrange(group.n_letters)
                          for _ in range(rng.randrange(6, 10)))
             try:
-                cnf, _ = cyclic_reduce(word, group)
+                cnf = cyclic_reduce(word, group)
             except TrivialElement:
                 continue
             if 6 <= cnf.cyclic_length <= 9:

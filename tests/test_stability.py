@@ -56,19 +56,19 @@ class TestOrbitPath:
     def test_diagonal_heights(self):
         rep = Representation(F2, [MoebiusMap(2, 0, 0, 0.5),
                                   loxodromic_with_axis(2, 8, 3)])
-        cnf, _ = cyclic_reduce((0,), F2)
+        cnf = cyclic_reduce((0,), F2)
         path = orbit_path(rep, cnf, 3, H3Point(0, 1))
         assert [round(p.t, 9) for p in path] == [1.0, 4.0, 16.0, 64.0]
 
     def test_two_points_for_single_power(self):
         rep, _ = build("schottky2")
-        cnf, _ = cyclic_reduce((0,), F2)
+        cnf = cyclic_reduce((0,), F2)
         path = orbit_path(rep, cnf, 1, H3Point(0, 1))
         assert len(path) == 2
 
     def test_length_formula(self):
         rep, _ = build("schottky2")
-        cnf, _ = cyclic_reduce(F2.parse_word("a b"), F2)
+        cnf = cyclic_reduce(F2.parse_word("a b"), F2)
         path = orbit_path(rep, cnf, 5, H3Point(0, 1))
         assert len(path) == 5 * 2 + 1
 
@@ -81,7 +81,7 @@ class TestOrbitPath:
         # Tracing from o instead of h o is off by 0.8.
         rep, _ = build("schottky2")
         h = MoebiusMap(1 + 2j, 0.3, -0.7j, 1)
-        cnf, _ = cyclic_reduce(F2.parse_word("a b"), F2)
+        cnf = cyclic_reduce(F2.parse_word("a b"), F2)
         base = H3Point(0, 1)
         path = orbit_path(rep, cnf, 3, base)
         trans = orbit_path(rep.conjugated(h), cnf, 3, apply(h, base))
@@ -110,7 +110,7 @@ class TestQgConstants:
     def test_envelope_dominates_samples(self):
         from sepstab.hyperbolic import dist
         rep, _ = build("schottky2")
-        cnf, _ = cyclic_reduce(F2.parse_word("a b b"), F2)
+        cnf = cyclic_reduce(F2.parse_word("a b b"), F2)
         path = orbit_path(rep, cnf, 6, H3Point(0, 1))
         k, a, worst, _ = qg_constants(path, 24)
         n = len(path)
@@ -120,7 +120,7 @@ class TestQgConstants:
 
     def test_schottky_ab_regression_baseline(self):
         rep, _ = build("schottky2")
-        cnf, _ = cyclic_reduce(F2.parse_word("a b"), F2)
+        cnf = cyclic_reduce(F2.parse_word("a b"), F2)
         path = orbit_path(rep, cnf, 8, H3Point(0, 1))
         _, _, worst, _ = qg_constants(path, 24)
         assert worst > 0
@@ -206,7 +206,7 @@ class TestPeriodicKernel:
                 st.integers(0, group.n_letters - 1), min_size=1,
                 max_size=8)))
         try:
-            cnf, _ = cyclic_reduce(word, group)
+            cnf = cyclic_reduce(word, group)
         except TrivialElement:
             assume(False)
         letters = cnf.letters()

@@ -15,7 +15,7 @@ TWO_SURF = GroupSpec((2, 3), 1)
 
 
 def graph_of(text, group=F2):
-    cnf, _ = cyclic_reduce(group.parse_word(text), group)
+    cnf = cyclic_reduce(group.parse_word(text), group)
     return whitehead_graph_combinatorial(cnf, group)
 
 
@@ -103,7 +103,7 @@ class TestCombinatorial:
         word = F2.parse_word("a b A B b")
         for k in range(1, len(word)):
             rot = word[k:] + word[:k]
-            cnf, _ = cyclic_reduce(rot, F2)
+            cnf = cyclic_reduce(rot, F2)
             assert whitehead_graph_combinatorial(cnf, F2).edge_multiset() \
                 == base.edge_multiset()
 
@@ -114,7 +114,7 @@ class TestCombinatorial:
         for text, grp in (("a b A B b", F2), ("a1 t1 b1 T1", S2Z)):
             wh = graph_of(text, grp)
             inv_word = word_inverse(grp.parse_word(text))
-            cnf, _ = cyclic_reduce(inv_word, grp)
+            cnf = cyclic_reduce(inv_word, grp)
             wh_inv = whitehead_graph_combinatorial(cnf, grp)
             assert wh.edge_multiset() == wh_inv.edge_multiset()
 
@@ -283,7 +283,7 @@ class TestDot:
         grp = S2Z
         rel = grp.relator(0)
         word = rel[:7] + grp.parse_word("t1")  # syllable equal to b2
-        cnf, _ = cyclic_reduce(word, grp)
+        cnf = cyclic_reduce(word, grp)
         wh = whitehead_graph_combinatorial(cnf, grp)
         text = emit_dot(wh)
         assert 'label="b2"' in text
