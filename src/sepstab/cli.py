@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import os
 import sys
 from typing import List, Optional
@@ -152,8 +151,8 @@ def _params_from_flags(args, group: GroupSpec) -> ST.StabilityParams:
     given = {name: getattr(args, name)
              for name in ("depth", "powers", "window", "margin")
              if getattr(args, name) is not None}
-    return dataclasses.replace(ST.StabilityParams.defaults_for(group),
-                               **given)
+    defaults = vars(ST.StabilityParams.defaults_for(group))
+    return ST.StabilityParams(**{**defaults, **given})
 
 
 def _cmd_check_stability(args) -> int:
@@ -164,7 +163,7 @@ def _cmd_check_stability(args) -> int:
         status = "verified" if cert.ok else "FAILED"
         print(f"ping-pong certificate: {status}")
         if not cert.ok:
-            for f in cert.failures[:4]:
+            for f in cert.failures:
                 print(f"  {f}")
     report = ST.stability_margin(rep, params)
     print(report.header())

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 Word = tuple  # tuple of int letters
 
@@ -333,8 +332,7 @@ def dehn_canonical(word: Word, group: GroupSpec, fid: int) -> Word:
 # syllable normal form
 
 
-@dataclass(frozen=True)
-class CyclicNormalForm:
+class CyclicNormalForm(NamedTuple):
     """Cyclic sequence of (factor id, reduced factor word) syllables.
 
     Cyclically adjacent syllables lie in distinct factors and no syllable

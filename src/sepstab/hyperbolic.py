@@ -4,7 +4,8 @@ evaluation.
 Double precision with explicit tolerances: matrix equality up to sign at
 1e-9, determinant normalization drift bounded at 1e-12.  Long products
 renormalize the determinant every 16 multiplications so depth sweeps stay
-within budget.
+within budget.  A surface relator whose image lies RELATOR_RESIDUAL_MAX or
+farther from +-I makes the matrices no representation of the group.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from sepstab.groups import GroupSpec, LetterOutOfRange, Word
 EQ_TOL = 1e-9
 DET_TOL = 1e-12
 RENORM_EVERY = 16
+RELATOR_RESIDUAL_MAX = 1e-8  # a larger relator residual is no representation
 
 
 class HyperbolicError(Exception):
@@ -299,10 +301,17 @@ class Representation:
         return out.renormalized()
 
     def relator_residuals(self) -> dict:
-        """Operator-norm distance of each surface relator image from +-I."""
-        group = self.group
-        return {fid: self.evaluate(group.relator(fid)).dist_to_pm_identity()
-                for fid in range(group.n_surface)}
+        """Operator-norm distance of each surface relator image from +-I;
+        at or above RELATOR_RESIDUAL_MAX the images break the relator.  A
+        relator whose product overflows floats has residual inf."""
+        out = {}
+        for fid in range(self.group.n_surface):
+            try:
+                m = self.evaluate(self.group.relator(fid))
+                out[fid] = m.dist_to_pm_identity()
+            except (HyperbolicError, OverflowError):
+                out[fid] = math.inf
+        return out
 
     def conjugated(self, h: MoebiusMap) -> "Representation":
         h = MoebiusMap(h.a, h.b, h.c, h.d)  # unit determinant keeps the

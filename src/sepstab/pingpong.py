@@ -9,7 +9,9 @@ share a single factor disk.  The verified inequalities:
     own disk, for bounded and exterior disks alike;
   * surface factors additionally preserve a fitted round circle inside the
     factor disk and have all generator isometric disks inside it, and their
-    relator residual must be below 1e-8.
+    relator residual must be below ``hyperbolic.RELATOR_RESIDUAL_MAX``
+    (1e-8), the bound that also makes the stability sweep's verdict
+    inconclusive.
 
 Every disk inequality is proved in exact rational arithmetic by the one
 path in ``sepstab.disks``: a mapped region's form is the congruence of the
@@ -27,15 +29,14 @@ and relator conditions pin down numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from sepstab.disks import Disk, DiskError, isometric_disk
 from sepstab.groups import GroupSpec, inv
-from sepstab.hyperbolic import Representation, classify, fixed_points
+from sepstab.hyperbolic import (RELATOR_RESIDUAL_MAX, Representation,
+                                classify, fixed_points)
 
 DISK_MARGIN = 1e-6        # every disk inequality holds with this slack
-RELATOR_RESIDUAL_MAX = 1e-8
 
 
 class PingPongError(Exception):
@@ -50,11 +51,14 @@ class UnverifiedDisks(PingPongError):
     pass
 
 
-@dataclass
 class PingPongCertificate:
-    ok: bool
-    failures: List[str] = field(default_factory=list)
-    surface_circles: Dict[int, Tuple[complex, float]] = field(default_factory=dict)
+    def __init__(self, ok: bool, failures: Optional[List[str]] = None,
+                 surface_circles: Optional[
+                     Dict[int, Tuple[complex, float]]] = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
+        self.surface_circles = ({} if surface_circles is None
+                                else surface_circles)
 
 
 def disk_name(group: GroupSpec, letter: int) -> str:
@@ -66,14 +70,15 @@ def disk_name(group: GroupSpec, letter: int) -> str:
     return group.letter_name(letter)
 
 
-@dataclass
 class PingPongDisks:
     """Round disk per generator letter; surface letters share their factor's
     disk, free letters have one disk per sign."""
 
-    free: Dict[int, Disk]          # free letter id -> disk
-    factor: Dict[int, Disk]        # surface factor id -> shared disk
-    certificate: Optional[PingPongCertificate] = None
+    def __init__(self, free: Dict[int, Disk], factor: Dict[int, Disk],
+                 certificate: Optional[PingPongCertificate] = None):
+        self.free = free          # free letter id -> disk
+        self.factor = factor      # surface factor id -> shared disk
+        self.certificate = certificate
 
     def disk_for_letter(self, group: GroupSpec, letter: int) -> Disk:
         fid = group.letter_factor(letter)
@@ -172,7 +177,7 @@ def ping_pong_verify(rep: Representation,
     for fid in range(group.n_surface):
         letters = list(group.factor_letters(fid))
         fname = disk_name(group, letters[0])
-        if residuals[fid] >= RELATOR_RESIDUAL_MAX:
+        if not residuals[fid] < RELATOR_RESIDUAL_MAX:
             failures.append(
                 f"relator residual {residuals[fid]:.3g} too large for "
                 f"{fname}")

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from sepstab.disks import Disk, DiskError
@@ -50,15 +49,18 @@ class RepFileError(Exception):
         self.line = line
 
 
-@dataclass
 class RepFile:
-    rep: Representation
-    disks: Optional[PingPongDisks] = None
-    meta: Dict[str, str] = field(default_factory=dict)
-    # raw disk parameters keyed as emitted ("factor N" or letter name), kept
-    # so emit reproduces parsed files byte for byte
-    disk_params: Dict[str, Tuple[float, float, float]] = field(
-        default_factory=dict)
+    def __init__(self, rep: Representation,
+                 disks: Optional[PingPongDisks] = None,
+                 meta: Optional[Dict[str, str]] = None,
+                 disk_params: Optional[
+                     Dict[str, Tuple[float, float, float]]] = None):
+        self.rep = rep
+        self.disks = disks
+        self.meta = {} if meta is None else meta
+        # raw disk parameters keyed as emitted ("factor N" or letter name),
+        # kept so emit reproduces parsed files byte for byte
+        self.disk_params = {} if disk_params is None else disk_params
 
 
 _COMPLEX = r"\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)"

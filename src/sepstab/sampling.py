@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from sepstab import groups as G
@@ -55,22 +54,23 @@ MEMBERSHIP_TOL = 1e-12
 Location = Optional[Tuple[int, Optional[Word]]]
 
 
-@dataclass(frozen=True)
 class MuSpec:
     """Endpoint data: sampled axis endpoint pairs, one unordered pair per
     axis, and optionally one parent link (x, j) per pair: pair i is the
     image under letter x of pair j, an earlier one, or of a pair that the
     walk dropped because it has pair j's 1e-9 key; j = -1 for none."""
-    sampled_pairs: Tuple[Tuple[complex, complex], ...] = ()
-    parent_links: Tuple[Tuple[int, int], ...] = ()
 
-    def __post_init__(self):
-        if self.parent_links and (
-                len(self.parent_links) != len(self.sampled_pairs)
-                or any(j >= i for i, (_, j) in enumerate(self.parent_links))):
+    def __init__(self,
+                 sampled_pairs: Tuple[Tuple[complex, complex], ...] = (),
+                 parent_links: Tuple[Tuple[int, int], ...] = ()):
+        if parent_links and (
+                len(parent_links) != len(sampled_pairs)
+                or any(j >= i for i, (_, j) in enumerate(parent_links))):
             raise ValueError(
                 "parent_links needs one link per sampled pair, each to an "
                 "earlier pair")
+        self.sampled_pairs = sampled_pairs
+        self.parent_links = parent_links
 
 
 def sample_mu(rep: Representation, cnf: CyclicNormalForm,

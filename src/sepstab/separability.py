@@ -48,9 +48,9 @@ them is unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from sepstab import groups as G
 from sepstab import whitehead as W
@@ -61,8 +61,7 @@ class SeparabilityError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class WhiteheadMove:
+class WhiteheadMove(NamedTuple):
     """A Whitehead automorphism as its action table: images[x] is the
     image word of letter x."""
     images: Tuple[Word, ...]
@@ -153,15 +152,20 @@ def _omitted_generators(word: Word, rank: int) -> List[int]:
     return [g for g in range(rank) if g not in used]
 
 
-@dataclass
 class SeparabilityVerdict:
-    status: str                             # "separable" | "not_separable" | "unknown"
-    witness_moves: List[WhiteheadMove] = field(default_factory=list)
-    witness_word: Optional[Word] = None     # orbit element omitting a generator
-    omitted_generator: Optional[int] = None
-    omitted_factor: Optional[int] = None
-    single_factor: Optional[int] = None
-    reason: str = ""
+    def __init__(self, status: str,
+                 witness_moves: Optional[List[WhiteheadMove]] = None,
+                 witness_word: Optional[Word] = None,
+                 omitted_generator: Optional[int] = None,
+                 omitted_factor: Optional[int] = None,
+                 single_factor: Optional[int] = None, reason: str = ""):
+        self.status = status    # "separable" | "not_separable" | "unknown"
+        self.witness_moves = [] if witness_moves is None else witness_moves
+        self.witness_word = witness_word  # orbit element omitting a generator
+        self.omitted_generator = omitted_generator
+        self.omitted_factor = omitted_factor
+        self.single_factor = single_factor
+        self.reason = reason
 
     @property
     def separable(self) -> bool:

@@ -13,7 +13,10 @@ most L, traces the letter path of g^N from a basepoint, and measures
 A Pass is therefore "certified at depth (L, N, W)", never more.  Elements
 whose separability is Unknown are swept as well (a superset of the
 separable set only strengthens a Pass) but can only block with
-Inconclusive, never Fail.
+Inconclusive, never Fail.  Matrices whose surface relator residual reaches
+RELATOR_RESIDUAL_MAX, the bound the ping-pong certificate also reads, are
+no representation of the group: the sweep still runs and reports its
+records, but the verdict is Inconclusive.
 
 Pair distances are computed in local frames, dist(x, rho(w[i:j]) x), so
 window products stay short and no global drift accumulates.  The path of
@@ -35,14 +38,13 @@ which determine qg_fit exactly.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from math import acosh
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from sepstab import separability as S
 from sepstab.groups import GroupSpec, Word, least_period
-from sepstab.hyperbolic import (DET_TOL, H3Point, HyperbolicError,
-                                Representation, classify,
+from sepstab.hyperbolic import (DET_TOL, RELATOR_RESIDUAL_MAX, H3Point,
+                                HyperbolicError, Representation, classify,
                                 translation_length)
 
 PARABOLIC_EXACT = 1e-12
@@ -62,50 +64,68 @@ class PathTooShort(StabilityError):
     pass
 
 
-@dataclass
-class StabilityParams:
-    depth: int = 8            # L: max cyclic length of swept elements
-    powers: int = 16          # N: powers of g traced
-    window: int = 24          # W: subsegment length for QG checks
-    margin: float = 0.02      # eps0: translation/QG ratio threshold
+def _repr(self) -> str:
+    """The class name and every attribute, in the order __init__ sets them."""
+    fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+    return f"{type(self).__name__}({fields})"
 
-    def __post_init__(self):
-        if self.depth < 1 or self.powers < 2 or self.window < 2:
+
+class StabilityParams:
+    def __init__(self, depth: int = 8, powers: int = 16, window: int = 24,
+                 margin: float = 0.02):
+        if depth < 1 or powers < 2 or window < 2:
             raise StabilityError("need depth >= 1, powers >= 2, window >= 2")
-        if not 0 < self.margin < float("inf"):
+        if not 0 < margin < float("inf"):
             raise StabilityError("margin must be finite and positive")
+        self.depth = depth        # L: max cyclic length of swept elements
+        self.powers = powers      # N: powers of g traced
+        self.window = window      # W: subsegment length for QG checks
+        self.margin = margin      # eps0: translation/QG ratio threshold
+
+    __repr__ = _repr
 
     @staticmethod
     def defaults_for(group: GroupSpec) -> "StabilityParams":
         return StabilityParams(depth=5 if group.n_surface else 8)
 
 
-@dataclass
 class ElementRecord:
-    spelling: str
-    length: int
-    separability: str            # "separable" | "unknown" (swept verdicts)
-    trace: complex
-    kind: str                    # classify() of the image
-    trans_len: float
-    ratio: float                 # trans_len / length
-    worst_qg: float
-    worst_qg_half: Optional[float] = None
-    flags: Tuple[str, ...] = ()
+    def __init__(self, spelling: str, length: int, separability: str,
+                 trace: complex, kind: str, trans_len: float, ratio: float,
+                 worst_qg: float, worst_qg_half: Optional[float] = None,
+                 flags: Tuple[str, ...] = ()):
+        self.spelling = spelling
+        self.length = length
+        self.separability = separability  # "separable" | "unknown"
+        self.trace = trace
+        self.kind = kind                    # classify() of the image
+        self.trans_len = trans_len
+        self.ratio = ratio                  # trans_len / length
+        self.worst_qg = worst_qg
+        self.worst_qg_half = worst_qg_half
+        self.flags = flags
+
+    __repr__ = _repr
 
 
-@dataclass
 class StabilityReport:
-    params: StabilityParams
-    verdict: str                          # "pass" | "fail" | "inconclusive"
-    margin: float                         # min translation ratio
-    k_est: float
-    a_est: float
-    records: List[ElementRecord] = field(default_factory=list)
-    witness: Optional[ElementRecord] = None
-    reason: str = ""
-    n_separable: int = 0
-    n_unknown: int = 0
+    def __init__(self, params: StabilityParams, verdict: str, margin: float,
+                 k_est: float, a_est: float,
+                 records: Optional[List[ElementRecord]] = None,
+                 witness: Optional[ElementRecord] = None, reason: str = "",
+                 n_separable: int = 0, n_unknown: int = 0):
+        self.params = params
+        self.verdict = verdict    # "pass" | "fail" | "inconclusive"
+        self.margin = margin      # min translation ratio
+        self.k_est = k_est
+        self.a_est = a_est
+        self.records = [] if records is None else records
+        self.witness = witness
+        self.reason = reason
+        self.n_separable = n_separable
+        self.n_unknown = n_unknown
+
+    __repr__ = _repr
 
     def exit_code(self) -> int:
         return {"pass": 0, "fail": 1, "inconclusive": 2}[self.verdict]
@@ -315,8 +335,11 @@ def stability_margin(rep: Representation,
     bound; verdict per the compactness margin and QG constants.
 
     Each class has at most one problem, a fail (certified, and
-    non-loxodromic or decreasing_qg) or a blocker.  The verdict is the
-    first fail, else the first blocker, else the K_MAX cap, else pass.
+    non-loxodromic or decreasing_qg) or a blocker.  The verdict is
+    inconclusive when a surface relator residual is not below
+    RELATOR_RESIDUAL_MAX (the matrices are then no representation of the
+    group, whatever the sweep found), else the first fail, else the first
+    blocker, else the K_MAX cap, else pass.
 
     ``measured`` maps (primitive period, min(n, p - 1 + W)) to the rows
     and worst ratio of a class with 2p <= L, for a later power with the
@@ -413,9 +436,16 @@ def stability_margin(rep: Representation,
     margin = min((r.ratio for r in records), default=float("inf"))
     k_global, a_global, _ = (qg_fit(_least_pairs(least), params.window,
                                     A_MAX) if least else (0.0, 0.0, 0.0))
+    broken = next(((fid, r) for fid, r in rep.relator_residuals().items()
+                   if not r < RELATOR_RESIDUAL_MAX), None)
     # min keeps the first of equal keys: the first fail, else blocker
     problem = min(problems, key=lambda p: p[0] != "fail", default=None)
-    if problem is not None:
+    if broken is not None:
+        verdict, witness = "inconclusive", None
+        reason = (f"relator residual {broken[1]:.3g} of factor "
+                  f"{broken[0] + 1} is not below {RELATOR_RESIDUAL_MAX:g}: "
+                  f"the matrices are no representation of the group")
+    elif problem is not None:
         verdict, reason, witness = problem
     elif k_global > K_MAX:  # qg_fit already caps a_global at A_MAX
         verdict, witness = "inconclusive", None

@@ -47,7 +47,6 @@ and it is strongly connected when some loop label is nontrivial.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
@@ -63,8 +62,7 @@ class NotCyclicallyReduced(WhiteheadError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class DiscVertex:
+class DiscVertex(NamedTuple):
     disc: str          # disc name, e.g. "D1", "Dt1"
     side: int          # +1 / -1 on the ball, 0 for the interior copy
 
@@ -74,8 +72,7 @@ class DiscVertex:
         return self.disc + ("+" if self.side > 0 else "-")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Undirected edge; label is the canonical spelling of {g, g^-1} for
     surface components and () on the ball."""
     u: DiscVertex
@@ -88,21 +85,22 @@ class Edge:
         return (uu, vv, self.label)
 
 
-@dataclass
 class Component:
-    fid: Optional[int]             # surface factor id; None on the ball
-    vertices: Tuple[DiscVertex, ...]
-    edges: Tuple[Edge, ...] = ()
+    def __init__(self, fid: Optional[int], vertices: Tuple[DiscVertex, ...],
+                 edges: Tuple[Edge, ...] = ()):
+        self.fid = fid            # surface factor id; None on the ball
+        self.vertices = vertices
+        self.edges = edges
 
     @property
     def cid(self) -> str:
         return "ball" if self.fid is None else f"surface{self.fid}"
 
 
-@dataclass
 class WhiteheadGraph:
-    group: GroupSpec
-    components: Tuple[Component, ...]
+    def __init__(self, group: GroupSpec, components: Tuple[Component, ...]):
+        self.group = group
+        self.components = components
 
     def component(self, cid: str) -> Component:
         for c in self.components:

@@ -401,20 +401,53 @@ class TestCli:
             "check-stability", str(tmp_path / "schottky2.rep"), "--depth", "4")
         assert code == 0 and "ping-pong certificate: verified" in out
 
+    @staticmethod
+    def s2z_with(tmp_path, letter, matrix):
+        """s2-times-z.rep with one generator's matrix replaced."""
+        lines = gallery_text("s2-times-z").splitlines(keepends=True)
+        k, = [k for k, line in enumerate(lines)
+              if line.startswith(f"  {letter} = ")]
+        lines[k] = f"  {letter} = {matrix}\n"
+        path = tmp_path / "changed.rep"
+        path.write_text("".join(lines))
+        return path
+
     def test_overflowing_isometric_disk_is_a_failed_certificate(
             self, tmp_path, capsys):
         # b1's isometric disks are too large for floats: the certificate
-        # records the failure and the sweep still runs
-        lines = gallery_text("s2-times-z").splitlines(keepends=True)
-        b1, = [k for k, line in enumerate(lines)
-               if line.startswith("  b1 = ")]
-        lines[b1] = "  b1 = (2.0, 0.0) (0.0, 0.0) (1e-201, 0.0) (0.5, 0.0)\n"
-        path = tmp_path / "big-b1.rep"
-        path.write_text("".join(lines))
-        main(["check-stability", str(path), "--depth", "2"])
-        out = capsys.readouterr().out
-        assert "ping-pong certificate: FAILED" in out
-        assert any(line.startswith("verdict: ") for line in out.splitlines())
+        # records every failure and the sweep still runs, but b1 breaks
+        # the surface relator, so no verdict but inconclusive can stand
+        path = self.s2z_with(tmp_path, "b1",
+                             "(2.0, 0.0) (0.0, 0.0) (1e-201, 0.0) (0.5, 0.0)")
+        csv = tmp_path / "big-b1.csv"
+        code = main(["check-stability", str(path), "--depth", "2",
+                     "--csv", str(csv)])
+        out = capsys.readouterr().out.splitlines()
+        start = out.index("ping-pong certificate: FAILED") + 1
+        failures = [line for line in out[start:] if line.startswith("  ")]
+        assert len(failures) == 7
+        assert failures.count("  b1 has no isometric disk") == 1
+        assert failures.count("  B1 has no isometric disk") == 1
+        assert code == 2 and "verdict: inconclusive" in out
+        assert ("reason: relator residual 218 of factor 1 is not below "
+                "1e-08: the matrices are no representation of the group"
+                in out)
+        assert len(csv.read_text().splitlines()) == 61  # header + 60 classes
+
+    def test_overflowing_relator_is_no_representation(self, tmp_path,
+                                                      capsys):
+        # a1 = diag(1e100, 1e-100): the relator product overflows floats,
+        # which the certificate and the verdict read as residual inf
+        path = self.s2z_with(tmp_path, "a1",
+                             "(1e100, 0.0) (0.0, 0.0) (0.0, 0.0) "
+                             "(1e-100, 0.0)")
+        code = main(["check-stability", str(path), "--depth", "2"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert "  relator residual inf too large for factor 1" in out
+        assert ("reason: relator residual inf of factor 1 is not below "
+                "1e-08: the matrices are no representation of the group"
+                in out)
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -471,6 +504,27 @@ class TestCli:
             runs[mode] = json.loads(r.stdout)
         assert runs["block"] == runs["allow"]
         assert [code for code, _ in runs["block"]] == [0, 1, 1, 0, 0, 0]
+
+    def test_runtime_imports_no_dataclasses(self):
+        # the records are NamedTuples and plain classes: dataclasses would
+        # bring inspect, ast, dis and tokenize into every start-up (the
+        # modules are listed with os, as pkgutil.iter_modules imports inspect)
+        script = ("import contextlib, importlib, io, os, sys\n"
+                  "import sepstab\n"
+                  "for name in os.listdir(sepstab.__path__[0]):\n"
+                  "    if name.endswith('.py') and name[0] != '_':\n"
+                  "        importlib.import_module('sepstab.' + name[:-3])\n"
+                  "from sepstab.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = main(['check-stability', 's2-times-z',\n"
+                  "                 '--depth', '3'])\n"
+                  "assert code == 0, code\n"
+                  "print(sorted({'dataclasses', 'inspect'}\n"
+                  "             & set(sys.modules)))\n")
+        r = subprocess.run([sys.executable, "-c", script],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
 
     def test_sweep_empty_grid_header_only(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -73,6 +73,8 @@ class TestSampling:
             MuSpec(sampled_pairs=pairs, parent_links=((-1, -1),))
         with pytest.raises(ValueError):
             MuSpec(sampled_pairs=pairs, parent_links=((-1, -1), (0, 1)))
+        with pytest.raises(ValueError):
+            MuSpec(sampled_pairs=pairs, parent_links=((-1, 0), (0, -1)))
         # each linked pair is the image under the letter of its parent
         # pair, or of a pair the walk dropped under the parent's 1e-9 key
         # (for a1 b1 t1, h = b1 repeats the pair of h = A1); the walk is

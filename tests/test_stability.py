@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sepstab import stability
+from sepstab.cli import _params_from_flags
 from sepstab.gallery import build
 from sepstab.groups import (GroupSpec, TrivialElement, cyclic_reduce,
                             least_period)
@@ -471,6 +473,29 @@ class TestPeriodicKernel:
         assert report.records
         # pinched-a o phi_14 reaches the numeric_error blockers
         assert bool(errors) == (name == "pinched-a-phi14")
+
+
+class TestParams:
+    @pytest.mark.parametrize("bad", [
+        {"depth": 0}, {"powers": 1}, {"window": 1}, {"margin": 0.0},
+        {"margin": -0.5}, {"margin": math.inf}, {"margin": math.nan}])
+    def test_params_reject_bad_values(self, bad):
+        with pytest.raises(StabilityError):
+            StabilityParams(**bad)
+
+    def test_flags_apply_to_fresh_params(self):
+        group = GroupSpec((2,), 1)
+
+        def flags(**given):
+            return argparse.Namespace(**{
+                k: given.get(k) for k in ("depth", "powers", "window",
+                                          "margin")})
+        params = _params_from_flags(flags(powers=3, margin=0.5), group)
+        assert vars(params) == {"depth": 5, "powers": 3, "window": 24,
+                                "margin": 0.5}
+        assert vars(_params_from_flags(flags(), group)) == vars(
+            StabilityParams.defaults_for(group))
+        assert vars(_params_from_flags(flags(), F2))["depth"] == 8
 
 
 class TestStabilityMargin:

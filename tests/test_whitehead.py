@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from sepstab import groups as G
-from sepstab.groups import GroupSpec, cyclic_reduce, enumerate_elements
+from sepstab.groups import (CyclicNormalForm, GroupSpec, cyclic_reduce,
+                            enumerate_elements)
+from sepstab.separability import WhiteheadMove
 from sepstab.whitehead import (Component, DiscVertex, Edge,
                                NotCyclicallyReduced, WhiteheadGraph, emit_dot,
                                is_strongly_connected, standard_meridian_model,
@@ -287,3 +289,31 @@ class TestDot:
         wh = whitehead_graph_combinatorial(cnf, grp)
         text = emit_dot(wh)
         assert 'label="b2"' in text
+
+
+class TestFrozenRecords:
+    # each frozen record with its fields: it hashes as the tuple of their
+    # values, so set and dict orders are those of the field tuples
+    RECORDS = [
+        (CyclicNormalForm(((0, (0, 2)), (1, (4,)))),
+         {"syllables": ((0, (0, 2)), (1, (4,)))}),
+        (DiscVertex("D1", 1), {"disc": "D1", "side": 1}),
+        (Edge(DiscVertex("D1", 1), DiscVertex("Dt1", -1), (), 3),
+         {"u": DiscVertex("D1", 1), "v": DiscVertex("Dt1", -1), "label": (),
+          "support": 3}),
+        (WhiteheadMove(((0,), (1, 2), (2,), (3,))),
+         {"images": ((0,), (1, 2), (2,), (3,))}),
+    ]
+
+    @pytest.mark.parametrize("record, fields", RECORDS,
+                             ids=[type(r).__name__ for r, _ in RECORDS])
+    def test_hash_is_field_tuple_hash(self, record, fields):
+        assert hash(record) == hash(tuple(fields.values()))
+
+    @pytest.mark.parametrize("record, fields", RECORDS,
+                             ids=[type(r).__name__ for r, _ in RECORDS])
+    def test_assignment_raises(self, record, fields):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert {name: getattr(record, name) for name in fields} == fields
