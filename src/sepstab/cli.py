@@ -130,14 +130,15 @@ def _cmd_whitehead(args) -> int:
 
 
 def _write_dot(wh: W.WhiteheadGraph, path: str) -> List[str]:
-    if len(wh.components) == 1:
+    components = wh.components
+    if len(components) == 1:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(W.emit_dot_component(wh.components[0], wh.group))
+            fh.write(W.emit_dot_component(components[0], wh.group))
         return [path]
     stem, ext = os.path.splitext(path)
     ext = ext or ".dot"
     out = []
-    for comp in wh.components:
+    for comp in components:
         p = f"{stem}-{comp.cid}{ext}"
         with open(p, "w", encoding="utf-8") as fh:
             fh.write(W.emit_dot_component(comp, wh.group))

@@ -509,8 +509,6 @@ def enumerate_elements(group: GroupSpec, max_len: int) -> Iterator[CyclicNormalF
     so in mixed products some classes get two keys and are yielded twice
     (ROADMAP item 10; the strict xfail in tests/test_groups.py).
     """
-    if max_len < 1:
-        return
     seen = set()
     n = group.n_letters
     free_low = group.gen_base(group.n_surface)

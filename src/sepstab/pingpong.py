@@ -74,11 +74,11 @@ class PingPongDisks:
     """Round disk per generator letter; surface letters share their factor's
     disk, free letters have one disk per sign."""
 
-    def __init__(self, free: Dict[int, Disk], factor: Dict[int, Disk],
-                 certificate: Optional[PingPongCertificate] = None):
+    def __init__(self, free: Dict[int, Disk], factor: Dict[int, Disk]):
         self.free = free          # free letter id -> disk
         self.factor = factor      # surface factor id -> shared disk
-        self.certificate = certificate
+        # set by ping_pong_verify
+        self.certificate: Optional[PingPongCertificate] = None
 
     def disk_for_letter(self, group: GroupSpec, letter: int) -> Disk:
         fid = group.letter_factor(letter)

@@ -46,7 +46,6 @@ DET_REJECT = 1e-6
 class RepFileError(Exception):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}, column 1: {message}")
-        self.line = line
 
 
 class RepFile:

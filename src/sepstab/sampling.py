@@ -390,7 +390,7 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
         # distinct disks: a point outside a factor disk has prefix () there
         loop(fp, sp, ())
         loop(fq, (), sq)
-    return W.graph_from_counts(group, ball, loops)
+    return W.WhiteheadGraph(group, ball, loops)
 
 
 def whitehead_graph_sampled_for(rep: Representation, disks: PingPongDisks,
@@ -401,14 +401,11 @@ def whitehead_graph_sampled_for(rep: Representation, disks: PingPongDisks,
 
 
 def graphs_agree(a: WhiteheadGraph, b: WhiteheadGraph) -> bool:
-    """Identical vertex sets and identical edge sets (labels already
-    canonicalized by construction).  ``edge_multiset`` is a set without
-    supports, so neither multiplicities nor ``Edge.support`` are compared:
+    """The same group and the same edges: equal ball and loop key sets
+    (labels are canonical by construction).  Supports are not compared:
     the combinatorial support counts word occurrences, the sampled one
     counts axis pairs."""
-    if len(a.components) != len(b.components):
-        return False
-    for ca, cb in zip(a.components, b.components):
-        if ca.cid != cb.cid or ca.vertices != cb.vertices:
-            return False
-    return a.edge_multiset() == b.edge_multiset()
+    return ((a.group.surface_genera, a.group.free_rank)
+            == (b.group.surface_genera, b.group.free_rank)
+            and a.ball.keys() == b.ball.keys()
+            and a.loops.keys() == b.loops.keys())

@@ -407,7 +407,7 @@ def stability_margin(rep: Representation,
                     measured[key] = rows, worst
             if worst < params.margin or ratio < params.margin:
                 # the path of g^(N/2): row i cut to its first half - i pairs
-                half = length * max(1, params.powers // 2)
+                half = length * (params.powers // 2)
                 worst_half = _fold_rows(
                     {}, [row[:half - i] for i, row in enumerate(rows)],
                     params.window)

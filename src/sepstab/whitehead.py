@@ -16,12 +16,14 @@ cyclically next crossing v.  Every builder of ball edges reads both rules
 from these two functions; ``crossings`` gives a class's crossing sequence
 to the combinatorial graph and to the separability certificate.
 
-Edges are stored one per distinct (vertex, label, vertex) triple with a
-support count; the count records how many syllable transitions or sampled
-axis pairs back the edge and only surfaces in DOT output.  Both builders
-count edges on ball vertex ids and (factor, label) loop keys and hand the
-counts to ``graph_from_counts``, the one place that makes ``Edge`` and
-``Component`` objects.
+A ``WhiteheadGraph`` is its edge counts: ``ball`` maps a ball edge (a, b),
+a <= b, to its support and ``loops`` maps a surface loop (factor id,
+label) to its support.  The support records how many syllable transitions
+or sampled axis pairs back the edge and only surfaces in DOT output.  Both
+builders count into these two maps and nothing else; the analysis runs on
+the ids and keys.  ``components`` is a view built on each read, the one
+place that turns the counts into ``Edge`` and ``Component`` objects, for
+DOT output, the CLI report and inspection.
 
 Strong connectedness follows the cycle-with-nontrivial-label definition on
 surface components.  Ball components have trivial label group, where the
@@ -36,12 +38,13 @@ certifies nothing.  It reports every component strongly connected
 without strong cutpoints for A1 B1 t1 A1 t2 b1 T2 a1 T1 b1 t2 B1 t1 in
 S2 * F2, an automorphic image of the separable t1 t2.
 
-All analysis runs on one lowpoint DFS (``block_structure``), which yields
-the connected pieces, bridges and cut vertices.  In a strongly connected
-ball piece a split at v can only fail on a side where v keeps a single
-edge, so its strong cutpoints are exactly the endpoints of its bridges.
-Each surface component has exactly one vertex, so its cycles are its loops
-and it is strongly connected when some loop label is nontrivial.
+The ball analysis is one lowpoint DFS (``block_structure``) over the ball
+edge keys, which yields the connected pieces, bridges and cut vertices.
+In a strongly connected ball piece a split at v can only fail on a side
+where v keeps a single edge, so its strong cutpoints are exactly the
+endpoints of its bridges.  Each surface component has exactly one vertex,
+so its cycles are its loops: it is read from its loop keys alone, and it
+is strongly connected when some loop label is nontrivial.
 """
 
 from __future__ import annotations
@@ -98,9 +101,32 @@ class Component:
 
 
 class WhiteheadGraph:
-    def __init__(self, group: GroupSpec, components: Tuple[Component, ...]):
+    """The edge counts of a Whitehead graph: ``ball`` maps ball vertex ids
+    (a, b), a <= b, to supports; ``loops`` maps (factor id, canonical
+    label) to supports."""
+
+    def __init__(self, group: GroupSpec, ball: Mapping[Tuple[int, int], int],
+                 loops: Mapping[Tuple[int, Word], int]):
         self.group = group
-        self.components = components
+        self.ball = ball
+        self.loops = loops
+
+    @property
+    def components(self) -> Tuple[Component, ...]:
+        """The meridian model carrying the counted edges, each component's
+        edges sorted by ``Edge.key``; built anew on each read."""
+        model = standard_meridian_model(self.group)
+        ball_vertices = model[0].vertices
+        edges: Dict[Optional[int], List[Edge]] = {c.fid: [] for c in model}
+        for (a, b), support in self.ball.items():
+            u, v = sorted((ball_vertices[a], ball_vertices[b]))
+            edges[None].append(Edge(u, v, (), support))
+        for (fid, label), support in self.loops.items():
+            v = model[fid + 1].vertices[0]
+            edges[fid].append(Edge(v, v, label, support))
+        return tuple(Component(c.fid, c.vertices,
+                               tuple(sorted(edges[c.fid], key=Edge.key)))
+                     for c in model)
 
     def component(self, cid: str) -> Component:
         for c in self.components:
@@ -113,11 +139,8 @@ class WhiteheadGraph:
         it is a set: supports are left out, because the combinatorial
         support counts word occurrences while the sampled one counts
         axis pairs, so only the presence of an edge is comparable."""
-        out = []
-        for c in self.components:
-            for e in c.edges:
-                out.append((c.cid,) + e.key())
-        return frozenset(out)
+        return frozenset((c.cid,) + e.key()
+                         for c in self.components for e in c.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +153,13 @@ def _disc_name(group: GroupSpec, fid: int) -> str:
     return f"Dt{fid - group.n_surface + 1}"
 
 
+def _ball_vertex(group: GroupSpec, v: int) -> DiscVertex:
+    return DiscVertex(_disc_name(group, v >> 1), -1 if v & 1 else +1)
+
+
 def standard_meridian_model(group: GroupSpec) -> List[Component]:
     """Vertex layout of the canonical boundary-connect-sum disc system."""
-    ball = tuple(DiscVertex(_disc_name(group, fid), side)
-                 for fid in range(group.n_factors) for side in (+1, -1))
+    ball = tuple(_ball_vertex(group, v) for v in range(2 * group.n_factors))
     return [Component(None, ball)] + [
         Component(fid, (DiscVertex(_disc_name(group, fid), 0),))
         for fid in range(group.n_surface)]
@@ -160,30 +186,6 @@ def cyclic_links(crossings: Sequence[int]) -> List[Tuple[int, int]]:
     crossing vertices; a free word's letters are their own vertices."""
     return [(u, v ^ 1)
             for u, v in zip(crossings, crossings[1:] + crossings[:1])]
-
-
-def graph_from_counts(group: GroupSpec,
-                      ball: Mapping[Tuple[int, int], int],
-                      loops: Mapping[Tuple[int, Word], int]) -> WhiteheadGraph:
-    """Components of the meridian model carrying the counted edges.
-
-    ``ball`` counts edges by ball vertex ids (a, b) with a <= b; ``loops``
-    counts surface loops by (factor id, canonical label).  Edges come out
-    sorted by ``Edge.key``, so both builders emit identical graphs.
-    """
-    model = standard_meridian_model(group)
-    ball_vertices = model[0].vertices
-    edges: Dict[Optional[int], List[Edge]] = {c.fid: [] for c in model}
-    for (a, b), support in ball.items():
-        u, v = sorted((ball_vertices[a], ball_vertices[b]))
-        edges[None].append(Edge(u, v, (), support))
-    for (fid, label), support in loops.items():
-        v = model[fid + 1].vertices[0]
-        edges[fid].append(Edge(v, v, label, support))
-    return WhiteheadGraph(group, tuple(
-        Component(c.fid, c.vertices,
-                  tuple(sorted(edges[c.fid], key=Edge.key)))
-        for c in model))
 
 
 def crossings(cnf: CyclicNormalForm,
@@ -213,10 +215,10 @@ def whitehead_graph_combinatorial(cnf: CyclicNormalForm,
     _check_cyclically_reduced(cnf, group)
     sylls = cnf.syllables
     if len(sylls) == 1 and sylls[0][0] < group.n_surface:
-        return graph_from_counts(group, {}, {})
+        return WhiteheadGraph(group, {}, {})
     sequence, loops = crossings(cnf, group)
     ball = Counter((min(a, b), max(a, b)) for a, b in cyclic_links(sequence))
-    return graph_from_counts(group, ball, loops)
+    return WhiteheadGraph(group, ball, loops)
 
 
 def _check_cyclically_reduced(cnf: CyclicNormalForm, group: GroupSpec):
@@ -298,39 +300,40 @@ def block_structure(n: int, links: Sequence[Tuple[int, int]]) -> Blocks:
     return out
 
 
-def _analyse(comp: Component) -> Tuple[List[int], Blocks]:
-    """Vertex degrees (a loop counts twice) and block structure, with the
-    component's vertices numbered by position."""
-    index = {v: i for i, v in enumerate(comp.vertices)}
-    degree = [0] * len(comp.vertices)
-    links = []
-    for e in comp.edges:
-        a, b = index[e.u], index[e.v]
+def _analysis(
+        wh: WhiteheadGraph) -> Dict[str, Tuple[bool, List[DiscVertex]]]:
+    """Per component: whether it is strongly connected, and its strong
+    cutpoints.  The ball is one ``block_structure`` over its edge keys,
+    with vertex degrees (a loop counts twice); a surface component is read
+    from its loop keys."""
+    group = wh.group
+    degree = [0] * (2 * group.n_factors)
+    for a, b in wh.ball:
         degree[a] += 1
         degree[b] += 1
-        links.append((a, b))
-    return degree, block_structure(len(degree), links)
-
-
-def _strong(comp: Component, group: GroupSpec, degree: List[int],
-            piece: List[int]) -> bool:
-    """Whether a connected piece is strongly connected: on the ball, no
-    vertex of degree < 2; on a (one-vertex) surface component, some loop
-    with a nontrivial label."""
-    if comp.fid is None:
-        return min(degree[i] for i in piece) >= 2
-    return any(G.dehn_reduce(e.label, group, comp.fid) for e in comp.edges)
+    blocks = block_structure(len(degree), list(wh.ball))
+    cuts = {i for link in blocks.bridges for i in link}
+    for piece in blocks.pieces:
+        ends = [degree[i] for i in piece]
+        if max(ends) and min(ends) < 2:  # not a bare vertex, not strong
+            cuts.update(piece)
+    out = {"ball": (len(blocks.pieces) == 1 and min(degree) >= 2,
+                    sorted(_ball_vertex(group, i) for i in cuts))}
+    strong: Dict[int, bool] = {}  # factors with loops: a nontrivial label?
+    for fid, label in wh.loops:
+        strong[fid] = strong.get(fid, False) or bool(
+            G.dehn_reduce(label, group, fid))
+    for fid in range(group.n_surface):
+        s = strong.get(fid)  # None without loops: a bare vertex
+        vertex = DiscVertex(_disc_name(group, fid), 0)
+        out[f"surface{fid}"] = (s is True, [vertex] if s is False else [])
+    return out
 
 
 def is_strongly_connected(wh: WhiteheadGraph) -> Dict[str, bool]:
     """Per-component verdict: the component is one connected piece and
     that piece is strongly connected."""
-    out = {}
-    for comp in wh.components:
-        degree, blocks = _analyse(comp)
-        out[comp.cid] = (len(blocks.pieces) == 1
-                         and _strong(comp, wh.group, degree, blocks.pieces[0]))
-    return out
+    return {cid: strong for cid, (strong, _) in _analysis(wh).items()}
 
 
 def strong_cutpoints(wh: WhiteheadGraph) -> Dict[str, List[DiscVertex]]:
@@ -343,17 +346,7 @@ def strong_cutpoints(wh: WhiteheadGraph) -> Dict[str, List[DiscVertex]]:
     against the whole piece and is reported; in a strongly connected piece
     the strong cutpoints are the bridge endpoints.
     """
-    out = {}
-    for comp in wh.components:
-        degree, blocks = _analyse(comp)
-        cuts = {i for link in blocks.bridges for i in link}
-        for piece in blocks.pieces:
-            if len(piece) == 1 and not degree[piece[0]]:
-                continue  # isolated vertex: nothing to split
-            if not _strong(comp, wh.group, degree, piece):
-                cuts.update(piece)
-        out[comp.cid] = sorted(comp.vertices[i] for i in cuts)
-    return out
+    return {cid: cuts for cid, (_, cuts) in _analysis(wh).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -816,6 +816,11 @@ class TestEnumeration:
         assert [w for w in yielded if w[0] >= low] == [
             (t,), (T,), (t, t), (T, T), (t, t, t), (T, T, T)]
 
+    @pytest.mark.parametrize("max_len", [0, -2])
+    def test_no_length_no_classes(self, max_len):
+        for group in (F2, S2Z, MIXED["S2*S2*Z"]):
+            assert list(enumerate_elements(group, max_len)) == []
+
     def test_f2_length_one(self):
         got = {F2.format_word(c.letters()) for c in enumerate_elements(F2, 1)}
         assert got == {"a", "A", "b", "B"}

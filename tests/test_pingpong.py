@@ -414,6 +414,22 @@ class TestPingPong:
         assert {"b1 has no isometric disk",
                 "B1 has no isometric disk"} <= set(cert.failures)
 
+    def test_elliptic_surface_generator_is_a_failure(self):
+        # a1 replaced by a rotation about 0: the circle is fitted through
+        # the other generators' fixed points and the checks go on to a1's
+        # (absent) isometric disks
+        rep, disks = build("s2-times-z")
+        images = list(rep.generator_images())
+        images[0] = MoebiusMap(cmath.exp(0.1j * math.pi), 0, 0,
+                               cmath.exp(-0.1j * math.pi))
+        cert = ping_pong_verify(Representation(rep.group, images), disks)
+        assert not cert.ok
+        assert "surface generator a1 is not loxodromic" in cert.failures
+        assert {"a1 has no isometric disk",
+                "A1 has no isometric disk"} <= set(cert.failures)
+        center, radius = cert.surface_circles[0]
+        assert abs(center) < 1e-6 and abs(radius - 1.0) < 1e-9
+
     @pytest.mark.parametrize("circle", [(1e160 + 0j, 1.0),
                                         (complex(math.nan, 0), math.nan)])
     def test_fitted_circle_not_finite_is_no_circle(self, monkeypatch, circle):

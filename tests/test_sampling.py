@@ -112,6 +112,14 @@ class TestSampling:
                 duplicate += 1
         assert duplicate and direct > len(mu.sampled_pairs) / 2
 
+    def test_non_loxodromic_class_has_no_pairs(self):
+        # pinched-a's a is parabolic: no axis, so no endpoint pair
+        rep, _ = build("pinched-a")
+        cnf = cyclic_reduce(rep.group.parse_word("a"), rep.group)
+        assert classify(rep.evaluate(cnf.letters())) == "parabolic"
+        mu = sample_mu(rep, cnf, 3)
+        assert (mu.sampled_pairs, mu.parent_links) == ((), ())
+
     def test_mu_pairs_one_order_per_axis(self):
         # the builder treats a pair as unordered: no pair comes with its swap
         mu = sample_mu(REP, cnf_of("a1 t1"), 2)
@@ -152,6 +160,35 @@ class TestSampling:
             comb = whitehead_graph_combinatorial(cnf, GRP)
             samp = whitehead_graph_sampled_for(REP, DISKS, cnf, 3)
             assert graphs_agree(comb, samp), GRP.format_word(cnf.letters())
+
+
+class TestGraphsAgree:
+    def test_keys_decide_and_supports_do_not(self):
+        comb = whitehead_graph_combinatorial(cnf_of("a1 t1 b1 T1"), GRP)
+        ball, loops = dict(comb.ball), dict(comb.loops)
+        assert ball and loops
+        assert graphs_agree(comb, W.WhiteheadGraph(
+            GRP, dict.fromkeys(ball, 7), dict.fromkeys(loops, 7)))
+        assert not graphs_agree(comb, W.WhiteheadGraph(GRP, ball, {}))
+        assert not graphs_agree(comb, W.WhiteheadGraph(
+            GRP, {**ball, (0, 0): 1}, loops))
+        assert not graphs_agree(comb, W.WhiteheadGraph(
+            GroupSpec((3,), 1), ball, loops))
+
+    def test_no_component_unless_read(self, monkeypatch):
+        # building, analysing and comparing graphs runs on the counts; the
+        # component objects are made only by reading ``components``
+        def refuse(*args):
+            raise AssertionError("a Component was built")
+        monkeypatch.setattr(W, "Component", refuse)
+        for cnf in enumerate_elements(GRP, 2):
+            comb = whitehead_graph_combinatorial(cnf, GRP)
+            samp = whitehead_graph_sampled_for(REP, DISKS, cnf, 3)
+            assert graphs_agree(comb, samp)
+            W.is_strongly_connected(comb)
+            W.strong_cutpoints(comb)
+        with pytest.raises(AssertionError, match="Component"):
+            comb.components
 
 
 def _grown_isometric_disks(rep, letters):
@@ -699,7 +736,7 @@ def navigation_reference(rep, disks, mu, cap):
             ball[min(up, uq), max(up, uq)] += 1
         loop(fp, sp, ())
         loop(fq, (), sq)
-    return W.graph_from_counts(group, ball, loops)
+    return W.WhiteheadGraph(group, ball, loops)
 
 
 def _with_supports(graph):

@@ -629,7 +629,7 @@ class TestMixedCertificate:
     def test_sweep_builds_no_graph(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the separability sweep built a graph")
-        monkeypatch.setattr(W, "graph_from_counts", refuse)
+        monkeypatch.setattr(W, "WhiteheadGraph", refuse)
         statuses = Counter(s for _, s in swept_classes(S2Z, 4))
         assert statuses["unknown"] > 0
 

@@ -705,6 +705,16 @@ class TestVerdictBranches:
         assert report.witness.spelling == "a"
         assert report.witness.flags == flags
 
+    def test_separable_in_parabolic_band(self):
+        # at margin 1e-4, a's ratio (2.0e-4) and QG ratio (2.2e-4) clear the
+        # margin, but |tr^2 - 4| ~ 4e-8 keeps it in the parabolic band
+        report = self.report(-1, 3, 1.0001, margin=1e-4)
+        assert report.verdict == "inconclusive"
+        assert report.witness.spelling == "a"
+        assert report.witness.flags == ("parabolic_adjacent",)
+        assert report.reason == "separable element in the parabolic band"
+        assert report.witness.ratio > 1e-4 and report.witness.worst_qg > 1e-4
+
     @staticmethod
     def unknown_for(monkeypatch, spellings=None):
         """Report the classes in ``spellings`` (all, if None) as unknown."""

@@ -6,10 +6,10 @@ from sepstab import groups as G
 from sepstab.groups import (CyclicNormalForm, GroupSpec, cyclic_reduce,
                             enumerate_elements)
 from sepstab.separability import WhiteheadMove
-from sepstab.whitehead import (Component, DiscVertex, Edge,
-                               NotCyclicallyReduced, WhiteheadGraph, emit_dot,
-                               is_strongly_connected, standard_meridian_model,
-                               strong_cutpoints, whitehead_graph_combinatorial)
+from sepstab.whitehead import (DiscVertex, Edge, NotCyclicallyReduced,
+                               WhiteheadGraph, emit_dot, is_strongly_connected,
+                               standard_meridian_model, strong_cutpoints,
+                               whitehead_graph_combinatorial)
 
 F2 = GroupSpec((), 2)
 S2Z = GroupSpec((2,), 1)
@@ -161,12 +161,12 @@ class TestStrongCutpoints:
     def test_bridge_endpoints_of_strong_piece(self):
         # two triangles joined by one edge: min degree 2, so strongly
         # connected, and only the bridge endpoints are strong cutpoints
-        v = [DiscVertex(disc, side)
-             for disc in ("D1", "D2", "Dt1") for side in (+1, -1)]
         links = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
-        edges = tuple(Edge(v[a], v[b]) for a, b in links)
-        ball = Component(None, tuple(v), edges)
-        wh = WhiteheadGraph(TWO_SURF, (ball,))
+        wh = WhiteheadGraph(TWO_SURF, dict.fromkeys(links, 1), {})
+        ball = wh.component("ball")
+        v = ball.vertices
+        assert [x.label() for x in v] == [
+            "D1+", "D1-", "D2+", "D2-", "Dt1+", "Dt1-"]
         assert is_strongly_connected(wh)["ball"] is True
         assert strong_cutpoints(wh)["ball"] == sorted((v[2], v[3]))
         assert _split_cutpoints(ball, TWO_SURF) == sorted((v[2], v[3]))
@@ -174,12 +174,11 @@ class TestStrongCutpoints:
     def test_leaf_makes_every_vertex_a_cutpoint(self):
         # a triangle with a pendant edge is not strongly connected, so the
         # triangle corners off the bridge are strong cutpoints as well
-        v = [DiscVertex(disc, side)
-             for disc in ("Dt1", "Dt2") for side in (+1, -1)]
         links = [(0, 1), (1, 2), (0, 2), (2, 3)]
-        edges = tuple(Edge(v[a], v[b]) for a, b in links)
-        ball = Component(None, tuple(v), edges)
-        wh = WhiteheadGraph(F2, (ball,))
+        wh = WhiteheadGraph(F2, dict.fromkeys(links, 1), {})
+        ball = wh.component("ball")
+        v = ball.vertices
+        assert [x.label() for x in v] == ["Dt1+", "Dt1-", "Dt2+", "Dt2-"]
         assert is_strongly_connected(wh)["ball"] is False
         assert strong_cutpoints(wh)["ball"] == sorted(v)
         assert _split_cutpoints(ball, F2) == sorted(v)
@@ -275,6 +274,12 @@ class TestDot:
         text = emit_dot(graph_of("a1 b1", S2Z))
         assert text.count('--') == 0
         assert 'graph "ball"' in text and 'graph "surface0"' in text
+
+    def test_support_shows_multiplicity(self):
+        # a a crosses Dt1 twice: its one edge is backed by two transitions
+        text = emit_dot(graph_of("a a"))
+        assert '  "Dt1-" -- "Dt1+" [support=2];\n' in text
+        assert 'support' not in emit_dot(graph_of("a b A B"))
 
     def test_deterministic(self):
         a = emit_dot(graph_of("a1 t1 b1 T1", S2Z))
