@@ -16,14 +16,14 @@ Structured text, hand-editable, with three blocks:
       name example
 
 Numbers are emitted with repr(float), which round-trips exactly, so
-parse -> emit -> parse is the identity.  Unknown or repeated keys,
-non-finite numbers, non-positive radii, non-integer genera or ranks,
-groups that GroupSpec refuses and a disk block that misses a disk or has
-one for a letter it does not cover are rejected with a line/column
-diagnostic.  Only bounded disks can be written.  A generator matrix is
-rejected when its determinant is off one by more than 1e-6 plus the
-rounding noise of its entries (``MoebiusMap.det_noise``), or when its
-entries are too large for that check to be computed in floats;
+parse -> emit -> parse is the identity.  Unknown or repeated sections
+and keys, non-finite numbers, non-positive radii, non-integer genera or
+ranks, groups that GroupSpec refuses and a disk block that misses a disk
+or has one for a letter it does not cover are rejected with a
+line/column diagnostic.  Only bounded disks can be written.  A generator
+matrix is rejected when its determinant is off one by more than 1e-6
+plus the rounding noise of its entries (``MoebiusMap.det_noise``), or
+when its entries are too large for that check to be computed in floats;
 otherwise its entries are kept as written and ``Representation``
 renormalizes them under its own rule, so the round trip is exact.
 """
@@ -90,7 +90,8 @@ def parse_rep(text: str) -> RepFile:
     gen_lines: List[Tuple[int, str]] = []
     disk_lines: List[Tuple[int, str]] = []
     meta: Dict[str, str] = {}
-    group_line = disks_line = free_line = 0
+    headers: Dict[str, int] = {}   # section name -> its header's line
+    free_line = 0
 
     for idx, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -100,11 +101,10 @@ def parse_rep(text: str) -> RepFile:
             name = line.strip()
             if name not in ("group", "generators", "disks", "meta"):
                 raise RepFileError(f"unknown section {name!r}", idx)
+            if name in headers:
+                raise RepFileError(f"repeated section {name!r}", idx)
             section = name
-            if name == "group":
-                group_line = idx
-            elif name == "disks":
-                disks_line = idx
+            headers[name] = idx
             continue
         body = line.strip()
         if section == "group":
@@ -135,7 +135,7 @@ def parse_rep(text: str) -> RepFile:
     try:
         group = GroupSpec(tuple(genera), free_rank)
     except GroupError as exc:
-        raise RepFileError(str(exc), group_line)
+        raise RepFileError(str(exc), headers["group"])
 
     expected = [group.letter_name(2 * k) for k in range(group.n_letters // 2)]
     images: Dict[str, MoebiusMap] = {}
@@ -215,7 +215,7 @@ def parse_rep(text: str) -> RepFile:
         try:
             check_disk_layout(group, disks)
         except DiskCountMismatch as exc:
-            raise RepFileError(str(exc), disks_line)
+            raise RepFileError(str(exc), headers["disks"])
 
     return RepFile(rep=rep, disks=disks, meta=meta, disk_params=disk_params)
 

@@ -17,22 +17,23 @@ An endpoint whose word starts with syllable s sits at ball vertex
 x_n^-1 ... to x_1 ..., so its pair joins x_n to x_1^-1, the edge that
 ``whitehead.cyclic_links`` gives the adjacent crossings (x_n, x_1).
 
-Each sampled pair carries a parent link (x, j): the pair is x applied to
-pair j, or x applied to a pair the walk dropped because it has pair j's
-1e-9 key (for g = a1 b1 the pair of h = b1 repeats that of h = A1).  Only
-the root and the children of a pair with an endpoint at infinity have no
-parent (j = -1).  An endpoint P = x(Q) is located from the location of the
-stored endpoint Q of pair j.  Membership in the factor disks and the first
-navigation step are still tested numerically on P, the step on x's
-isometric disk and the disks that may tie with it (its tie set: on the
-shipped s2-times-z, x's two octagon neighbours), which decides "the first
-step is x" exactly as the argmin over all of the factor's disks does.  When
-that step strips x, P's surface prefix is x followed by Q's prefix in the
-factor (() when Q lies outside the factor disk), or none when that exceeds
-the cap.  Otherwise, and for pairs without a parent, the prefix comes from
-inverse iteration through the generator isometric disks of the factor
-holding the point.  Either way each endpoint is located once, and no point
-is looked up by its coordinates.
+Every walked conjugator h whose pair h(fix g) has two finite endpoints
+stores that pair, with a parent link (x, j) for h = x h': pair j is the
+pair of h', and each endpoint of the pair is x applied to the matching
+endpoint of pair j, bit for bit.  Only the root and the children of a
+pair with an endpoint at infinity have no parent (j = -1).  An endpoint
+P = x(Q) is located from the location of the endpoint Q of pair j.
+Membership in the factor disks and the first navigation step are still
+tested numerically on P, the step on x's isometric disk and the disks
+that may tie with it (its tie set: on the shipped s2-times-z, x's two
+octagon neighbours), which decides "the first step is x" exactly as the
+argmin over all of the factor's disks does.  When that step strips x, P's
+surface prefix is x followed by Q's prefix in the factor (() when Q lies
+outside the factor disk), or none when that exceeds the cap.  Otherwise,
+and for pairs without a parent, the prefix comes from inverse iteration
+through the generator isometric disks of the factor holding the point.
+Either way each endpoint is located once, and no point is looked up by
+its coordinates.
 """
 
 from __future__ import annotations
@@ -55,10 +56,9 @@ Location = Optional[Tuple[int, Optional[Word]]]
 
 
 class MuSpec:
-    """Endpoint data: sampled axis endpoint pairs, one unordered pair per
-    axis, and optionally one parent link (x, j) per pair: pair i is the
-    image under letter x of pair j, an earlier one, or of a pair that the
-    walk dropped because it has pair j's 1e-9 key; j = -1 for none."""
+    """Endpoint data: sampled axis endpoint pairs, read as unordered, and
+    optionally one parent link (x, j) per pair: pair i is the image under
+    letter x of pair j, an earlier one; j = -1 for none."""
 
     def __init__(self,
                  sampled_pairs: Tuple[Tuple[complex, complex], ...] = (),
@@ -77,16 +77,15 @@ def sample_mu(rep: Representation, cnf: CyclicNormalForm,
               depth: int) -> MuSpec:
     """Axis endpoint pairs h(fix g) for reduced h with |h| <= depth.
 
-    Each axis gives one pair, ordered (repelling, attracting); the graph
-    builder treats a pair as unordered.  A pair with an endpoint at
-    infinity is skipped, and so is a pair within 1e-9 of an earlier one.
-    With g = w^k, w primitive, no h = h' w^{+-1} is walked: it repeats
-    h'(fix g) up to amplified rounding.  The walk is depth-first, letters
-    ascending, and moves each endpoint by the boundary action of
-    ``MoebiusMap.moebius``, inlined.  Each pair's parent link is (x, j):
-    h = x h', and j indexes the pair of h', or the earlier pair with the
-    same key when the pair of h' was dropped as a duplicate; j = -1 when h'
-    emitted no pair.
+    Each walked h gives one pair, ordered (repelling, attracting); the
+    graph builder treats a pair as unordered.  A pair with an endpoint at
+    infinity is skipped; every other pair is kept, also when another h
+    gives the same axis.  With g = w^k, w primitive, no h = h' w^{+-1} is
+    walked: it repeats h'(fix g) up to amplified rounding.  The walk is
+    depth-first, letters ascending, and moves each endpoint by the
+    boundary action of ``MoebiusMap.moebius``, inlined.  Each pair's
+    parent link is (x, j): h = x h', and j indexes the pair of h', whose
+    image under x the pair is, bit for bit; j = -1 when h' has no pair.
     """
     word = cnf.letters()
     g_mat = rep.evaluate(word)
@@ -104,22 +103,15 @@ def sample_mu(rep: Representation, cnf: CyclicNormalForm,
         descending.append((y, m.a, m.b, m.c, m.d))
     pairs: List[Tuple[complex, complex]] = []
     links: List[Tuple[int, int]] = []
-    seen: Dict[tuple, int] = {}   # key -> index of the pair stored under it
     # (h, h(fix g), x, parent pair index); h grows by prepending, h = x h'
     stack = [((), fps[0], fps[1], -1, -1)]
     while stack:
         h, r, a, x, parent = stack.pop()
         index = -1
         if r is not None and a is not None:
-            try:
-                key = (round(r.real * 1e9), round(r.imag * 1e9),
-                       round(a.real * 1e9), round(a.imag * 1e9))
-            except (OverflowError, ValueError):
-                key = _key(r) + _key(a)
-            index = seen.setdefault(key, len(pairs))
-            if index == len(pairs):
-                pairs.append((r, a))
-                links.append((x, parent))
+            index = len(pairs)
+            pairs.append((r, a))
+            links.append((x, parent))
         if len(h) < depth:
             back = inv(h[0]) if h else -1
             for y, ma, mb, mc, md in descending:
@@ -135,15 +127,6 @@ def sample_mu(rep: Representation, cnf: CyclicNormalForm,
                               (ma * a + mb) / da if abs(da) else None,
                               y, index))
     return MuSpec(sampled_pairs=tuple(pairs), parent_links=tuple(links))
-
-
-def _key(p: complex):
-    """A point's cell on the 1e-9 grid; a point off the grid (infinite,
-    nan or too large) keys as itself, which no cell equals."""
-    try:
-        return (round(p.real * 1e9), round(p.imag * 1e9))
-    except (OverflowError, ValueError):
-        return (p, None)
 
 
 def _tie_sets(forms: Sequence[Tuple[float, float, float, float]]
@@ -243,17 +226,15 @@ class _Navigator:
         (letter,) in a free letter's disk, the surface prefix in a factor
         disk; None outside every disk.  Factor disks are tested first.
 
-        With a parent link, p = x(q') and lq is the location of q, the
-        stored endpoint of the linked pair: q' = q for a direct link, and
-        for a duplicate link q' is the dropped endpoint in q's 1e-9 cell.
-        When p lies in a factor disk and its first navigation step,
-        decided on x's tie set alone, strips x, p's prefix is x followed
-        by q's prefix in that factor, () when lq puts q outside it.  The
-        step leaves x^-1(p), which is q' up to rounding; verified factor
-        disks are disjoint with a margin, so lq stands for that point's
-        location unless it lies within rounding, or 1e-9, of a disk
-        boundary.  The differential tests against memo-free inverse
-        iteration check the prefixes.
+        With a parent link, p = x(q) and lq is the location of q, the
+        matching endpoint of the linked pair.  When p lies in a factor
+        disk and its first navigation step, decided on x's tie set alone,
+        strips x, p's prefix is x followed by q's prefix in that factor,
+        () when lq puts q outside it.  The step leaves x^-1(p), which is q
+        up to rounding; verified factor disks are disjoint with a margin,
+        so lq stands for that point's location unless it lies within
+        rounding of a disk boundary.  The differential tests against
+        memo-free inverse iteration check the prefixes.
         """
         px, py = p.real, p.imag
         r2 = px * px + py * py
@@ -404,7 +385,8 @@ def graphs_agree(a: WhiteheadGraph, b: WhiteheadGraph) -> bool:
     """The same group and the same edges: equal ball and loop key sets
     (labels are canonical by construction).  Supports are not compared:
     the combinatorial support counts word occurrences, the sampled one
-    counts axis pairs."""
+    counts walked conjugators, so an axis that several conjugators share
+    counts once for each."""
     return ((a.group.surface_genera, a.group.free_rank)
             == (b.group.surface_genera, b.group.free_rank)
             and a.ball.keys() == b.ball.keys()

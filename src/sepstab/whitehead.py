@@ -19,11 +19,12 @@ to the combinatorial graph and to the separability certificate.
 A ``WhiteheadGraph`` is its edge counts: ``ball`` maps a ball edge (a, b),
 a <= b, to its support and ``loops`` maps a surface loop (factor id,
 label) to its support.  The support records how many syllable transitions
-or sampled axis pairs back the edge and only surfaces in DOT output.  Both
-builders count into these two maps and nothing else; the analysis runs on
-the ids and keys.  ``components`` is a view built on each read, the one
-place that turns the counts into ``Edge`` and ``Component`` objects, for
-DOT output, the CLI report and inspection.
+or sampled pairs, one per walked conjugator, back the edge and only
+surfaces in DOT output.  Both builders count into these two maps and
+nothing else; the analysis runs on the ids and keys.  ``components`` is
+a view built on each read, the one place that turns the counts into
+``Edge`` and ``Component`` objects, for DOT output, the CLI report and
+inspection.
 
 Strong connectedness follows the cycle-with-nontrivial-label definition on
 surface components.  Ball components have trivial label group, where the
@@ -138,7 +139,8 @@ class WhiteheadGraph:
         """The set of (cid, u, v, label) over all edges.  Despite the name
         it is a set: supports are left out, because the combinatorial
         support counts word occurrences while the sampled one counts
-        axis pairs, so only the presence of an edge is comparable."""
+        walked conjugators, so only the presence of an edge is
+        comparable."""
         return frozenset((c.cid,) + e.key()
                          for c in self.components for e in c.edges)
 

@@ -141,6 +141,9 @@ class TestDehnReduce:
     def test_mixed_factors_rejected(self):
         with pytest.raises(MixedFactors):
             dehn_reduce(S2Z.parse_word("a1 t1"), S2Z, 0)
+        # the free factor of S2*Z has no relator to reduce by
+        with pytest.raises(MixedFactors, match="factor 1 is not a surface"):
+            dehn_reduce(S2Z.parse_word("t1"), S2Z, 1)
 
     def test_letters_are_checked_against_the_factor(self):
         # a negative letter must not index the letter table from its end

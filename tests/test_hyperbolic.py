@@ -103,6 +103,8 @@ class TestFixedPoints:
 
     def test_parabolic_single(self):
         assert fixed_points(MoebiusMap(1, 1, 0, 1)) == (None,)
+        # z -> z / (z + 1): c != 0, a double root of the quadratic at 0
+        assert fixed_points(MoebiusMap(1, 0, 1, 1)) == (0j,)
 
     def test_equivariance(self):
         h = MoebiusMap(3, 2, 1, 1)

@@ -87,6 +87,16 @@ class TestDisks:
             Disk.interior(0, 5).contains_disk(
                 Disk.interior(0, 1), 0.0, MoebiusMap(0, 1, 1, -1))
 
+    @pytest.mark.parametrize("make,reason", [
+        (lambda: Disk.interior(0, 0.0), "radius must be positive"),
+        (lambda: Disk.exterior(0, -1.0), "radius must be positive"),
+        # |B|^2 - AC = -1: no real circle
+        (lambda: Disk(0.0, 0j, 1.0), "does not define a real circle")],
+        ids=["interior", "exterior", "form"])
+    def test_no_circle_raises(self, make, reason):
+        with pytest.raises(DiskError, match=reason):
+            make()
+
     def test_isometric_disk_requires_c(self):
         with pytest.raises(DiskError):
             isometric_disk(MoebiusMap(2, 0, 0, 0.5))

@@ -308,6 +308,26 @@ class TestCli:
         assert code == 65
         assert f"line {line}," in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("inserted,before,line", [
+        # before, a second group block merged into S2*S3*Z and the error
+        # landed on a generator line
+        ("group\n  surface 3\n", "generators\n", 4),
+        ("generators\n", "  t1 = (9.625", 9),
+        ("disks\n", "  t1 center", 12),
+        ("meta\n", "  name s2-times-z", 15),
+    ])
+    def test_repeated_section_is_65_at_its_header(self, tmp_path, inserted,
+                                                   before, line):
+        text = gallery_text("s2-times-z")
+        assert before in text
+        path = tmp_path / "bad.rep"
+        path.write_text(text.replace(before, inserted + before, 1))
+        code, out, err = run_cli("check-stability", str(path), "--depth", "2")
+        assert (code, out) == (65, "")
+        section = inserted.split()[0]
+        assert (f"line {line}, column 1: repeated section {section!r}\n"
+                in err) and "Traceback" not in err
+
     def test_missing_factor_disk_is_named_as_written(self, tmp_path):
         path = tmp_path / "bad.rep"
         path.write_text(gallery_text("s2-times-z").replace(

@@ -52,8 +52,8 @@ class TestSampling:
         assert all(not c.edges for c in wh.components)
 
     def test_points_off_the_key_grid(self):
-        # infinite, nan and huge points have no 1e-9 key; they fall in no
-        # bounded first-level disk, so their pairs are dropped
+        # infinite, nan and huge points fall in no bounded first-level
+        # disk, so their pairs are dropped
         far = (complex("inf"), complex("nan"), complex(1e300, -1e300))
         pairs = tuple((z, 0.5 + 0j) for z in far)
         wh = whitehead_graph_sampled(REP, DISKS, MuSpec(sampled_pairs=pairs),
@@ -75,42 +75,21 @@ class TestSampling:
             MuSpec(sampled_pairs=pairs, parent_links=((-1, -1), (0, 1)))
         with pytest.raises(ValueError):
             MuSpec(sampled_pairs=pairs, parent_links=((-1, 0), (0, -1)))
-        # each linked pair is the image under the letter of its parent
-        # pair, or of a pair the walk dropped under the parent's 1e-9 key
-        # (for a1 b1 t1, h = b1 repeats the pair of h = A1); the walk is
-        # replayed to find the dropped pair
+        # every walked conjugator with two finite endpoints keeps its pair,
+        # in walk order, and each linked pair is its letter's image of its
+        # parent pair, bit for bit (for a1 b1 t1, h = b1 t1 and h = A1
+        # both conjugate it to b1 t1 a1, and both pairs are kept)
         cnf = cnf_of("a1 b1 t1")
         mu = sample_mu(REP, cnf, 3)
-        walked = _walk_reference(REP, cnf, 3)
-        keys, stored = set(), []   # stored: h of every kept pair, in order
-        for h, (r, a) in walked:
-            key = sampling._key(r) + sampling._key(a)
-            if r is not None and a is not None and key not in keys:
-                keys.add(key)
-                stored.append(h)
-        walked = dict(walked)
-        assert [walked[h] for h in stored] == list(mu.sampled_pairs)
+        stored = [(h, pair) for h, pair in _walk_reference(REP, cnf, 3)
+                  if None not in pair]
+        assert [pair for _, pair in stored] == list(mu.sampled_pairs)
+        index = {h: i for i, (h, _) in enumerate(stored)}
         assert mu.parent_links[0] == (-1, -1)
-        direct = duplicate = 0
-        for i, ((x, j), pair) in enumerate(zip(mu.parent_links,
-                                                mu.sampled_pairs)):
-            if i == 0:
-                continue
-            h = stored[i]
+        for (h, pair), (x, j) in zip(stored[1:], mu.parent_links[1:]):
+            assert (x, j) == (h[0], index[h[1:]])
             m = REP.image(x)
-            assert x == h[0] and j >= 0
-            if stored[j] == h[1:]:
-                assert tuple(map(m.moebius, mu.sampled_pairs[j])) == pair
-                direct += 1
-            else:
-                dropped = walked[h[1:]]
-                assert h[1:] not in stored
-                assert tuple(map(m.moebius, dropped)) == pair
-                assert (sampling._key(dropped[0]) + sampling._key(dropped[1])
-                        == sampling._key(mu.sampled_pairs[j][0])
-                        + sampling._key(mu.sampled_pairs[j][1]))
-                duplicate += 1
-        assert duplicate and direct > len(mu.sampled_pairs) / 2
+            assert tuple(map(m.moebius, mu.sampled_pairs[j])) == pair
 
     def test_non_loxodromic_class_has_no_pairs(self):
         # pinched-a's a is parabolic: no axis, so no endpoint pair
@@ -438,8 +417,7 @@ class TestOneNavigationPerEndpoint:
     def test_navigated_only_in_the_factor_disk_that_holds_it(self,
                                                            monkeypatch):
         # every endpoint is located once, in sampling order; only the root
-        # pair has no parent (a pair dropped as a duplicate hands its
-        # parent index on), and inverse iteration runs only for the root's
+        # pair has no parent, and inverse iteration runs only for the root's
         # endpoints in the factor disk and for endpoints whose first strip
         # does not undo the link's letter
         located, stripped = [], []

@@ -13,8 +13,9 @@ from sepstab.groups import (GroupSpec, LetterOutOfRange, TrivialElement,
                             canonical_class, cyclic_reduce,
                             enumerate_elements, free_reduce, inv,
                             word_inverse, word_mul)
-from sepstab.separability import (WhiteheadMove, _cyclic_word,
-                                  _graph_certificate, is_separable,
+from sepstab.separability import (SeparabilityError, WhiteheadMove,
+                                  _cyclic_word, _graph_certificate,
+                                  is_separable,
                                   is_separable_free, is_separable_mixed,
                                   peak_reduce, swept_classes)
 from sepstab.whitehead import (is_strongly_connected, strong_cutpoints,
@@ -296,6 +297,10 @@ class TestFreeDecision:
     def test_trivial_raises(self):
         with pytest.raises(TrivialElement):
             is_separable_free(F2.parse_word("a A"), F2)
+
+    def test_surface_factor_raises(self):
+        with pytest.raises(SeparabilityError, match="needs a free group"):
+            is_separable_free(S2Z.parse_word("a1"), S2Z)
 
     @pytest.mark.parametrize("letter", [-1, 4, 7])
     def test_letters_outside_the_group_are_refused(self, letter):

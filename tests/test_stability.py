@@ -108,6 +108,8 @@ class TestQgConstants:
     def test_too_short(self):
         with pytest.raises(PathTooShort):
             qg_constants([H3Point(0, 1)], 24)
+        with pytest.raises(PathTooShort, match="no sampled pairs"):
+            qg_fit([], 24, stability.A_MAX)
 
     def test_envelope_dominates_samples(self):
         from sepstab.hyperbolic import dist

@@ -100,6 +100,18 @@ class TestCombinatorial:
         with pytest.raises(NotCyclicallyReduced):
             whitehead_graph_combinatorial(bad, S2Z)
 
+    @pytest.mark.parametrize("syllables,reason", [
+        ((), "empty class"),
+        # five letters of the genus-2 relator Dehn-reduce to three
+        (((0, S2Z.parse_word("a1 b1 A1 B1 a2")),),
+         "surface syllable not Dehn-reduced"),
+        (((1, S2Z.parse_word("t1 T1")),),
+         "free syllable must be a nonzero power"),
+    ], ids=["empty", "surface", "free"])
+    def test_not_cyclically_reduced_reasons(self, syllables, reason):
+        with pytest.raises(NotCyclicallyReduced, match=reason):
+            whitehead_graph_combinatorial(CyclicNormalForm(syllables), S2Z)
+
     def test_rotation_invariance(self):
         base = graph_of("a b A B b")
         word = F2.parse_word("a b A B b")
