@@ -83,7 +83,7 @@ def _load_rep(arg: str):
 
 def _parse_word(group: GroupSpec, text: str):
     word = group.parse_word(text)
-    if not G.free_reduce(word):
+    if not G.normal_form(word, group):
         raise _CliError("the trivial word is not classified", EX_DATA)
     return word
 

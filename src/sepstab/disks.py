@@ -2,14 +2,17 @@
 
 A region is {z : A|z|^2 + 2 Re(conj(B) z) + C <= 0} with A, C real.  For
 A > 0 this is a bounded euclidean disk, for A < 0 the exterior of a circle
-(a disk containing infinity), for A = 0 a half-plane.  Möbius maps act on
+(a disk containing infinity), for A = 0 a half-plane.  An exterior region
+is built as the complement of a bounded one,
+``Disk.interior(c, r).complement()``, and "other is disjoint from d" is
+``d.complement().contains_disk(other, margin)``.  Möbius maps act on
 forms by one congruence, written over real coordinates so that it runs in
-floats (``Disk.image``) or in exact rationals (the containment and
-disjointness predicates).  Every finite float is a rational, so the
-predicates lift the float forms and maps to ``fractions.Fraction`` and
-decide the sign of A, the reality of the circle and the disk inequality
-exactly; they return True only when the inequality is proved.  A disk
-whose normalised float form overflows is refused with ``DiskError``.
+floats (``Disk.image``) or in exact rationals (``Disk.contains_disk``).
+Every finite float is a rational, so the containment predicate lifts the
+float forms and maps to ``fractions.Fraction`` and decides the sign of A,
+the reality of the circle and the disk inequality exactly; it returns
+True only when the inequality is proved.  A disk whose normalised float
+form overflows is refused with ``DiskError``.
 """
 
 from __future__ import annotations
@@ -147,13 +150,6 @@ class Disk:
         c = complex(center)
         return Disk(1.0, -c, _abs_squared(c) - radius * radius)
 
-    @staticmethod
-    def exterior(center: complex, radius: float) -> "Disk":
-        if radius <= 0:
-            raise DiskError("radius must be positive")
-        c = complex(center)
-        return Disk(-1.0, c, radius * radius - _abs_squared(c))
-
     def complement(self) -> "Disk":
         """The closure of the complementary region: the negated form,
         exactly (no renormalization)."""
@@ -221,11 +217,6 @@ class Disk:
             return _proved((rs, ro), margin, (dist,))
         # exterior holds exterior iff the complementary disks nest
         return _proved((dist, rs), margin, (ro,))
-
-    def disjoint_from(self, other: "Disk", margin: float = 0.0) -> bool:
-        """other lies in the complement of self, proved as for
-        ``contains_disk``."""
-        return self.complement().contains_disk(other, margin)
 
     def __repr__(self):
         if self.A == 0:

@@ -201,6 +201,15 @@ def free_reduce(word: Word) -> Word:
     return tuple(out)
 
 
+def cyclic_free_reduce(word: Word) -> Word:
+    """The cyclically reduced free word conjugate to ``word``: free-reduce,
+    then cancel inverse end letters."""
+    w = free_reduce(word)
+    while len(w) >= 2 and w[0] == inv(w[-1]):
+        w = w[1:-1]
+    return w
+
+
 def word_inverse(word: Word) -> Word:
     return tuple(inv(x) for x in reversed(word))
 
@@ -430,9 +439,7 @@ def _cyclic_dehn_reduce(word: Word, group: GroupSpec, fid: int) -> Word:
     m = table.half + 1
     w = dehn_reduce(word, group, fid)
     while True:
-        # cyclic free reduction
-        while len(w) >= 2 and w[0] == inv(w[-1]):
-            w = w[1:-1]
+        w = cyclic_free_reduce(w)
         n = len(w)
         if n < m:
             return w

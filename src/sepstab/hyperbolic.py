@@ -121,26 +121,21 @@ class MoebiusMap:
         return (self.a * z + self.b) / denom
 
     def dist_to_pm_identity(self) -> float:
-        """Operator-norm distance to the closer of +-identity."""
-        one = MoebiusMap.identity()
-        dplus = _op_norm_diff(self, one, +1)
-        dminus = _op_norm_diff(self, one, -1)
-        return min(dplus, dminus)
+        """Operator-norm distance to the closer of +-identity: the largest
+        singular value of self - sign I, from its Frobenius norm t and
+        determinant."""
+        dists = []
+        for sign in (1, -1):
+            a, b, c, d = self.a - sign, self.b, self.c, self.d - sign
+            t = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+            det = a * d - b * c
+            disc = max(t * t - 4.0 * abs(det) ** 2, 0.0)
+            dists.append(math.sqrt(max((t + math.sqrt(disc)) / 2.0, 0.0)))
+        return min(dists)
 
     def __repr__(self):
         return (f"MoebiusMap({self.a:.6g}, {self.b:.6g}; "
                 f"{self.c:.6g}, {self.d:.6g})")
-
-
-def _op_norm_diff(m: MoebiusMap, n: MoebiusMap, sign: int) -> float:
-    a = m.a - sign * n.a
-    b = m.b - sign * n.b
-    c = m.c - sign * n.c
-    d = m.d - sign * n.d
-    t = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    det = a * d - b * c
-    disc = max(t * t - 4.0 * abs(det) ** 2, 0.0)
-    return math.sqrt(max((t + math.sqrt(disc)) / 2.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -73,14 +73,6 @@ class WhiteheadMove(NamedTuple):
         return G.free_reduce(out)
 
 
-def _cyclic_word(word: Word) -> Word:
-    """Cyclically reduce a plain free word."""
-    w = G.free_reduce(word)
-    while len(w) >= 2 and w[0] == inv(w[-1]):
-        w = w[1:-1]
-    return w
-
-
 def _shortening_side(graph: List[Dict[int, int]],
                      a: int) -> Optional[Set[int]]:
     """Source side of a minimum a / a^-1 edge cut of the Whitehead graph
@@ -113,12 +105,14 @@ def _shortening_side(graph: List[Dict[int, int]],
 def _shortening_move(word: Word, rank: int) -> Optional[WhiteheadMove]:
     """A Whitehead move that shortens the cyclically reduced word, if any.
     One letter per generator suffices: deg(a) = deg(a^-1), and the
-    complement of an a / a^-1 cut is an a^-1 / a cut of the same size."""
+    complement of an a / a^-1 cut is an a^-1 / a cut of the same size.
+    Only the generators the word uses are tried, in order: another has
+    degree 0, which no cut is smaller than."""
     graph: List[Dict[int, int]] = [{} for _ in range(2 * rank)]
     for x, y in W.cyclic_links(word):
         graph[x][y] = graph[x].get(y, 0) + 1
         graph[y][x] = graph[y].get(x, 0) + 1
-    for a in range(0, 2 * rank, 2):
+    for a in sorted({x & ~1 for x in word}):
         side = _shortening_side(graph, a)
         if side is not None:
             # the move (side, a): x goes to a^-1 x if x^-1 is on the side,
@@ -139,17 +133,12 @@ def peak_reduce(word: Word, rank: int):
     is smaller than its degree; when no generator has one, no Whitehead
     move shortens the word, and peak reduction makes it globally minimal.
     """
-    current = _cyclic_word(word)
+    current = G.cyclic_free_reduce(word)
     applied: List[WhiteheadMove] = []
     while (move := _shortening_move(current, rank)) is not None:
-        current = _cyclic_word(move.apply(current))
+        current = G.cyclic_free_reduce(move.apply(current))
         applied.append(move)
     return current, applied
-
-
-def _omitted_generators(word: Word, rank: int) -> List[int]:
-    used = {x >> 1 for x in word}
-    return [g for g in range(rank) if g not in used]
 
 
 class SeparabilityVerdict:
@@ -178,24 +167,29 @@ class SeparabilityVerdict:
 def is_separable_free(word: Word, group: GroupSpec) -> SeparabilityVerdict:
     """Complete decision in a purely free group (never Unknown).
 
-    Peak-reduce; the element is separable exactly when the minimal form
-    omits a generator, with the moves as a replayable witness.  A minimal
-    form that uses every generator has a connected, cutpoint-free graph
-    (module docstring), which certifies non-separability; the certificate
-    is checked rather than assumed, and no search follows it.  A letter
-    outside the group raises LetterOutOfRange.
+    One peak_reduce walk decides: the element is separable exactly when
+    the minimal form omits a generator.  The witness is the walk's own
+    moves, which carry the cyclically reduced input to that form; the
+    tests replay them.  A minimal form that uses every generator has a
+    connected, cutpoint-free graph (module docstring), which certifies
+    non-separability; the certificate is checked rather than assumed, and
+    no search follows it.  A letter outside the group raises
+    LetterOutOfRange.
     """
     rank = group.free_rank
     if group.n_surface:
         raise SeparabilityError("is_separable_free needs a free group spec")
     group.check_letters(word)
-    w0 = _cyclic_word(word)
-    if not w0:
+    reduced, applied = peak_reduce(word, rank)
+    if not reduced:
         raise TrivialElement("the identity is not classified")
-    reduced, applied = peak_reduce(w0, rank)
-    omitted = _omitted_generators(reduced, rank)
+    used = {x >> 1 for x in reduced}
+    omitted = [g for g in range(rank) if g not in used]
     if omitted:
-        return _checked_separable(w0, applied, reduced, omitted[0])
+        return SeparabilityVerdict(
+            "separable", witness_moves=applied, witness_word=reduced,
+            omitted_generator=omitted[0],
+            reason="peak-reduced form omits a generator")
     if _graph_certificate(reduced, rank):
         return SeparabilityVerdict(
             "not_separable", witness_word=reduced,
@@ -203,22 +197,6 @@ def is_separable_free(word: Word, group: GroupSpec) -> SeparabilityVerdict:
     raise SeparabilityError(
         "internal error: a minimal word using every generator has a "
         "disconnected graph or a cut vertex")
-
-
-def _checked_separable(original: Word, moves, witness_word,
-                       omitted) -> SeparabilityVerdict:
-    """Replay the witness on the input; the omission must come out exactly."""
-    w = _cyclic_word(original)
-    for mv in moves:
-        w = _cyclic_word(mv.apply(w))
-    used = {x >> 1 for x in w}
-    if omitted in used:
-        raise SeparabilityError(
-            "internal error: separability witness fails to replay")
-    return SeparabilityVerdict(
-        "separable", witness_moves=list(moves), witness_word=witness_word,
-        omitted_generator=omitted,
-        reason="peak-reduced form omits a generator")
 
 
 def _graph_certificate(crossings: Sequence[int], n_factors: int) -> bool:

@@ -51,8 +51,8 @@ is strongly connected when some loop label is nontrivial.
 from __future__ import annotations
 
 from collections import Counter
-from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from sepstab import groups as G
 from sepstab.groups import CyclicNormalForm, GroupSpec, Word
@@ -134,15 +134,6 @@ class WhiteheadGraph:
             if c.cid == cid:
                 return c
         raise KeyError(cid)
-
-    def edge_multiset(self) -> FrozenSet:
-        """The set of (cid, u, v, label) over all edges.  Despite the name
-        it is a set: supports are left out, because the combinatorial
-        support counts word occurrences while the sampled one counts
-        walked conjugators, so only the presence of an edge is
-        comparable."""
-        return frozenset((c.cid,) + e.key()
-                         for c in self.components for e in c.edges)
 
 
 # ---------------------------------------------------------------------------

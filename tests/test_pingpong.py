@@ -29,7 +29,7 @@ class TestDisks:
         assert not d.value(None) <= 0
 
     def test_exterior_membership(self):
-        d = Disk.exterior(0, 1.0)
+        d = Disk.interior(0, 1.0).complement()
         assert not d.value(0.5) <= 0
         assert d.value(3) <= 0
         assert d.value(None) <= 0
@@ -39,7 +39,9 @@ class TestDisks:
         for _ in range(200):
             c = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             r = rng.uniform(0.2, 2.0)
-            D = Disk.interior(c, r) if rng.random() < 0.5 else Disk.exterior(c, r)
+            D = Disk.interior(c, r)
+            if rng.random() >= 0.5:
+                D = D.complement()
             m = MoebiusMap(*(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                              for _ in range(4)))
             Dm = D.image(m)
@@ -55,25 +57,31 @@ class TestDisks:
     def test_containment_cases(self):
         assert Disk.interior(0, 3).contains_disk(Disk.interior(1, 1), 0.5)
         assert not Disk.interior(0, 3).contains_disk(Disk.interior(2.5, 1))
-        assert Disk.exterior(0, 1).contains_disk(Disk.interior(5, 2), 0.5)
-        assert not Disk.exterior(0, 1).contains_disk(Disk.interior(0.5, 0.2))
-        assert Disk.exterior(0, 1).contains_disk(Disk.exterior(0.5, 2), 0.2)
-        assert not Disk.exterior(0, 1).contains_disk(Disk.exterior(0.5, 1.2))
-        assert not Disk.interior(0, 100).contains_disk(Disk.exterior(0, 1))
+        out1 = Disk.interior(0, 1).complement()
+        assert out1.contains_disk(Disk.interior(5, 2), 0.5)
+        assert not out1.contains_disk(Disk.interior(0.5, 0.2))
+        assert out1.contains_disk(Disk.interior(0.5, 2).complement(), 0.2)
+        assert not out1.contains_disk(Disk.interior(0.5, 1.2).complement())
+        assert not Disk.interior(0, 100).contains_disk(out1)
         # z -> -1/z carries |z| >= 2 onto |z| <= 1/2
         assert Disk.interior(0, 1).contains_disk(
-            Disk.exterior(0, 2), 0.4, MoebiusMap(0, 1, -1, 0))
+            Disk.interior(0, 2).complement(), 0.4, MoebiusMap(0, 1, -1, 0))
         assert not Disk.interior(0, 1).contains_disk(
-            Disk.exterior(0, 2), 0.6, MoebiusMap(0, 1, -1, 0))
+            Disk.interior(0, 2).complement(), 0.6, MoebiusMap(0, 1, -1, 0))
 
     def test_disjointness(self):
-        assert Disk.interior(0, 1).disjoint_from(Disk.interior(3, 1), 0.5)
-        assert not Disk.interior(0, 1).disjoint_from(Disk.interior(1.5, 1))
-        assert not Disk.exterior(0, 1).disjoint_from(Disk.exterior(9, 1))
-        assert Disk.interior(0, 1).disjoint_from(Disk.exterior(0.5, 3), 0.5)
-        assert not Disk.interior(0, 1).disjoint_from(Disk.exterior(0, 0.9))
-        assert Disk.exterior(0, 3).disjoint_from(Disk.interior(0.5, 1), 0.5)
-        assert not Disk.exterior(0, 3).disjoint_from(Disk.interior(2, 1.5))
+        # b is disjoint from a when a's complement contains b; the
+        # complement of an exterior region (interior(...).complement())
+        # is the interior itself, form for form
+        out1 = Disk.interior(0, 1).complement()
+        assert out1.contains_disk(Disk.interior(3, 1), 0.5)
+        assert not out1.contains_disk(Disk.interior(1.5, 1))
+        assert not Disk.interior(0, 1).contains_disk(
+            Disk.interior(9, 1).complement())
+        assert out1.contains_disk(Disk.interior(0.5, 3).complement(), 0.5)
+        assert not out1.contains_disk(Disk.interior(0, 0.9).complement())
+        assert Disk.interior(0, 3).contains_disk(Disk.interior(0.5, 1), 0.5)
+        assert not Disk.interior(0, 3).contains_disk(Disk.interior(2, 1.5))
 
     def test_complement_negates_form_exactly(self):
         d = Disk.interior(0.3 + 0.1j, 0.7)
@@ -89,7 +97,8 @@ class TestDisks:
 
     @pytest.mark.parametrize("make,reason", [
         (lambda: Disk.interior(0, 0.0), "radius must be positive"),
-        (lambda: Disk.exterior(0, -1.0), "radius must be positive"),
+        (lambda: Disk.interior(0, -1.0).complement(),
+         "radius must be positive"),
         # |B|^2 - AC = -1: no real circle
         (lambda: Disk(0.0, 0j, 1.0), "does not define a real circle")],
         ids=["interior", "exterior", "form"])
@@ -103,9 +112,9 @@ class TestDisks:
 
     @pytest.mark.parametrize("make", [
         lambda: Disk.interior(0, 1e200),      # r^2 overflows
-        lambda: Disk.exterior(0, 1e200),
+        lambda: Disk.interior(0, 1e200).complement(),
         lambda: Disk.interior(1e160, 1),      # |c|^2 overflows
-        lambda: Disk.exterior(1e160, 1),
+        lambda: Disk.interior(1e160, 1).complement(),
         lambda: isometric_disk(MoebiusMap(2, 0, 1e-201, 0.5)),
         lambda: Disk(1.0, complex(1e308, 1e308), 0.0)],
         ids=["radius", "exterior-radius", "center", "exterior-center",
@@ -121,8 +130,8 @@ class TestDisks:
 
 _coord = st.floats(-3.0, 3.0)
 _disks = st.builds(
-    lambda x, y, r, ext: (Disk.exterior if ext else Disk.interior)(
-        complex(x, y), r),
+    lambda x, y, r, ext: (lambda d: d.complement() if ext else d)(
+        Disk.interior(complex(x, y), r)),
     _coord, _coord, st.floats(0.2, 2.0), st.booleans())
 _entries = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
@@ -142,8 +151,9 @@ _placements = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
 def _place(ref: Disk, placement) -> Disk:
     """A disk placed and sized in units of ref's radius, either kind."""
     x, y, exterior, scale = placement
-    kind = Disk.exterior if exterior else Disk.interior
-    return kind(ref.center + ref.radius * complex(x, y), ref.radius * scale)
+    d = Disk.interior(ref.center + ref.radius * complex(x, y),
+                      ref.radius * scale)
+    return d.complement() if exterior else d
 
 
 def _float_slack(outer: Disk, inner: Disk, margin: float) -> float:
@@ -256,7 +266,8 @@ class TestDiskPredicateProperties:
     @settings(max_examples=300, deadline=None)
     @given(_disks, _maps(), _placements, st.floats(0.0, 0.1))
     # infinity maps to 1e218, whose squared modulus overflows a float
-    @example(inner=Disk.exterior(0, 1), m=MoebiusMap(1, 0, 1.00099e-218, 1),
+    @example(inner=Disk.interior(0, 1).complement(),
+             m=MoebiusMap(1, 0, 1.00099e-218, 1),
              placement=(0.0, 0.0, True, 0.5), margin_units=0.0)
     # an exact internal tangency, which intervals of point values proved
     @example(inner=Disk.interior(0, 1), m=MoebiusMap.identity(),
@@ -276,7 +287,7 @@ class TestDiskPredicateProperties:
         other = _place(disk, placement)
         margin = margin_units * disk.radius
         _check(disk.complement(), other, MoebiusMap.identity(), margin,
-               disk.disjoint_from(other, margin))
+               disk.complement().contains_disk(other, margin))
 
 
 # exact dyadic disks: centres on an axis, so |c|^2 and the normalization
@@ -294,14 +305,16 @@ class TestExactPredicate:
         inner = Disk.interior(c + axis * (r - s), s)   # touches from inside
         outside = Disk.interior(c + axis * (r + s), s)  # touches outside
         ties = [(Disk.interior(c, r), inner),
-                (Disk.exterior(c, r), outside),
-                (Disk.exterior(c + axis * (r - s), s), Disk.exterior(c, r))]
+                (Disk.interior(c, r).complement(), outside),
+                (Disk.interior(c + axis * (r - s), s).complement(),
+                 Disk.interior(c, r).complement())]
         for outer, other in ties:
             assert not outer.contains_disk(other)
             # the tie is decided by exactness, not by a coarse bracket
             assert outer.contains_disk(other, -2.0 ** -40)
-        assert not Disk.interior(c, r).disjoint_from(outside)
-        assert Disk.interior(c, r).disjoint_from(outside, -2.0 ** -40)
+        assert not Disk.interior(c, r).complement().contains_disk(outside)
+        assert Disk.interior(c, r).complement().contains_disk(
+            outside, -2.0 ** -40)
 
     @settings(max_examples=300, deadline=None)
     @given(_disks, _maps(), st.floats(0.0, 0.8), st.floats(-4.0, 4.0),
@@ -315,12 +328,13 @@ class TestExactPredicate:
         c, r, u = image.center, image.radius, cmath.exp(1j * angle)
         gap = 10.0 ** log_gap
         if not image.bounded:
-            outer = Disk.exterior(c + shift * r * u, (1 - shift - gap) * r)
+            outer = Disk.interior(c + shift * r * u,
+                                  (1 - shift - gap) * r).complement()
         elif nested:
             outer = Disk.interior(c + shift * r * u, (1 + shift + gap) * r)
         else:
-            outer = Disk.exterior(c + (1.1 + shift + gap) * r * u,
-                                  (0.1 + shift) * r)
+            outer = Disk.interior(c + (1.1 + shift + gap) * r * u,
+                                  (0.1 + shift) * r).complement()
         proved = outer.contains_disk(inner, 0.0, m)
         _check(outer, inner, m, 0.0, proved)
         if gap >= 1e-9:
@@ -406,7 +420,7 @@ class TestPingPong:
         hb = MoebiusMap(1, -1, 1, 1)    # 0 -> -1, inf -> 1
         b = hb * MoebiusMap(10.0, 0, 0, 0.1) * hb.inverse()
         disks = PingPongDisks(free={
-            0: Disk.exterior(0, 2), 1: Disk.interior(0, 0.5),
+            0: Disk.interior(0, 2).complement(), 1: Disk.interior(0, 0.5),
             2: Disk.interior(1, 0.3), 3: Disk.interior(-1, 0.3)}, factor={})
         cert = ping_pong_verify(Representation(F2, [a, b]), disks)
         assert cert.ok == ok

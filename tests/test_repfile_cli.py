@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sepstab
 from sepstab import gallery
 from sepstab.cli import main
 from sepstab.disks import Disk
@@ -270,9 +271,17 @@ class TestCli:
                                                     word):
         # exit 1 would read "not separable"
         assert main([command, word, "--genera", "2", "--rank", "1"]) == 65
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ")
-        assert "identity" in err
+        assert capsys.readouterr() == (
+            "", "error: the trivial word is not classified\n")
+
+    @pytest.mark.parametrize("command", ["separable", "whitehead"])
+    def test_trivial_word_has_one_message(self, capsys, command):
+        # freely trivial, or trivial only by a surface relator: one message,
+        # which names no internal step such as cyclic reduction
+        for word in ("a1 A1", "t1 b1 B1 T1", "a1 b1 A1 B1 a2 b2 A2 B2"):
+            assert main([command, word, "--genera", "2", "--rank", "1"]) == 65
+            assert capsys.readouterr() == (
+                "", "error: the trivial word is not classified\n")
 
     @pytest.mark.parametrize("old,new,line", [
         ("radius 1.9000000000000001", "radius -1", 11),
@@ -567,3 +576,16 @@ class TestCli:
         run_cli("whitehead", "a a b b", "--dot", str(d1))
         run_cli("whitehead", "a a b b", "--dot", str(d2))
         assert d1.read_bytes() == d2.read_bytes()
+
+
+def test_readme_library_entry_points_run():
+    # README's "Library entry points" block, executed as written: the
+    # names live in the submodules, and the package itself exports none
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        section = fh.read().split("## Library entry points\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert {"GroupSpec", "is_separable", "build"} <= names.keys()
+    assert not hasattr(sepstab, "GroupSpec")

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -10,12 +11,11 @@ from hypothesis import strategies as st
 
 from sepstab import whitehead as W
 from sepstab.groups import (GroupSpec, LetterOutOfRange, TrivialElement,
-                            canonical_class, cyclic_reduce,
-                            enumerate_elements, free_reduce, inv,
-                            word_inverse, word_mul)
+                            canonical_class, cyclic_free_reduce,
+                            cyclic_reduce, enumerate_elements, free_reduce,
+                            inv, word_inverse, word_mul)
 from sepstab.separability import (SeparabilityError, WhiteheadMove,
-                                  _cyclic_word, _graph_certificate,
-                                  is_separable,
+                                  _graph_certificate, is_separable,
                                   is_separable_free, is_separable_mixed,
                                   peak_reduce, swept_classes)
 from sepstab.whitehead import (is_strongly_connected, strong_cutpoints,
@@ -87,12 +87,12 @@ def _reference_peak_reduce(word, rank):
     """Table-scan peak reduction: first improvement over the Type II moves
     in reference order, until no move shortens the cyclic word."""
     type2, _ = _reference_move_table(rank)
-    current = _cyclic_word(word)
+    current = cyclic_free_reduce(word)
     improved = True
     while improved:
         improved = False
         for mv in type2:
-            cand = _cyclic_word(mv.apply(current))
+            cand = cyclic_free_reduce(mv.apply(current))
             if len(cand) < len(current):
                 current, improved = cand, True
                 break
@@ -111,7 +111,7 @@ def _reference_decision(word, rank):
 
     def canonical(w):
         return min(img[k:] + img[:k] for p in perms
-                   for img in [_cyclic_word(p.apply(w))]
+                   for img in [cyclic_free_reduce(p.apply(w))]
                    for k in range(len(img)))
 
     reduced = _reference_peak_reduce(word, rank)
@@ -122,7 +122,7 @@ def _reference_decision(word, rank):
     while frontier:
         node = frontier.pop()
         for mv in type2:
-            img = _cyclic_word(mv.apply(node))
+            img = cyclic_free_reduce(mv.apply(node))
             if len(img) != len(node):
                 continue
             if omits(img):
@@ -164,7 +164,7 @@ def test_length_change_is_cut_minus_degree(rank, max_len):
         for a, cut, mv in moves:
             cap = sum((x in cut) != (y in cut) for x, y in edges)
             deg = sum(a in edge for edge in edges)
-            assert len(_cyclic_word(mv.apply(w))) - len(w) == cap - deg
+            assert len(cyclic_free_reduce(mv.apply(w))) - len(w) == cap - deg
 
 
 @st.composite
@@ -174,7 +174,7 @@ def _pushed_word(draw, omit_generator):
     product of at most six Whitehead moves."""
     rank = draw(st.integers(2, 4))
     n_letters = 2 * (rank - 1 if omit_generator else rank)
-    word = _cyclic_word(tuple(draw(st.lists(
+    word = cyclic_free_reduce(tuple(draw(st.lists(
         st.integers(0, n_letters - 1), min_size=1, max_size=8))))
     assume(word)
     type2, perms = _reference_move_table(rank)
@@ -198,9 +198,9 @@ def test_free_factor_image_is_separable_with_replayable_witness(case):
     group, _, image = case
     verdict = is_separable_free(image, group)
     assert verdict.status == "separable"
-    w = _cyclic_word(image)
+    w = cyclic_free_reduce(image)
     for mv in verdict.witness_moves:
-        w = _cyclic_word(mv.apply(w))
+        w = cyclic_free_reduce(mv.apply(w))
     assert verdict.omitted_generator not in {x >> 1 for x in w}
     assert verdict.omitted_generator not in {
         x >> 1 for x in verdict.witness_word}
@@ -298,6 +298,17 @@ class TestFreeDecision:
         with pytest.raises(TrivialElement):
             is_separable_free(F2.parse_word("a A"), F2)
 
+    def test_short_word_decides_at_once_at_high_rank(self):
+        # only the generators a word uses are tried for a shortening cut
+        group = GroupSpec((), 8192)
+        start = time.perf_counter()
+        assert is_separable_free((0,), group).omitted_generator == 1
+        # a b A B lies in the proper free factor <a, b>
+        assert is_separable_free((0, 2, 1, 3), group).separable
+        with pytest.raises(TrivialElement):
+            is_separable_free((0, 1), group)
+        assert time.perf_counter() - start < 1
+
     def test_surface_factor_raises(self):
         with pytest.raises(SeparabilityError, match="needs a free group"):
             is_separable_free(S2Z.parse_word("a1"), S2Z)
@@ -360,6 +371,31 @@ def test_free_verdicts_build_no_graph(monkeypatch):
             not_separable += verdict.status == "not_separable"
     assert not_separable > 100
     assert calls == []
+
+
+def test_free_decision_applies_each_move_once(monkeypatch):
+    # the separable witness is the peak-reduction walk itself: a decision
+    # applies each move of the walk once and replays none of them
+    calls = []
+    apply = WhiteheadMove.apply
+
+    def counting(move, word):
+        calls.append(move)
+        return apply(move, word)
+    witness_moves = 0
+    for group, max_len in ((F2, 6), (F3, 4)):
+        for cnf in enumerate_elements(group, max_len):
+            word = cnf.letters()
+            _, walk = peak_reduce(word, group.free_rank)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(WhiteheadMove, "apply", counting)
+                verdict = is_separable_free(word, group)
+            assert calls == walk, group.format_word(word)
+            if verdict.separable:
+                assert verdict.witness_moves == walk
+                witness_moves += len(walk)
+    assert witness_moves > 100
 
 
 def _connected(vertices, edges):
