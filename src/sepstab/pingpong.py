@@ -52,9 +52,14 @@ class UnverifiedDisks(PingPongError):
 
 
 class PingPongCertificate:
-    def __init__(self, ok: bool, failures: Optional[List[str]] = None,
+    """The outcome of ``ping_pong_verify`` for one representation, which it
+    records: the disks are certified for that object alone."""
+
+    def __init__(self, rep: Representation, ok: bool,
+                 failures: Optional[List[str]] = None,
                  surface_circles: Optional[
                      Dict[int, Tuple[complex, float]]] = None):
+        self.rep = rep
         self.ok = ok
         self.failures = [] if failures is None else failures
         self.surface_circles = ({} if surface_circles is None
@@ -94,9 +99,15 @@ class PingPongDisks:
                 for lid, d in sorted(self.free.items())]
         return out
 
-    def require_verified(self):
-        if self.certificate is None or not self.certificate.ok:
+    def require_verified(self, rep: Representation):
+        """Raise ``UnverifiedDisks`` unless a passing certificate was made
+        for these disks and this representation object."""
+        cert = self.certificate
+        if cert is None or not cert.ok:
             raise UnverifiedDisks("ping-pong certificate absent or failing")
+        if cert.rep is not rep:
+            raise UnverifiedDisks(
+                "ping-pong certificate made for another representation")
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +245,7 @@ def ping_pong_verify(rep: Representation,
                      f"isometric disk of {group.letter_name(lid)} in "
                      f"{fname} disk undecidable")
 
-    cert = PingPongCertificate(ok=not failures, failures=failures,
+    cert = PingPongCertificate(rep, ok=not failures, failures=failures,
                                surface_circles=circles)
     disks.certificate = cert
     return cert

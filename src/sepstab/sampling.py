@@ -23,24 +23,30 @@ pair of h', and each endpoint of the pair is x applied to the matching
 endpoint of pair j, bit for bit.  Only the root and the children of a
 pair with an endpoint at infinity have no parent (j = -1).  An endpoint
 P = x(Q) is located from the location of the endpoint Q of pair j.
-Membership in the factor disks and the first navigation step are still
-tested numerically on P, the step on x's isometric disk and the disks
-that may tie with it (its tie set: on the shipped s2-times-z, x's two
-octagon neighbours), which decides "the first step is x" exactly as the
-argmin over all of the factor's disks does.  When that step strips x, P's
-surface prefix is x followed by Q's prefix in the factor (() when Q lies
-outside the factor disk), or none when that exceeds the cap.  Otherwise,
-and for pairs without a parent, the prefix comes from inverse iteration
-through the generator isometric disks of the factor holding the point.
-Either way each endpoint is located once, and no point is looked up by
-its coordinates.
+
+Each link letter x has a core unless a premise fails (``_core``): a
+threshold tau_x <= 0 on x's own form (its isometric-disk entry for a
+surface letter, its ping-pong disk for a free one), proved with the
+rounding bound of ``_reach``.  A point reading at most tau_x there reads
+above MEMBERSHIP_TOL on every disk ``locate`` tests before x's; for a
+surface letter it also reads within the tolerance on x's factor disk and
+above it on the factor's other entries, so the first inverse-iteration
+step strips x.  One form evaluation thus locates P as ``locate`` does:
+(fid, (x,)) for a free letter, and for a surface letter x followed by
+Q's prefix in the factor (() when Q lies outside the factor disk), or
+none when that exceeds the cap.  Endpoints off the core and pairs
+without a parent go through ``locate``, which tests the disks in order
+and strips by inverse iteration through the generator isometric disks of
+the factor holding the point, unless its first step strips x.  Either
+way each endpoint is located once, and no point is looked up by its
+coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from sepstab import groups as G
 from sepstab import whitehead as W
@@ -129,61 +135,98 @@ def sample_mu(rep: Representation, cnf: CyclicNormalForm,
     return MuSpec(sampled_pairs=tuple(pairs), parent_links=tuple(links))
 
 
-def _tie_sets(forms: Sequence[Tuple[float, float, float, float]]
-               ) -> List[Tuple[int, ...]]:
-    """Per (A, Re B, Im B, C) form, the indices of the forms that may read
-    under MEMBERSHIP_TOL at the same point, itself included, ascending.
-
-    Form j is left out of form i's set only when no point can read under
-    t = MEMBERSHIP_TOL on both as evaluated by ``_Navigator._step``, in the
-    factor disk or anywhere else.  A form with A <= 0 (not an interior
-    disk), or whose bound below is not finite, ties with every form.
+def _reach(form: Tuple[float, float, float, float], t: float):
+    """(c, |c|, rho, sigma, R^2) for an (A, Re B, Im B, C) form read at
+    level t: a point z where the form, evaluated as ``_Navigator._step`` does,
+    reads at most t lies in the disk D(c, rho), and every point of
+    D(c, sigma) reads at most t.  None unless A > 0 and the form's scale
+    S = |R^2| + 8|c|^2 + |t|/A has 1e-280 < A S and S max(A, 1) < 1e300.
 
     For A > 0, F(z) = A|z|^2 + 2 Re(conj(B) z) + C = A(|z - c|^2 - R^2)
     with c = -B/A and R^2 = (|B|^2 - AC)/A^2 (possibly negative).  Every
     term of ``A * r2 + 2.0 * (bre * x + bim * y) + C`` passes at most five
     roundings, so |fl F(z) - F(z)| <= gamma (A|z|^2 + 2|B||z| + |C|) with
-    gamma = 5u/(1 - 5u), u = 2^-53 (a point where the evaluation overflows
-    reads inf or nan, never under t; underflow adds at most 2^-1072 to
-    fl F, far below the slack g t below).  With |B| = A|c|,
+    gamma = 5u/(1 - 5u), u = 2^-53.  With |B| = A|c|,
     |C| <= A(|c|^2 + |R^2|) and |z| <= d + |c| for d = |z - c|, the
     bracket is at most A((d + 2|c|)^2 + |R^2|) <= A(2d^2 + 8|c|^2 + |R^2|).
-    So fl F(z) < t forces
+    So fl F(z) <= t forces d^2 <= R^2 + t/A + 3 gamma' S, and
+    d^2 <= R^2 + t/A - 3 gamma S forces fl F(z) <= t
+    (gamma' = gamma/(1 - 2 gamma)).  In doubles, R^2, t/A and S carry
+    errors of a few u times S (the cancellation in |B|^2 - AC included),
+    so rho^2 = R^2 + t/A + 1e-13 S and sigma^2 = R^2 + t/A - 1e-13 S, as
+    computed, keep both implications with room.
 
-        d^2 < rho^2 = (R^2 + t/A + gamma (|R^2| + 8|c|^2)) / (1 - 2 gamma):
-
-    every point reading under t lies in the disk D(c, rho), which covers
-    both the widening by the tolerance (t/A) and the rounding of the form
-    at the point's own scale.  Two forms whose disks are disjoint,
-    |c_i - c_j| >= rho_i + rho_j, never both read under t at one point.
-
-    The bound is evaluated in doubles with g = 1e-13 in place of gamma and
-    of 1/(1 - 2 gamma) - 1, and form j is left out only when
-    |c_i - c_j| > (1 + g)(rho_i + rho_j) + g(|c_i| + |c_j|).  Each double
-    operation adds a relative error of at most u to a quantity bounded by
-    |c|^2 + |R^2| + t/A (for rho^2; the cancellation in |B|^2 - AC costs at
-    most 5u(2|c|^2 + |R^2|)), or by rho or |c| (for the comparison); the
-    excess of g over gamma, more than 100 gamma, covers every one of them.
+    The premise keeps the model exact enough.  Where A r2 evaluates
+    finite, |z|^2 < 2^1025/A, so the middle term stays below
+    2 sqrt(A|c|^2) 2^513 < 2^1013: fl F is never -inf, and an overflowing
+    evaluation reads +inf or nan, which no "at most" test passes.  On
+    D(c, sigma) every operand stays below 1e302, so nothing overflows.
+    Subnormal results add at most 2^-1071 in all, far below the room
+    1e-14 A S.
     """
-    reach = []   # (c, rho, |c|) per form; None ties with every form
-    for A, bre, bim, C in forms:
-        disk = None
-        if A > 0:
-            c = complex(-bre / A, -bim / A)
-            c2 = c.real * c.real + c.imag * c.imag
-            r2 = (bre * bre + bim * bim - A * C) / (A * A)
-            rho2 = (r2 + MEMBERSHIP_TOL / A
-                    + 1e-13 * (abs(r2) + 8.0 * c2)) * (1.0 + 1e-13)
-            if math.isfinite(rho2):
-                disk = (c, math.sqrt(max(rho2, 0.0)), math.sqrt(c2))
-        reach.append(disk)
+    A, bre, bim, C = form
+    if not A > 0:
+        return None
+    c = complex(-bre / A, -bim / A)
+    c2 = c.real * c.real + c.imag * c.imag
+    r2 = (bre * bre + bim * bim - A * C) / (A * A)
+    level = r2 + t / A
+    scale = abs(r2) + 8.0 * c2 + abs(t / A)
+    if not (1e-280 < A * scale and scale * max(A, 1.0) < 1e300):
+        return None
+    return (c, math.sqrt(c2), math.sqrt(max(level + 1e-13 * scale, 0.0)),
+            math.sqrt(max(level - 1e-13 * scale, 0.0)), r2)
 
-    def apart(f, g) -> bool:
-        return (f is not None and g is not None and abs(f[0] - g[0])
-                > (1.0 + 1e-13) * (f[1] + g[1]) + 1e-13 * (f[2] + g[2]))
 
-    return [tuple(j for j, g in enumerate(reach) if not apart(f, g))
-            for f in reach]
+def _core(form: Tuple[float, float, float, float], own: tuple,
+          avoid: list, inside: Optional[tuple] = None) -> Optional[float]:
+    """The threshold tau <= 0 on a letter's form that proves the letter's
+    core; None when a premise fails.
+
+    ``own`` is the form's ``_reach`` at MEMBERSHIP_TOL, ``avoid`` holds
+    that of every form the core must read above the tolerance on, and
+    ``inside``, for a surface letter, that of the factor form it must read
+    within the tolerance on.  Let r be the least of, computed in doubles
+    with g = 1e-13,
+
+        (|c - c_y| - g(|c| + |c_y|))/(1 + g) - rho_y     per avoided y,
+        (sigma_f - g(|c| + |c_f|))/(1 + g) - |c - c_f|   for ``inside``,
+
+    and tau = min(A(r^2 - R^2 - 3g Y), 0) with Y = |R^2| + 8|c|^2 + r^2
+    (tau = 0 when r^2 is not finite).  A core needs every reach defined (a
+    form with A <= 0 or outside the scale premise has none), r > 0, and
+    the form inside ``_reach``'s premise at tau.
+
+    Lemma: every P with fl F(P) <= tau lies within r of c, reads above
+    the tolerance on every avoided form and at most the tolerance on
+    ``inside``.  By ``_reach`` at t = tau, d^2 = |P - c|^2 <= R^2 + tau/A
+    + 3 gamma' S_tau with S_tau <= 2Y, which the 3g Y taken off tau
+    exceeds even after the roundings of tau (a few u Y): d < r (when r^2
+    overflows, d^2 <= R^2 + 3 gamma' S_0 < 1e300 < r^2).  Each double
+    operation in r adds a relative error of at most u to a quantity
+    bounded by |c| + |c_y| + |c - c_y| (or |c| + |c_f| + sigma_f), as do
+    the centres' own roundings; the excess of g over them covers every
+    one.  So |c - c_y| > r + rho_y exactly, and |P - c_y| > rho_y: P reads
+    above the tolerance on y.  Likewise |P - c_f| < |c - c_f| + r <=
+    sigma_f: P reads at most the tolerance on f.
+    """
+    if own is None or None in avoid:
+        return None
+    c, abs_c, _, _, r2 = own
+    r = math.inf
+    for cy, abs_cy, rho, _, _ in avoid:
+        r = min(r, (abs(c - cy) - 1e-13 * (abs_c + abs_cy)) / (1.0 + 1e-13)
+                - rho)
+    if inside is not None:
+        cf, abs_cf, _, sigma, _ = inside
+        r = min(r, (sigma - 1e-13 * (abs_c + abs_cf)) / (1.0 + 1e-13)
+                - abs(c - cf))
+    if not r > 0:
+        return None
+    tau = form[0] * (r * r - r2
+                     - 3e-13 * (abs(r2) + 8.0 * abs_c * abs_c + r * r))
+    tau = tau if tau < 0.0 else 0.0  # also when r * r overflows (nan)
+    return None if _reach(form, tau) is None else tau
 
 
 class _Navigator:
@@ -192,8 +235,8 @@ class _Navigator:
     first strip undoes the link's letter.
 
     Disk forms and inverse generator matrices are flattened to float and
-    complex tuples.  Per surface factor and letter, the navigation entries
-    of the letter's tie set (``_tie_sets``) are kept in navigation order.
+    complex tuples.  Per letter with a core (``_core``): its form, tau,
+    its factor id and, for a free letter, its location.
     """
 
     def __init__(self, rep: Representation, disks: PingPongDisks, cap: int):
@@ -205,7 +248,16 @@ class _Navigator:
         self._factor_forms = {fid: (d.A, d.B.real, d.B.imag, d.C)
                               for fid, d in sorted(disks.factor.items())}
         self._nav: List[list] = []   # by fid: [(letter, form, inv matrix)]
-        self._ties: List[dict] = []  # by fid: {letter: its tie entries}
+        self._cores: List[Optional[tuple]] = [None] * group.n_letters
+        factor_reach = {fid: _reach(form, MEMBERSHIP_TOL)
+                        for fid, form in self._factor_forms.items()}
+
+        def add_core(letter, form, fid, own, avoid, inside=None):
+            tau = _core(form, own, avoid, inside)
+            if tau is not None:
+                self._cores[letter] = (*form, tau, fid,
+                                       None if inside else (fid, (letter,)))
+
         for fid in range(group.n_surface):  # surface factors first
             entries = []
             for letter in group.factor_letters(fid):
@@ -215,10 +267,18 @@ class _Navigator:
                                 (idisk.A, idisk.B.real, idisk.B.imag, idisk.C),
                                 (minv.a, minv.b, minv.c, minv.d)))
             self._nav.append(entries)
-            self._ties.append({
-                entry[0]: [entries[k] for k in ties]
-                for entry, ties in zip(entries,
-                                       _tie_sets([e[1] for e in entries]))})
+            if factor_reach.get(fid) is None:
+                continue
+            before = [r for g, r in factor_reach.items() if g < fid]
+            reach = [_reach(form, MEMBERSHIP_TOL) for _, form, _ in entries]
+            for k, (letter, form, _) in enumerate(entries):
+                add_core(letter, form, fid, reach[k],
+                         before + reach[:k] + reach[k + 1:],
+                         factor_reach[fid])
+        reach = [_reach(f[2:], MEMBERSHIP_TOL) for f in self._free_forms]
+        for k, (fid, letter, *form) in enumerate(self._free_forms):
+            add_core(letter, tuple(form), fid, reach[k],
+                     [*factor_reach.values(), *reach[:k]])
 
     def locate(self, p: complex, x: int = -1,
                lq: Location = None) -> Location:
@@ -228,42 +288,66 @@ class _Navigator:
 
         With a parent link, p = x(q) and lq is the location of q, the
         matching endpoint of the linked pair.  When p lies in a factor
-        disk and its first navigation step, decided on x's tie set alone,
-        strips x, p's prefix is x followed by q's prefix in that factor,
-        () when lq puts q outside it.  The step leaves x^-1(p), which is q
-        up to rounding; verified factor disks are disjoint with a margin,
-        so lq stands for that point's location unless it lies within
-        rounding of a disk boundary.  The differential tests against
-        memo-free inverse iteration check the prefixes.
+        disk and its first navigation step strips x, p's prefix is x
+        followed by q's prefix in that factor (``_after``).  The step
+        leaves x^-1(p), which is q up to rounding; verified factor disks
+        are disjoint with a margin, so lq stands for that point's location
+        unless it lies within rounding of a disk boundary.  The
+        differential tests against memo-free inverse iteration check the
+        prefixes.
         """
         px, py = p.real, p.imag
         r2 = px * px + py * py
         for fid, (A, bre, bim, C) in self._factor_forms.items():
             if A * r2 + 2.0 * (bre * px + bim * py) + C <= MEMBERSHIP_TOL:
-                ties = self._ties[fid].get(x)
-                if ties is None or self._step(ties, px, py, r2)[0] != x:
+                if self._step(self._nav[fid], px, py, r2)[0] != x:
                     return fid, self.strip(fid, p)
-                rest = lq[1] if lq is not None and lq[0] == fid else ()
-                if rest is None or len(rest) > self.cap:
-                    return fid, None
-                return fid, (x,) + rest
+                return self._after(fid, x, lq)
         for fid, letter, A, bre, bim, C in self._free_forms:
             if A * r2 + 2.0 * (bre * px + bim * py) + C <= MEMBERSHIP_TOL:
                 return fid, (letter,)
         return None
 
+    def _after(self, fid: int, x: int, lq: Location) -> Location:
+        """Location in factor fid of x(q) whose first strip is x: x followed
+        by q's prefix there, () when lq puts q outside it; a None prefix
+        when that exceeds the cap."""
+        rest = lq[1] if lq is not None and lq[0] == fid else ()
+        if rest is None or len(rest) > self.cap:
+            return fid, None
+        return fid, (x,) + rest
+
     def locations(self, mu: MuSpec) -> List[Tuple[Location, Location]]:
         """Locations of both endpoints of every sampled pair, in order, each
-        linked pair located from the locations of its parent pair."""
+        linked pair located from the locations of its parent pair: by one
+        evaluation of the link letter's form on its core, by ``locate``
+        off it."""
         located: List[Tuple[Location, Location]] = []
+        cores, locate, after = self._cores, self.locate, self._after
         for (x, j), (p, q) in zip(
                 mu.parent_links or [(-1, -1)] * len(mu.sampled_pairs),
                 mu.sampled_pairs):
             if j < 0:
-                located.append((self.locate(p), self.locate(q)))
+                located.append((locate(p), locate(q)))
+                continue
+            lp, lq = located[j]
+            core = cores[x]
+            if core is None:
+                located.append((locate(p, x, lp), locate(q, x, lq)))
+                continue
+            # both endpoints written out: a call per endpoint costs ~25%
+            A, bre, bim, C, tau, fid, free = core
+            px, py = p.real, p.imag
+            if A * (px * px + py * py) + 2.0 * (bre * px + bim * py) + C > tau:
+                lp = locate(p, x, lp)
             else:
-                lp, lq = located[j]
-                located.append((self.locate(p, x, lp), self.locate(q, x, lq)))
+                lp = free or after(fid, x, lp)
+            px, py = q.real, q.imag
+            if A * (px * px + py * py) + 2.0 * (bre * px + bim * py) + C > tau:
+                lq = locate(q, x, lq)
+            else:
+                lq = free or after(fid, x, lq)
+            located.append((lp, lq))
         return located
 
     @staticmethod
@@ -271,13 +355,8 @@ class _Navigator:
         """(letter, inverse matrix) of the entry whose isometric disk holds
         the point x + iy (r2 = x*x + y*y) deepest: the least form value
         under MEMBERSHIP_TOL, the earlier entry on equal values; (None,
-        None) in none.
-
-        Over all of a factor's entries this is the letter one inverse
-        iteration step strips.  Over a letter's tie set it is the same
-        letter whenever that letter's form reads under the tolerance,
-        because every form that does so too is in the set; so the step over
-        x's tie set is x exactly when the step over the factor is.
+        None) in none.  Over a factor's entries this is the letter one
+        inverse iteration step strips.
         """
         best, best_mat, best_val = None, None, MEMBERSHIP_TOL
         for letter, (A, bre, bim, C), mat in entries:
@@ -324,9 +403,10 @@ def whitehead_graph_sampled(rep: Representation, disks: PingPongDisks,
                             mu: MuSpec, max_prefix: int) -> WhiteheadGraph:
     """Whitehead graph of sampled endpoint pairs for the standard system.
 
-    Requires a passing ping-pong certificate on the disks.
+    Requires a passing ping-pong certificate made for these disks and
+    this representation.
     """
-    disks.require_verified()
+    disks.require_verified(rep)
     group = rep.group
     nav = _Navigator(rep, disks, max_prefix)
     ball, loops = Counter(), Counter()

@@ -15,7 +15,7 @@ from sepstab.gallery import _surface_with_t, build, octagon_generators
 from sepstab.groups import GroupSpec
 from sepstab.hyperbolic import MoebiusMap, Representation, loxodromic_with_axis
 from sepstab.pingpong import (DiskCountMismatch, PingPongDisks,
-                              ping_pong_verify)
+                              UnverifiedDisks, ping_pong_verify)
 
 F2 = GroupSpec((), 2)
 
@@ -484,6 +484,17 @@ class TestPingPong:
         assert disks.certificate is None or disks.certificate.ok
         cert = ping_pong_verify(rep, disks)
         assert disks.certificate is cert
+
+    def test_certificate_is_bound_to_its_representation(self):
+        # the disks are certified for the representation object verified
+        # with them, and for no other, even one with equal images
+        rep, disks = build("schottky2")
+        assert ping_pong_verify(rep, disks).rep is rep
+        disks.require_verified(rep)
+        for other in (build("schottky2")[0], build("s2-times-z")[0]):
+            with pytest.raises(UnverifiedDisks,
+                               match="another representation"):
+                disks.require_verified(other)
 
 
 class TestOctagon:

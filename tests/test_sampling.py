@@ -1,10 +1,14 @@
-import cmath
+import functools
 import gc
+import math
 import random
+import types
 from collections import Counter
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sepstab import sampling
 from sepstab import whitehead as W
@@ -16,7 +20,7 @@ from sepstab.hyperbolic import (MoebiusMap, Representation, classify,
                                 fixed_points, loxodromic_with_axis)
 from sepstab.pingpong import PingPongDisks, UnverifiedDisks, ping_pong_verify
 from sepstab.sampling import (MEMBERSHIP_TOL, MuSpec, _Navigator,
-                              _tie_sets, graphs_agree, sample_mu,
+                              graphs_agree, sample_mu,
                               whitehead_graph_sampled,
                               whitehead_graph_sampled_for)
 from sepstab.whitehead import whitehead_graph_combinatorial
@@ -46,6 +50,21 @@ class TestSampling:
         rep, disks = build("s2-times-z")  # fresh, no certificate
         with pytest.raises(UnverifiedDisks):
             whitehead_graph_sampled(rep, disks, MuSpec(sampled_pairs=()), 3)
+
+    def test_disks_verified_for_another_representation_rejected(self):
+        # schottky2's certificate says nothing about s2-times-z, whose
+        # endpoints its disks miss: unchecked, the graph would be empty
+        _, schottky_disks = _schottky()
+        with pytest.raises(UnverifiedDisks, match="another representation"):
+            whitehead_graph_sampled_for(REP, schottky_disks, cnf_of("a1 t1"),
+                                        2)
+        # the same disks with one generator image changed
+        images = REP.generator_images()
+        images[-1] = loxodromic_with_axis(5.0, 11.0, 4.0)
+        changed = Representation(GRP, images)
+        with pytest.raises(UnverifiedDisks, match="another representation"):
+            whitehead_graph_sampled_for(changed, DISKS, cnf_of("a1 t1"), 2)
+        assert whitehead_graph_sampled_for(REP, DISKS, cnf_of("a1 t1"), 2)
 
     def test_empty_mu_gives_empty_graph(self):
         wh = whitehead_graph_sampled(REP, DISKS, MuSpec(sampled_pairs=()), 3)
@@ -413,13 +432,28 @@ class TestEndpointsAsImagesOfFixedPoints:
         assert vars(disks) == disks_before
 
 
+def _form_reads(form, p):
+    """The (A, Re B, Im B, C) form at p, evaluated as the navigator does."""
+    A, bre, bim, C = form
+    x, y = p.real, p.imag
+    return A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C
+
+
+def _on_core(nav, x, p):
+    """Whether the core of link letter x decides the point p."""
+    core = nav._cores[x] if x >= 0 else None
+    return core is not None and _form_reads(core[:4], p) <= core[4]
+
+
 class TestOneNavigationPerEndpoint:
     def test_navigated_only_in_the_factor_disk_that_holds_it(self,
                                                            monkeypatch):
-        # every endpoint is located once, in sampling order; only the root
-        # pair has no parent, and inverse iteration runs only for the root's
-        # endpoints in the factor disk and for endpoints whose first strip
-        # does not undo the link's letter
+        # every endpoint is located once, in sampling order: ``locate``
+        # receives the root pair's endpoints and the linked endpoints off
+        # their letter's core, one form evaluation decides the others; only
+        # the root pair has no parent, and inverse iteration runs only for
+        # the root's endpoints in the factor disk and for endpoints whose
+        # first strip does not undo the link's letter
         located, stripped = [], []
         locate, strip = _Navigator.locate, _Navigator.strip
 
@@ -433,7 +467,7 @@ class TestOneNavigationPerEndpoint:
 
         monkeypatch.setattr(_Navigator, "locate", counting_locate)
         monkeypatch.setattr(_Navigator, "strip", counting_strip)
-        in_free = in_factor = 0
+        in_free = in_factor = on_core = 0
         for text in ("t1", "a1 t1", "a2 t1", "b2 T1", "a1 b1 A1 t1",
                      "a1 b1 t1"):
             cnf = cnf_of(text)
@@ -445,7 +479,10 @@ class TestOneNavigationPerEndpoint:
             for i, ((x, _), pair) in enumerate(zip(mu.parent_links,
                                                    mu.sampled_pairs)):
                 for p in pair:
-                    points.append(p)
+                    if i == 0 or not _on_core(nav, x, p):
+                        points.append(p)
+                    else:
+                        on_core += 1
                     if DISKS.factor[0].value(p) <= MEMBERSHIP_TOL:
                         in_factor += 1
                         if i == 0 or _deepest(nav, 0, p)[0] != x:
@@ -459,6 +496,7 @@ class TestOneNavigationPerEndpoint:
             assert located == points
             assert stripped == unlinked
         assert in_free > 1000 and in_factor > 1000
+        assert on_core > 0.9 * (in_free + in_factor)
 
 
 class TestStripMemo:
@@ -534,12 +572,159 @@ def _seeded_conjugate(seed):
             return rep, conj
 
 
-class TestTieSets:
-    """The first step over a letter's tie set is that letter exactly when
-    the step over all of the factor's isometric disks is."""
+def _reference_locations(nav, mu):
+    """Each endpoint's location as ``navigation_reference`` finds it: on
+    its own, through the 1e-12 prefix cache."""
+    caches = [{} for _ in nav._nav]
 
-    def test_pruned_step_matches_deepest(self):
-        # schottky2, the other group of TestStripMemo, has no factor disk
+    def locate(p):
+        x, y = p.real, p.imag
+        for fid, (A, bre, bim, C) in nav._factor_forms.items():
+            if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
+                return fid, _cached_prefix(nav, caches[fid], fid, p)
+        for fid, letter, A, bre, bim, C in nav._free_forms:
+            if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
+                return fid, (letter,)
+        return None
+
+    return [(locate(p), locate(q)) for p, q in mu.sampled_pairs]
+
+
+def _tangent_free_disks():
+    """F2 with the disks of a and A tangent at 1e5 + 1: a form read there
+    rounds by about 1e-6, far beyond MEMBERSHIP_TOL."""
+    rep = Representation(GroupSpec((), 2), [loxodromic_with_axis(-1, 1, 2.0),
+                                            loxodromic_with_axis(-2, 2, 2.0)])
+    return rep, PingPongDisks(free={0: Disk.interior(1e5, 1.0),
+                                    1: Disk.interior(1e5 + 2.0, 1.0),
+                                    2: Disk.interior(-1e5, 1.0),
+                                    3: Disk.interior(5.0, 1.0)}, factor={})
+
+
+def _overlapping_free_disks():
+    """F2 with the disk of A overlapping the disk of a, tested before it."""
+    rep = _tangent_free_disks()[0]
+    return rep, PingPongDisks(free={0: Disk.interior(0.0, 1.0),
+                                    1: Disk.interior(1.5, 1.0),
+                                    2: Disk.interior(10.0, 1.0),
+                                    3: Disk.interior(-10.0, 1.0)}, factor={})
+
+
+def _cut_factor_disk():
+    """s2-times-z with a factor disk of radius 1.3: it cuts every
+    isometric disk, which reaches out to |z| = 1.55."""
+    return REP, PingPongDisks(free=DISKS.free,
+                              factor={0: Disk.interior(0.0, 1.3)})
+
+
+CORE_FIXTURES = {
+    "s2-times-z": lambda: (REP, DISKS),
+    **{f"seed {seed}": (lambda seed=seed: _seeded_conjugate(seed))
+       for seed in (1, 7, 13)},
+    "tangent free disks": _tangent_free_disks,
+    "overlapping free disks": _overlapping_free_disks,
+    "cut factor disk": _cut_factor_disk,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _core_fixture(name):
+    return CORE_FIXTURES[name]()
+
+
+def _ulp_grid(p, k):
+    """The points within k ulps of p in each coordinate."""
+    def steps(v):
+        out, lo, hi = [v], v, v
+        for _ in range(k):
+            lo = math.nextafter(lo, -math.inf)
+            hi = math.nextafter(hi, math.inf)
+            out += [lo, hi]
+        return out
+    return [complex(x, y) for x in steps(p.real) for y in steps(p.imag)]
+
+
+def _level_point(form, tau, c, angle, far):
+    """The last point along the ray from c at the angle, bisected in the
+    ray's parameter down to one ulp, where the form reads at most tau."""
+    u = complex(math.cos(angle), math.sin(angle))
+    lo, hi = 0.0, far
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return c + lo * u
+        if _form_reads(form, c + mid * u) <= tau:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestCores:
+    """Every endpoint a core decides is located as ``locate`` locates it.
+    A core is a threshold tau on its letter's form (``_core``)."""
+
+    @staticmethod
+    def _assert_core_agrees(nav, x, points, root):
+        """``locations`` on the root pair and one linked pair (p, p) per
+        point agrees with ``locate``; returns how many points the core
+        decided."""
+        mu = MuSpec(sampled_pairs=(root,) + tuple((p, p) for p in points),
+                    parent_links=((-1, -1),) + ((x, 0),) * len(points))
+        got = nav.locations(mu)
+        lp, lq = got[0]
+        for p, loc in zip(points, got[1:]):
+            assert loc == (nav.locate(p, x, lp), nav.locate(p, x, lq)), p
+        return sum(_on_core(nav, x, p) for p in points)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(CORE_FIXTURES)), st.integers(0, 9),
+           st.integers(0, 3), st.floats(0.0, 2 * math.pi),
+           st.lists(st.floats(-1e-4, 1e-4), min_size=1, max_size=8),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+           st.sampled_from([0, 1, 6]))
+    # A's core where it comes closest to a's disk, at the tangent point
+    @example("tangent free disks", 1, 3, 0.0,
+             [k * 1e-5 for k in range(-10, 11)], [0.5], 0)
+    # a1's core straight out, where the factor disk cuts a1's own disk
+    @example("cut factor disk", 0, 0, 0.0, [0.0], [0.5, 0.9, 0.99], 6)
+    def test_level_sets_and_core_points_agree_with_locate(
+            self, name, pick, toward, angle, jitters, fractions, cap):
+        # points on tau's level set and a few ulps either side of it, along
+        # rays aimed at the centre of a disk the core avoids (where it
+        # comes closest) or at a drawn angle, and random points of the core
+        rep, disks = _core_fixture(name)
+        nav = _Navigator(rep, disks, cap)
+        letters = [x for x, core in enumerate(nav._cores) if core]
+        assert letters
+        x = letters[pick % len(letters)]
+        A, bre, bim, C, tau = nav._cores[x][:5]
+        form, c = (A, bre, bim, C), complex(-bre / A, -bim / A)
+        others = ([complex(-f[1], -f[2]) / f[0]
+                   for f in nav._factor_forms.values()]
+                  + [complex(-f[3], -f[4]) / f[2] for f in nav._free_forms]
+                  + [complex(-e[1][1], -e[1][2]) / e[1][0]
+                     for entries in nav._nav for e in entries])
+        others = [o for o in others if o != c]
+        if toward:
+            aim = others[toward % len(others)] - c
+            angle = math.atan2(aim.imag, aim.real)
+        far = 4.0 * math.sqrt(abs((bre * bre + bim * bim - A * C)) / (A * A))
+        points = []
+        for jitter in jitters:
+            edge = _level_point(form, tau, c, angle + jitter, far)
+            points += _ulp_grid(edge, 2)
+        points += [c + t * (edge - c) for t in fractions]
+        if x < rep.group.gen_base(rep.group.n_surface):
+            # a root pair located in the factor: one endpoint with a
+            # prefix, one outside
+            root = sample_mu(rep, cyclic_reduce(rep.group.parse_word(
+                "a1 b1 t1"), rep.group), 0).sampled_pairs[0]
+        else:
+            root = (c, c + far)
+        assert self._assert_core_agrees(nav, x, points, root) > 0
+
+    def test_sampled_endpoints_agree_with_locate(self):
+        # every sampled endpoint, tested against every letter's core
         classes = [(REP, DISKS, cnf_of(t))
                    for t in TestStripMemo.CLASSES[0][1]]
         for seed in (1, 7):
@@ -548,58 +733,67 @@ class TestTieSets:
                         for cnf in enumerate_elements(rep.group, 2)]
         n = 0
         for rep, disks, cnf in classes:
-            nav = _Navigator(rep, disks, 0)
-            for pair in sample_mu(rep, cnf, 3).sampled_pairs:
-                for p in pair:
-                    for fid, factor in disks.factor.items():
-                        if factor.value(p) > MEMBERSHIP_TOL:
-                            continue
-                        x, y = p.real, p.imag
-                        deepest = _deepest(nav, fid, p)[0]
-                        for letter, ties in nav._ties[fid].items():
-                            pruned = nav._step(ties, x, y, x * x + y * y)[0]
-                            assert (pruned == letter) == (deepest == letter)
-                        n += 1
-        assert n > 100000  # factor-disk endpoints
+            nav = _Navigator(rep, disks, 3 + cnf.cyclic_length + 2)
+            mu = sample_mu(rep, cnf, 3)
+            points = [p for pair in mu.sampled_pairs for p in pair]
+            for x, core in enumerate(nav._cores):
+                if core is not None:
+                    n += self._assert_core_agrees(
+                        nav, x, [p for p in points if _on_core(nav, x, p)],
+                        mu.sampled_pairs[0])
+        assert n > 100000  # core-decided endpoints
 
-    def test_shipped_ties_are_octagon_neighbours(self):
-        # the isometric disks sit around the origin, one per side of the
-        # octagon; each ties with itself and its two angular neighbours
+    def test_every_shipped_letter_has_a_core(self):
+        # each isometric disk keeps a core clear of its two octagon
+        # neighbours; each free letter's core is its whole disk
         nav = _Navigator(REP, DISKS, 0)
-        entries = nav._nav[0]
-        around = sorted(
-            entries, key=lambda e: cmath.phase(complex(-e[1][1], -e[1][2])))
-        assert len(around) == 8
-        for k, entry in enumerate(around):
-            neighbours = {around[k - 1][0], entry[0], around[(k + 1) % 8][0]}
-            ties = [e[0] for e in nav._ties[0][entry[0]]]
-            assert sorted(ties, key=[e[0] for e in entries].index) == ties
-            assert set(ties) == neighbours
+        assert all(core is not None for core in nav._cores)
+        surface = GRP.gen_base(1)
+        assert all(core[4] < 0 for core in nav._cores[:surface])
+        assert [core[4] for core in nav._cores[surface:]] == [0.0, 0.0]
 
-    def test_overlapping_disks_tie_with_every_letter(self):
+    def _assert_same_locations(self, rep, disks):
+        n = 0
+        for cnf in [cnf_of(t) for t in CROSS_WORDS]:
+            mu = sample_mu(rep, cnf, 3)
+            nav = _Navigator(rep, disks, 3 + cnf.cyclic_length + 2)
+            assert nav.locations(mu) == _reference_locations(nav, mu)
+            n += len(mu.sampled_pairs)
+        assert n
+
+    def test_overlapping_disks_give_no_core(self):
         # image k = (a, a d - 1; 1, d) with a = d = k / 10: the isometric
         # disks of it and of its inverse have radius 1 and centres
-        # +-k/10, so all eight overlap
+        # +-k/10, so all eight overlap and no surface letter has a core
         images = [MoebiusMap(k / 10, k * k / 100 - 1, 1, k / 10)
                   for k in range(1, 5)]
         rep = Representation(GRP, images + [REP.image(GRP.n_letters - 2)])
         nav = _Navigator(rep, DISKS, 0)
-        letters = [e[0] for e in nav._nav[0]]
-        assert len(letters) == 8
-        for ties in nav._ties[0].values():
-            assert [e[0] for e in ties] == letters
+        assert len(nav._nav[0]) == 8
+        assert nav._cores[:GRP.gen_base(1)] == [None] * 8
+        self._assert_same_locations(rep, DISKS)
 
     @pytest.mark.parametrize("sign", [0.0, -1.0])
-    def test_form_that_is_no_disk_ties_with_every_letter(self, sign):
-        forms = [e[1] for e in _Navigator(REP, DISKS, 0)._nav[0]]
-        shipped = _tie_sets(forms)
-        A, bre, bim, C = forms[3]
-        forms[3] = (sign * A, bre, bim, C)
-        ties = _tie_sets(forms)
-        assert ties[3] == tuple(range(8))
-        for k in range(8):
-            if k != 3:
-                assert ties[k] == tuple(sorted(set(shipped[k]) | {3}))
+    def test_form_that_is_no_disk_gives_no_core(self, sign, monkeypatch):
+        # one isometric-disk form with A scaled by sign: it is no interior
+        # disk, so no letter of the factor has a core, while the free
+        # letters keep theirs
+        made = []
+
+        def scaled(m):
+            d = isometric_disk(m)
+            made.append(d)
+            if len(made) % 8 == 4:
+                return types.SimpleNamespace(A=sign * d.A, B=d.B, C=d.C)
+            return d
+
+        monkeypatch.setattr(sampling, "isometric_disk", scaled)
+        nav = _Navigator(REP, DISKS, 0)
+        assert nav._nav[0][3][1][0] == sign * made[3].A
+        surface = GRP.gen_base(1)
+        assert nav._cores[:surface] == [None] * surface
+        assert None not in nav._cores[surface:]
+        self._assert_same_locations(REP, DISKS)
 
 
 class TestNoCyclicGarbage:
@@ -673,21 +867,8 @@ def navigation_reference(rep, disks, mu, cap):
     """whitehead_graph_sampled as it was: every endpoint located on its own
     through the prefix cache, every loop label Dehn-reduced from the whole
     prefixes."""
-    disks.require_verified()
+    disks.require_verified(rep)
     group = rep.group
-    nav = _Navigator(rep, disks, cap)
-    caches = [{} for _ in range(group.n_surface)]
-
-    def locate(p):
-        x, y = p.real, p.imag
-        for fid, (A, bre, bim, C) in nav._factor_forms.items():
-            if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
-                return fid, _cached_prefix(nav, caches[fid], fid, p)
-        for fid, letter, A, bre, bim, C in nav._free_forms:
-            if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
-                return fid, (letter,)
-        return None
-
     ball, loops = Counter(), Counter()
 
     def vertex_of(fid, syllable):
@@ -701,8 +882,7 @@ def navigation_reference(rep, disks, mu, cap):
         if reduced:
             loops[fid, W.crossing(group, fid, reduced)[1]] += 1
 
-    for p, q in mu.sampled_pairs:
-        lp, lq = locate(p), locate(q)
+    for lp, lq in _reference_locations(_Navigator(rep, disks, cap), mu):
         if lp is None or lq is None or lp == lq:
             continue
         (fp, sp), (fq, sq) = lp, lq
@@ -747,6 +927,11 @@ class TestNavigationReference:
 
     def test_cross_construction_words(self):
         self._assert_same(REP, DISKS, [cnf_of(t) for t in CROSS_WORDS])
+
+    @pytest.mark.parametrize("seed", [1, 7, 13])
+    def test_seeded_conjugates(self, seed):
+        rep, disks = _seeded_conjugate(seed)
+        self._assert_same(rep, disks, enumerate_elements(rep.group, 2))
 
     @pytest.mark.parametrize("name", ["schottky2", "fuchsian-genus2"])
     def test_other_gallery_groups(self, name):
