@@ -18,9 +18,10 @@ Structured text, hand-editable, with three blocks:
 Numbers are emitted with repr(float), which round-trips exactly, so
 parse -> emit -> parse is the identity.  Unknown or repeated sections
 and keys, non-finite numbers, non-positive radii, non-integer genera or
-ranks, groups that GroupSpec refuses and a disk block that misses a disk
-or has one for a letter it does not cover are rejected with a
-line/column diagnostic.  Only bounded disks can be written.  A generator
+ranks, groups that GroupSpec refuses (at the ``group`` header, also one
+without keys) and a disk block that misses a disk (at its header; a
+header without disk lines misses every disk) or has one for a letter it
+does not cover are rejected with a line/column diagnostic.  Only bounded disks can be written.  A generator
 matrix is rejected when its determinant is off one by more than 1e-6
 plus the rounding noise of its entries (``MoebiusMap.det_noise``), or
 when its entries are too large for that check to be computed in floats;
@@ -130,7 +131,7 @@ def parse_rep(text: str) -> RepFile:
         else:
             raise RepFileError("content before any section header", idx)
 
-    if not genera and not free_rank:
+    if "group" not in headers:
         raise RepFileError("missing group section", max(1, len(lines)))
     try:
         group = GroupSpec(tuple(genera), free_rank)
@@ -173,7 +174,7 @@ def parse_rep(text: str) -> RepFile:
 
     disks = None
     disk_params: Dict[str, Tuple[float, float, float]] = {}
-    if disk_lines:
+    if "disks" in headers:
         free: Dict[int, Disk] = {}
         factor: Dict[int, Disk] = {}
         for idx, body in disk_lines:

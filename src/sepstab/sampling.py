@@ -28,18 +28,20 @@ Each link letter x has a core unless a premise fails (``_core``): a
 threshold tau_x <= 0 on x's own form (its isometric-disk entry for a
 surface letter, its ping-pong disk for a free one), proved with the
 rounding bound of ``_reach``.  A point reading at most tau_x there reads
-above MEMBERSHIP_TOL on every disk ``locate`` tests before x's; for a
-surface letter it also reads within the tolerance on x's factor disk and
-above it on the factor's other entries, so the first inverse-iteration
-step strips x.  One form evaluation thus locates P as ``locate`` does:
-(fid, (x,)) for a free letter, and for a surface letter x followed by
-Q's prefix in the factor (() when Q lies outside the factor disk), or
-none when that exceeds the cap.  Endpoints off the core and pairs
-without a parent go through ``locate``, which tests the disks in order
-and strips by inverse iteration through the generator isometric disks of
-the factor holding the point, unless its first step strips x.  Either
-way each endpoint is located once, and no point is looked up by its
-coordinates.
+above MEMBERSHIP_TOL on every disk ``locate`` tests before x's, a prefix
+of the navigator's one ordered disk list; for a surface letter it also
+reads within the tolerance on x's factor disk and above it on the
+factor's other entries, so the first inverse-iteration step strips x.
+One form evaluation thus locates P as ``locate`` does: (fid, (x,)) for a
+free letter, and for a surface letter x followed by Q's prefix in the
+factor (() when Q lies outside the factor disk), or none when that
+exceeds the cap.  Endpoints off the core and pairs without a parent go
+through ``locate``, which tests the disks in that order, factor disks
+first, and hands a point in a factor disk to ``strip``: the one
+inverse-iteration loop, through the generator isometric disks of that
+factor, which reads x followed by Q's prefix when its first step strips
+x.  Either way each endpoint is located once, and no point is looked up
+by its coordinates.
 """
 
 from __future__ import annotations
@@ -184,10 +186,12 @@ def _core(form: Tuple[float, float, float, float], own: tuple,
     core; None when a premise fails.
 
     ``own`` is the form's ``_reach`` at MEMBERSHIP_TOL, ``avoid`` holds
-    that of every form the core must read above the tolerance on, and
-    ``inside``, for a surface letter, that of the factor form it must read
-    within the tolerance on.  Let r be the least of, computed in doubles
-    with g = 1e-13,
+    that of every form the core must read above the tolerance on (the
+    disks before the letter's own in ``_Navigator._disks``, a prefix of
+    that list, and for a surface letter the factor's other isometric
+    entries), and ``inside``, for a surface letter, that of the factor
+    form it must read within the tolerance on.  Let r be the least of,
+    computed in doubles with g = 1e-13,
 
         (|c - c_y| - g(|c| + |c_y|))/(1 + g) - rho_y     per avoided y,
         (sigma_f - g(|c| + |c_f|))/(1 + g) - |c - c_f|   for ``inside``,
@@ -234,6 +238,11 @@ class _Navigator:
     the factor disk that holds it, from its parent's location when the
     first strip undoes the link's letter.
 
+    ``_disks`` lists the first-level disks in the order ``locate`` tests
+    them, as (fid, letter, form): the factor disks by fid (letter None;
+    a checked layout has one per surface factor, so factor fid's is
+    ``_disks[fid]``), then the free letters' disks by letter.  The disks
+    ``locate`` tests before a letter's own are thus a prefix of the list.
     Disk forms and inverse generator matrices are flattened to float and
     complex tuples.  Per letter with a core (``_core``): its form, tau,
     its factor id and, for a free letter, its location.
@@ -242,23 +251,13 @@ class _Navigator:
     def __init__(self, rep: Representation, disks: PingPongDisks, cap: int):
         group = rep.group
         self.cap = cap
-        self._free_forms = [(group.letter_factor(letter), letter,
-                             d.A, d.B.real, d.B.imag, d.C)
-                            for letter, d in sorted(disks.free.items())]
-        self._factor_forms = {fid: (d.A, d.B.real, d.B.imag, d.C)
-                              for fid, d in sorted(disks.factor.items())}
+        self._disks = [(fid, None, (d.A, d.B.real, d.B.imag, d.C))
+                       for fid, d in sorted(disks.factor.items())]
+        self._disks += [(group.letter_factor(letter), letter,
+                         (d.A, d.B.real, d.B.imag, d.C))
+                        for letter, d in sorted(disks.free.items())]
         self._nav: List[list] = []   # by fid: [(letter, form, inv matrix)]
-        self._cores: List[Optional[tuple]] = [None] * group.n_letters
-        factor_reach = {fid: _reach(form, MEMBERSHIP_TOL)
-                        for fid, form in self._factor_forms.items()}
-
-        def add_core(letter, form, fid, own, avoid, inside=None):
-            tau = _core(form, own, avoid, inside)
-            if tau is not None:
-                self._cores[letter] = (*form, tau, fid,
-                                       None if inside else (fid, (letter,)))
-
-        for fid in range(group.n_surface):  # surface factors first
+        for fid in range(group.n_surface):
             entries = []
             for letter in group.factor_letters(fid):
                 minv = rep.image(letter).inverse()
@@ -267,44 +266,40 @@ class _Navigator:
                                 (idisk.A, idisk.B.real, idisk.B.imag, idisk.C),
                                 (minv.a, minv.b, minv.c, minv.d)))
             self._nav.append(entries)
-            if factor_reach.get(fid) is None:
-                continue
-            before = [r for g, r in factor_reach.items() if g < fid]
-            reach = [_reach(form, MEMBERSHIP_TOL) for _, form, _ in entries]
-            for k, (letter, form, _) in enumerate(entries):
-                add_core(letter, form, fid, reach[k],
-                         before + reach[:k] + reach[k + 1:],
-                         factor_reach[fid])
-        reach = [_reach(f[2:], MEMBERSHIP_TOL) for f in self._free_forms]
-        for k, (fid, letter, *form) in enumerate(self._free_forms):
-            add_core(letter, tuple(form), fid, reach[k],
-                     [*factor_reach.values(), *reach[:k]])
+        self._cores: List[Optional[tuple]] = [None] * group.n_letters
+
+        def add_core(letter, form, fid, own, avoid, inside=None):
+            tau = _core(form, own, avoid, inside)
+            if tau is not None:
+                self._cores[letter] = (*form, tau, fid,
+                                       None if inside else (fid, (letter,)))
+
+        reach = [_reach(form, MEMBERSHIP_TOL) for _, _, form in self._disks]
+        for i, (fid, letter, form) in enumerate(self._disks):
+            if letter is not None:
+                add_core(letter, form, fid, reach[i], reach[:i])
+            elif reach[i] is not None:
+                own = [_reach(f, MEMBERSHIP_TOL) for _, f, _ in self._nav[fid]]
+                for k, (x, f, _) in enumerate(self._nav[fid]):
+                    add_core(x, f, fid, own[k],
+                             reach[:i] + own[:k] + own[k + 1:], reach[i])
 
     def locate(self, p: complex, x: int = -1,
                lq: Location = None) -> Location:
-        """(fid, first syllable) of the first-level disk holding the point:
-        (letter,) in a free letter's disk, the surface prefix in a factor
-        disk; None outside every disk.  Factor disks are tested first.
+        """(fid, first syllable) of the first disk of ``_disks`` holding the
+        point: the surface prefix (``strip``) in a factor disk, (letter,) in
+        a free letter's disk; None outside every disk.
 
         With a parent link, p = x(q) and lq is the location of q, the
-        matching endpoint of the linked pair.  When p lies in a factor
-        disk and its first navigation step strips x, p's prefix is x
-        followed by q's prefix in that factor (``_after``).  The step
-        leaves x^-1(p), which is q up to rounding; verified factor disks
-        are disjoint with a margin, so lq stands for that point's location
-        unless it lies within rounding of a disk boundary.  The
-        differential tests against memo-free inverse iteration check the
-        prefixes.
+        matching endpoint of the linked pair; ``strip`` reads p's prefix
+        off lq when its first step strips x.
         """
         px, py = p.real, p.imag
         r2 = px * px + py * py
-        for fid, (A, bre, bim, C) in self._factor_forms.items():
+        for fid, letter, (A, bre, bim, C) in self._disks:
             if A * r2 + 2.0 * (bre * px + bim * py) + C <= MEMBERSHIP_TOL:
-                if self._step(self._nav[fid], px, py, r2)[0] != x:
-                    return fid, self.strip(fid, p)
-                return self._after(fid, x, lq)
-        for fid, letter, A, bre, bim, C in self._free_forms:
-            if A * r2 + 2.0 * (bre * px + bim * py) + C <= MEMBERSHIP_TOL:
+                if letter is None:
+                    return fid, self.strip(fid, p, x, lq)
                 return fid, (letter,)
         return None
 
@@ -350,47 +345,51 @@ class _Navigator:
             located.append((lp, lq))
         return located
 
-    @staticmethod
-    def _step(entries: list, x: float, y: float, r2: float):
-        """(letter, inverse matrix) of the entry whose isometric disk holds
-        the point x + iy (r2 = x*x + y*y) deepest: the least form value
-        under MEMBERSHIP_TOL, the earlier entry on equal values; (None,
-        None) in none.  Over a factor's entries this is the letter one
-        inverse iteration step strips.
-        """
-        best, best_mat, best_val = None, None, MEMBERSHIP_TOL
-        for letter, (A, bre, bim, C), mat in entries:
-            val = A * r2 + 2.0 * (bre * x + bim * y) + C
-            if val < best_val:
-                best, best_mat, best_val = letter, mat, val
-        return best, best_mat
+    def strip(self, fid: int, p: complex, x: int = -1,
+              lq: Location = None) -> Optional[Word]:
+        """Maximal factor-fid prefix of the infinite word of a point in the
+        factor disk, by inverse iteration.
 
-    def strip(self, fid: int, p: complex) -> Optional[Word]:
-        """Maximal factor-fid prefix of the point's infinite word, by
-        inverse iteration.
+        Each step strips the letter whose generator isometric disk holds
+        the point deepest: the least form value under MEMBERSHIP_TOL, the
+        earlier entry on equal values.  When the first step strips the
+        link letter x, the prefix is x followed by q's prefix (``_after``,
+        p = x(q), lq the location of q): the step leaves x^-1(p), which is
+        q up to rounding, and verified factor disks are disjoint with a
+        margin, so lq stands for that point's location unless it lies
+        within rounding of a disk boundary.  The differential tests
+        against memo-free inverse iteration check the prefixes.
 
-        () when the point already lies outside the factor disk; None when
-        stripping does not leave the disk within the cap (a limit point of
-        the factor itself).  The cap must stay small: inverse iteration
-        expands numerical error, so a genuine circle point drifts off the
-        invariant circle after a few dozen strips, while legitimate
-        prefixes are never longer than the conjugating depth plus one
-        syllable.
+        The caller has found p in the factor disk; only the points a step
+        moves are tested again, and the prefix ends at the first that
+        leaves the disk.  None when no isometric disk holds a point, or
+        when stripping does not leave the disk within the cap (a limit
+        point of the factor itself).  The cap must stay small: inverse
+        iteration expands numerical error, so a genuine circle point
+        drifts off the invariant circle after a few dozen strips, while
+        legitimate prefixes are never longer than the conjugating depth
+        plus one syllable.
         """
-        A, bre, bim, C = self._factor_forms[fid]
-        entries = self._nav[fid]
+        A, bre, bim, C = self._disks[fid][2]
         prefix: List[int] = []
         q = p
         while True:
-            x, y = q.real, q.imag
-            r2 = x * x + y * y
-            if not A * r2 + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
+            qx, qy = q.real, q.imag
+            r2 = qx * qx + qy * qy
+            if prefix and not (A * r2 + 2.0 * (bre * qx + bim * qy) + C
+                               <= MEMBERSHIP_TOL):
                 return tuple(prefix)
             if len(prefix) > self.cap:
                 return None
-            best, best_mat = self._step(entries, x, y, r2)
+            best, best_mat, best_val = None, None, MEMBERSHIP_TOL
+            for letter, (eA, ebre, ebim, eC), mat in self._nav[fid]:
+                val = eA * r2 + 2.0 * (ebre * qx + ebim * qy) + eC
+                if val < best_val:
+                    best, best_mat, best_val = letter, mat, val
             if best is None:
                 return None  # inside the disk but outside the dynamics
+            if best == x and not prefix:
+                return self._after(fid, x, lq)[1]
             prefix.append(best)
             a, b, c, d = best_mat
             denom = c * q + d

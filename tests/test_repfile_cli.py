@@ -346,6 +346,27 @@ class TestCli:
         assert (code, out) == (65, "")
         assert "line 10, column 1: no disk for factor 1\n" in err
 
+    def test_empty_disks_block_is_65_at_its_header(self, tmp_path):
+        # before, a `disks` header without disk lines read as no block, and
+        # the file passed with no certificate
+        text = gallery_text("schottky2")
+        path = tmp_path / "bad.rep"
+        path.write_text("".join(line for line in text.splitlines(True)
+                                if " center " not in line))
+        code, out, err = run_cli("check-stability", str(path), "--depth", "2")
+        assert (code, out) == (65, "")
+        assert err.endswith("line 6, column 1: no disk for free letter a\n")
+
+    def test_group_header_without_keys_is_65_at_its_line(self, tmp_path):
+        # before, "missing group section" at the file's last line
+        path = tmp_path / "bad.rep"
+        path.write_text(gallery_text("schottky2").replace("  free 2\n", "", 1))
+        code, out, err = run_cli("check-stability", str(path), "--depth", "2")
+        assert (code, out) == (65, "")
+        assert err.endswith("line 1, column 1: need a nontrivial free "
+                            "product: at least two factors (a lone surface "
+                            "group or a lone Z is out of scope)\n")
+
     def test_disk_keyed_by_a_surface_letter_is_65_on_its_line(self,
                                                                tmp_path):
         # before, the a1 disk went into the free-disk table and the file

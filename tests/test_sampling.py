@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import math
 import random
 import types
@@ -338,9 +339,15 @@ def _deepest(nav, fid, p):
     return best, best_mat
 
 
-def _prefix_without_memo(nav, fid, p, cap):
-    """The inverse-iteration loop of ``_Navigator.strip``."""
-    fA, fbre, fbim, fC = nav._factor_forms[fid]
+def _flat(disk):
+    """A disk's (A, Re B, Im B, C) form, as the navigator reads it."""
+    return disk.A, disk.B.real, disk.B.imag, disk.C
+
+
+def _prefix_without_memo(nav, disks, fid, p, cap):
+    """The inverse-iteration loop of ``_Navigator.strip`` from a point
+    anywhere: () outside the factor disk."""
+    fA, fbre, fbim, fC = _flat(disks.factor[fid])
     prefix, q = [], p
     while True:
         x, y = q.real, q.imag
@@ -451,9 +458,12 @@ class TestOneNavigationPerEndpoint:
         # every endpoint is located once, in sampling order: ``locate``
         # receives the root pair's endpoints and the linked endpoints off
         # their letter's core, one form evaluation decides the others; only
-        # the root pair has no parent, and inverse iteration runs only for
-        # the root's endpoints in the factor disk and for endpoints whose
-        # first strip does not undo the link's letter
+        # the root pair has no parent.  ``strip`` receives each located
+        # endpoint in the factor disk with its link, and reads x followed
+        # by the parent's prefix exactly when the first inverse-iteration
+        # step strips the link's letter x; otherwise it strips the point
+        # as memo-free inverse iteration does.  The seed-5 conjugate sends
+        # the most endpoints off their letter's core
         located, stripped = [], []
         locate, strip = _Navigator.locate, _Navigator.strip
 
@@ -461,41 +471,56 @@ class TestOneNavigationPerEndpoint:
             located.append(p)
             return locate(nav, p, *link)
 
-        def counting_strip(nav, fid, p):
-            stripped.append((fid, p))
-            return strip(nav, fid, p)
+        def checked_strip(nav, fid, p, x=-1, lq=None):
+            stripped.append((fid, p, x, lq))
+            prefix = strip(nav, fid, p, x, lq)
+            if _deepest(nav, fid, p)[0] == x:
+                rest = lq[1] if lq is not None and lq[0] == fid else ()
+                assert prefix == (None if rest is None or len(rest) > nav.cap
+                                  else (x,) + rest)
+            else:
+                assert prefix == _prefix_without_memo(nav, disks, fid, p,
+                                                      nav.cap)
+            return prefix
 
         monkeypatch.setattr(_Navigator, "locate", counting_locate)
-        monkeypatch.setattr(_Navigator, "strip", counting_strip)
+        monkeypatch.setattr(_Navigator, "strip", checked_strip)
         in_free = in_factor = on_core = 0
-        for text in ("t1", "a1 t1", "a2 t1", "b2 T1", "a1 b1 A1 t1",
-                     "a1 b1 t1"):
+        first_strips_x = [0, 0]   # (no, yes) per stripped endpoint
+        for (rep, disks), text in itertools.product(
+                ((REP, DISKS), _seeded_conjugate(5)),
+                ("t1", "a1 t1", "a2 t1", "b2 T1", "a1 b1 A1 t1", "a1 b1 t1")):
+            factor = _flat(disks.factor[0])
+            free = [_flat(d) for d in disks.free.values()]
             cnf = cnf_of(text)
-            mu = sample_mu(REP, cnf, 3)
+            mu = sample_mu(rep, cnf, 3)
             assert [i for i, (_, j) in enumerate(mu.parent_links)
                     if j < 0] == [0]
-            nav = _Navigator(REP, DISKS, 0)
-            points, unlinked = [], []
-            for i, ((x, _), pair) in enumerate(zip(mu.parent_links,
+            nav = _Navigator(rep, disks, 3 + cnf.cyclic_length + 2)
+            parents = nav.locations(mu)
+            points, strips = [], []
+            for i, ((x, j), pair) in enumerate(zip(mu.parent_links,
                                                    mu.sampled_pairs)):
-                for p in pair:
-                    if i == 0 or not _on_core(nav, x, p):
-                        points.append(p)
-                    else:
+                for side, p in enumerate(pair):
+                    factor_holds = _form_reads(factor, p) <= MEMBERSHIP_TOL
+                    in_factor += factor_holds
+                    in_free += not factor_holds and any(
+                        _form_reads(f, p) <= MEMBERSHIP_TOL for f in free)
+                    if i and _on_core(nav, x, p):
                         on_core += 1
-                    if DISKS.factor[0].value(p) <= MEMBERSHIP_TOL:
-                        in_factor += 1
-                        if i == 0 or _deepest(nav, 0, p)[0] != x:
-                            unlinked.append((0, p))
-                    elif any(d.value(p) <= MEMBERSHIP_TOL
-                             for d in DISKS.free.values()):
-                        in_free += 1
+                    else:
+                        points.append(p)
+                        if factor_holds:
+                            strips.append(
+                                (0, p, x, parents[j][side] if i else None))
+                            first_strips_x[_deepest(nav, 0, p)[0] == x] += 1
             located.clear()
             stripped.clear()
-            whitehead_graph_sampled_for(REP, DISKS, cnf, 3)
+            whitehead_graph_sampled_for(rep, disks, cnf, 3)
             assert located == points
-            assert stripped == unlinked
+            assert stripped == strips
         assert in_free > 1000 and in_factor > 1000
+        assert min(first_strips_x) > 100
         assert on_core > 0.9 * (in_free + in_factor)
 
 
@@ -524,7 +549,8 @@ class TestStripMemo:
                         for fid in range(grp.n_surface):
                             linked = loc[1] if loc and loc[0] == fid else ()
                             yield (linked,
-                                   _prefix_without_memo(nav, fid, p, nav.cap),
+                                   _prefix_without_memo(nav, disks, fid, p,
+                                                        nav.cap),
                                    graph_cap)
 
     @pytest.mark.parametrize("cap", [0, 1, 2, None])
@@ -572,19 +598,19 @@ def _seeded_conjugate(seed):
             return rep, conj
 
 
-def _reference_locations(nav, mu):
+def _reference_locations(nav, rep, disks, mu):
     """Each endpoint's location as ``navigation_reference`` finds it: on
-    its own, through the 1e-12 prefix cache."""
+    its own, through the 1e-12 prefix cache, testing the factor disks
+    first."""
     caches = [{} for _ in nav._nav]
 
     def locate(p):
-        x, y = p.real, p.imag
-        for fid, (A, bre, bim, C) in nav._factor_forms.items():
-            if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
-                return fid, _cached_prefix(nav, caches[fid], fid, p)
-        for fid, letter, A, bre, bim, C in nav._free_forms:
-            if A * (x * x + y * y) + 2.0 * (bre * x + bim * y) + C <= MEMBERSHIP_TOL:
-                return fid, (letter,)
+        for fid, d in sorted(disks.factor.items()):
+            if _form_reads(_flat(d), p) <= MEMBERSHIP_TOL:
+                return fid, _cached_prefix(nav, caches[fid], _flat(d), fid, p)
+        for letter, d in sorted(disks.free.items()):
+            if _form_reads(_flat(d), p) <= MEMBERSHIP_TOL:
+                return rep.group.letter_factor(letter), (letter,)
         return None
 
     return [(locate(p), locate(q)) for p, q in mu.sampled_pairs]
@@ -699,9 +725,7 @@ class TestCores:
         x = letters[pick % len(letters)]
         A, bre, bim, C, tau = nav._cores[x][:5]
         form, c = (A, bre, bim, C), complex(-bre / A, -bim / A)
-        others = ([complex(-f[1], -f[2]) / f[0]
-                   for f in nav._factor_forms.values()]
-                  + [complex(-f[3], -f[4]) / f[2] for f in nav._free_forms]
+        others = ([complex(-f[1], -f[2]) / f[0] for _, _, f in nav._disks]
                   + [complex(-e[1][1], -e[1][2]) / e[1][0]
                      for entries in nav._nav for e in entries])
         others = [o for o in others if o != c]
@@ -727,7 +751,7 @@ class TestCores:
         # every sampled endpoint, tested against every letter's core
         classes = [(REP, DISKS, cnf_of(t))
                    for t in TestStripMemo.CLASSES[0][1]]
-        for seed in (1, 7):
+        for seed in (1, 5, 7):
             rep, disks = _seeded_conjugate(seed)
             classes += [(rep, disks, cnf)
                         for cnf in enumerate_elements(rep.group, 2)]
@@ -757,9 +781,25 @@ class TestCores:
         for cnf in [cnf_of(t) for t in CROSS_WORDS]:
             mu = sample_mu(rep, cnf, 3)
             nav = _Navigator(rep, disks, 3 + cnf.cyclic_length + 2)
-            assert nav.locations(mu) == _reference_locations(nav, mu)
+            assert nav.locations(mu) == _reference_locations(nav, rep, disks,
+                                                             mu)
             n += len(mu.sampled_pairs)
         assert n
+
+    def test_factor_disk_is_tested_before_free_disks(self):
+        # T1's disk reaches over most of the factor disk: an endpoint in
+        # both lies in the factor, and T1's core avoids the factor disk
+        free = dict(DISKS.free)
+        free[GRP.n_letters - 1] = Disk.interior(1.0, 2.0)
+        disks = PingPongDisks(free=free, factor=DISKS.factor)
+        both = [p for t in CROSS_WORDS
+                for pair in sample_mu(REP, cnf_of(t), 3).sampled_pairs
+                for p in pair
+                if max(_form_reads(_flat(disks.factor[0]), p),
+                       _form_reads(_flat(free[GRP.n_letters - 1]), p))
+                <= MEMBERSHIP_TOL]
+        assert len(both) > 1000
+        self._assert_same_locations(REP, disks)
 
     def test_overlapping_disks_give_no_core(self):
         # image k = (a, a d - 1; 1, d) with a = d = k / 10: the isometric
@@ -823,7 +863,7 @@ def _cell(p):
         return p, None
 
 
-def _cached_prefix(nav, cache, fid, p):
+def _cached_prefix(nav, cache, form, fid, p):
     """Inverse iteration that looks up every point it strips to among the
     points already navigated, at 1e-12 granularity: k strips onto a known
     point with prefix r give the k letters then r if k + |r| <= cap + 1,
@@ -831,7 +871,7 @@ def _cached_prefix(nav, cache, fid, p):
     key = _cell(p)
     if key in cache:
         return cache[key]
-    fA, fbre, fbim, fC = nav._factor_forms[fid]
+    fA, fbre, fbim, fC = form
     prefix, q = [], p
     while True:
         x, y = q.real, q.imag
@@ -882,7 +922,8 @@ def navigation_reference(rep, disks, mu, cap):
         if reduced:
             loops[fid, W.crossing(group, fid, reduced)[1]] += 1
 
-    for lp, lq in _reference_locations(_Navigator(rep, disks, cap), mu):
+    for lp, lq in _reference_locations(_Navigator(rep, disks, cap), rep,
+                                       disks, mu):
         if lp is None or lq is None or lp == lq:
             continue
         (fp, sp), (fq, sq) = lp, lq
@@ -928,7 +969,7 @@ class TestNavigationReference:
     def test_cross_construction_words(self):
         self._assert_same(REP, DISKS, [cnf_of(t) for t in CROSS_WORDS])
 
-    @pytest.mark.parametrize("seed", [1, 7, 13])
+    @pytest.mark.parametrize("seed", [1, 5, 7, 13])
     def test_seeded_conjugates(self, seed):
         rep, disks = _seeded_conjugate(seed)
         self._assert_same(rep, disks, enumerate_elements(rep.group, 2))
