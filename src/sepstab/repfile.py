@@ -169,7 +169,7 @@ def parse_rep(text: str) -> RepFile:
     missing = [n for n in expected if n not in images]
     if missing:
         raise RepFileError(f"missing generators: {', '.join(missing)}",
-                           max(1, len(lines)))
+                           headers.get("generators", headers["group"]))
     rep = Representation(group, [images[n] for n in expected])
 
     disks = None

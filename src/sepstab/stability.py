@@ -26,13 +26,14 @@ same letters as offset i over a window that is no longer, so its distances
 are a prefix of offset i's and the sweep measures one primitive period of
 offsets, p * W products per class.  Rows depend on the path length n only
 through min(n, p - 1 + W), so a proper power whose root was swept with
-the same bound reuses the root's rows and worst ratio, and makes no
-window product.  The fit at N // 2 powers folds the same rows cut to the
-shorter path, row i to its first |g| * (N // 2) - i distances; it can
-therefore differ from the fit at N powers only while |g| * (N // 2) <
-p - 1 + W (ROADMAP item 6).  The fit over all classes keeps, per window
-length c, only the least distance and the least distance above ZERO_DIST,
-which determine qg_fit exactly.
+the same bound reuses the root's worst ratio, and makes no window
+product.  The fit over all classes keeps, per window length c,
+only the least distance and the least distance above ZERO_DIST, which
+determine qg_fit exactly.
+
+The QG ratios are read at the base point, so they move when the
+representation is conjugated; a class below the margin therefore blocks
+a Pass but never refutes one.  Only the trace decides a Fail.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from sepstab.hyperbolic import (DET_TOL, RELATOR_RESIDUAL_MAX, H3Point,
 
 PARABOLIC_EXACT = 1e-12
 PARABOLIC_FUZZY = 1e-6
-TREND_TOL = 1e-9
 ZERO_DIST = 1e-12         # qg_fit: a pair this close spans no distance
 K_MAX = 100.0             # a pass needs the global QG fit within these caps
 A_MAX = 50.0
@@ -92,8 +92,7 @@ class StabilityParams:
 class ElementRecord:
     def __init__(self, spelling: str, length: int, separability: str,
                  trace: complex, kind: str, trans_len: float, ratio: float,
-                 worst_qg: float, worst_qg_half: Optional[float] = None,
-                 flags: Tuple[str, ...] = ()):
+                 worst_qg: float, flags: Tuple[str, ...] = ()):
         self.spelling = spelling
         self.length = length
         self.separability = separability  # "separable" | "unknown"
@@ -102,8 +101,10 @@ class ElementRecord:
         self.trans_len = trans_len
         self.ratio = ratio                  # trans_len / length
         self.worst_qg = worst_qg
-        self.worst_qg_half = worst_qg_half
         self.flags = flags
+
+    # never set; perfbench/tracing.py reads it (ROADMAP item 5 drops both)
+    worst_qg_half = None
 
     __repr__ = _repr
 
@@ -335,15 +336,15 @@ def stability_margin(rep: Representation,
     bound; verdict per the compactness margin and QG constants.
 
     Each class has at most one problem, a fail (certified, and
-    non-loxodromic or decreasing_qg) or a blocker.  The verdict is
-    inconclusive when a surface relator residual is not below
-    RELATOR_RESIDUAL_MAX (the matrices are then no representation of the
-    group, whatever the sweep found), else the first fail, else the first
-    blocker, else the K_MAX cap, else pass.
+    non-loxodromic) or a blocker.  The verdict is inconclusive when a
+    surface relator residual is not below RELATOR_RESIDUAL_MAX (the
+    matrices are then no representation of the group, whatever the sweep
+    found), else the first fail, else the first blocker, else the K_MAX
+    cap, else pass.
 
-    ``measured`` maps (primitive period, min(n, p - 1 + W)) to the rows
-    and worst ratio of a class with 2p <= L, for a later power with the
-    same key; its pairs are already folded into ``least``.  Classes come
+    ``measured`` maps (primitive period, min(n, p - 1 + W)) to the worst
+    ratio of a class with 2p <= L, for a later power with the same key;
+    its pairs are already folded into ``least``.  Classes come
     shortest first, so a root precedes its powers; a root that raised or
     is non-loxodromic stores nothing, and its powers measure their own.
     """
@@ -354,7 +355,7 @@ def stability_margin(rep: Representation,
     records: List[ElementRecord] = []
     problems: List[Tuple[str, str, ElementRecord]] = []  # verdict, reason, rec
     least: Dict[int, List[Optional[float]]] = {}
-    measured: Dict[Tuple[Word, int], Tuple[List[List[float]], float]] = {}
+    measured: Dict[Tuple[Word, int], float] = {}
     n_sep = n_unk = 0
 
     for cnf, status in S.swept_classes(group, params.depth):
@@ -377,9 +378,8 @@ def stability_margin(rep: Representation,
                          band <= PARABOLIC_EXACT or kind != "parabolic")
                      else ["parabolic_adjacent"] if band < PARABOLIC_FUZZY
                      else [])
-            rows = (None if "non_loxodromic" in flags else
-                    known[0] if known else
-                    _qg_rows(rep, period, n, params.window))
+            rows = (None if "non_loxodromic" in flags or known is not None
+                    else _qg_rows(rep, period, n, params.window))
         except (HyperbolicError, OverflowError, ZeroDivisionError) as exc:
             # no number of this class can be trusted, so it blocks a pass
             nan = float("nan")
@@ -392,43 +392,29 @@ def stability_margin(rep: Representation,
             continue
 
         ratio = tl / length
-        worst, worst_half, problem = 0.0, None, None
-        if rows is None:
+        worst, problem = 0.0, None
+        if "non_loxodromic" in flags:
             problem = (("fail", f"separable element {spelling} has a {kind} "
                                 f"image") if certified else
                        ("inconclusive", "unknown-separability element with "
                                         "a non-loxodromic image"))
         else:
-            if known:
-                worst = known[1]
-            else:
+            worst = known
+            if rows is not None:
                 worst = _fold_rows(least, rows, params.window)
                 if 2 * len(period) <= params.depth:
-                    measured[key] = rows, worst
+                    measured[key] = worst
             if worst < params.margin or ratio < params.margin:
-                # the path of g^(N/2): row i cut to its first half - i pairs
-                half = length * (params.powers // 2)
-                worst_half = _fold_rows(
-                    {}, [row[:half - i] for i, row in enumerate(rows)],
-                    params.window)
-                if (certified and worst < params.margin
-                        and worst < worst_half - TREND_TOL):
-                    flags.append("decreasing_qg")
-                    problem = ("fail", f"separable element {spelling} has QG "
-                                       f"ratio {worst:.4g} below the margin "
-                                       f"and decreasing across powers")
-                else:
-                    flags.append("below_margin")
-                    problem = ("inconclusive",
-                               "ratio below margin without a decreasing "
-                               "trend" if certified else
-                               "unknown-separability element below margin")
+                flags.append("below_margin")
+                problem = ("inconclusive",
+                           "separable element below margin" if certified else
+                           "unknown-separability element below margin")
             elif certified and "parabolic_adjacent" in flags:
                 problem = ("inconclusive",
                            "separable element in the parabolic band")
 
         rec = ElementRecord(spelling, length, status, m.trace(), kind, tl,
-                            ratio, worst, worst_half, tuple(flags))
+                            ratio, worst, tuple(flags))
         records.append(rec)
         if problem is not None:
             problems.append((*problem, rec))

@@ -67,7 +67,7 @@ class TestRepFile:
 
     def test_unknown_generator_rejected(self):
         # reported at its own line, before the generator it replaces is
-        # missed at the end of the file
+        # missed at the `generators` header
         text = gallery_text("schottky2").replace("  a = ", "  q = ")
         with pytest.raises(RepFileError) as err:
             parse_rep(text)
@@ -356,6 +356,23 @@ class TestCli:
         code, out, err = run_cli("check-stability", str(path), "--depth", "2")
         assert (code, out) == (65, "")
         assert err.endswith("line 6, column 1: no disk for free letter a\n")
+
+    @pytest.mark.parametrize("dropped, line, names", [
+        # at the `generators` header, else at the `group` header; before,
+        # both were reported at the file's last line, `name schottky2`
+        (("  b = ",), 3, "b"),
+        (("generators", "  a = ", "  b = "), 1, "a, b"),
+    ])
+    def test_missing_generators_is_65_at_the_section_header(
+            self, tmp_path, dropped, line, names):
+        text = gallery_text("schottky2")
+        path = tmp_path / "bad.rep"
+        path.write_text("".join(row for row in text.splitlines(True)
+                                if not row.startswith(dropped)))
+        code, out, err = run_cli("check-stability", str(path), "--depth", "2")
+        assert (code, out) == (65, "")
+        assert err.endswith(
+            f"line {line}, column 1: missing generators: {names}\n")
 
     def test_group_header_without_keys_is_65_at_its_line(self, tmp_path):
         # before, "missing group section" at the file's last line

@@ -1,5 +1,6 @@
 import argparse
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -233,7 +234,7 @@ class TestPeriodicKernel:
         assert fit_half == _fit(
             _all_offsets_pairs(rep, letters * max(1, powers // 2), window),
             window)
-        # the sweep's half-power fit: each row cut to the shorter path
+        # rows cut to a shorter path fold as that path's own pairs do
         cut = [row[:half - i] for i, row in enumerate(rows)]
         if fit_half == "infeasible":
             with pytest.raises(StabilityError):
@@ -411,11 +412,6 @@ class TestPeriodicKernel:
                                       window)
             assert repr(stability._fold_rows(least, rows, window)) == \
                 repr(r.worst_qg)
-            if r.worst_qg_half is not None:
-                half = r.length * max(1, powers // 2)
-                assert repr(stability._fold_rows(
-                    {}, [row[:half - i] for i, row in enumerate(rows)],
-                    window)) == repr(r.worst_qg_half)
         k_est, a_est, _ = qg_fit(stability._least_pairs(least), window,
                                  stability.A_MAX)
         assert (repr(k_est), repr(a_est)) == (repr(report.k_est),
@@ -684,8 +680,9 @@ class TestNumericErrors:
 
 class TestVerdictBranches:
     """F2 with b = loxodromic_with_axis(2, 8, 5) and a short translation a,
-    swept at depth 2: each a reaches one verdict branch, with witness a or,
-    at the QG cap, with none."""
+    swept at depth 2: an a below the margin or in the parabolic band blocks
+    with witness a, wherever its axis lies; at the QG cap nothing blocks
+    and there is no witness.  None of these a fails."""
 
     @staticmethod
     def report(p, q, lam, margin=0.02):
@@ -694,8 +691,8 @@ class TestVerdictBranches:
         return stability_margin(rep, StabilityParams(depth=2, margin=margin))
 
     @pytest.mark.parametrize("p, q, lam, verdict, flags", [
-        (-1, 3, 1.005, "fail", ("decreasing_qg",)),
-        # the axis of a passes through the base point: no decreasing trend
+        (-1, 3, 1.005, "inconclusive", ("below_margin",)),
+        # the axis of a passes through the base point
         (-1, 1, 1.005, "inconclusive", ("below_margin",)),
         # |tr^2 - 4| ~ 4e-8
         (-1, 3, 1.0001, "inconclusive", ("parabolic_adjacent",
@@ -757,14 +754,6 @@ class TestVerdictBranches:
         assert report.witness.spelling == "a"
         assert report.witness.flags == ("below_margin",)
         assert report.reason == "unknown-separability element below margin"
-        # the trend fit is that of the whole path of a^(N/2)
-        rep = Representation(F2, [loxodromic_with_axis(-1, 3, 1.005),
-                                  loxodromic_with_axis(2, 8, 5)])
-        params = StabilityParams()
-        path = (0,) * (params.powers // 2)
-        assert report.witness.worst_qg_half == qg_fit(
-            _all_offsets_pairs(rep, path, params.window), params.window,
-            stability.A_MAX)[2]
 
     @pytest.mark.parametrize("lam, k", [(1.002, "250.25"), (1.005, "100.25")])
     def test_qg_cap(self, lam, k):
@@ -774,6 +763,63 @@ class TestVerdictBranches:
         assert report.verdict == "inconclusive" and report.witness is None
         assert report.reason == (f"QG constants (K={k}, A=0) exceed the caps "
                                  f"(K_MAX=100, A_MAX=50)")
+
+
+def draw_conjugators(seed, count):
+    """``count`` PSL(2,C) maps drawn as in acceptance criterion 7."""
+    rng = random.Random(seed)
+    maps = []
+    while len(maps) < count:  # reject near-singular draws
+        vals = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                for _ in range(4)]
+        if abs(vals[0] * vals[3] - vals[1] * vals[2]) >= 0.5:
+            maps.append(MoebiusMap(*vals))
+    return maps
+
+
+class TestFailNeedsNonLoxodromicImage:
+    """A fail reads only the trace of a certified separable class, so it
+    survives every conjugation; a loxodromic class below the margin only
+    blocks a pass, wherever the base point lies."""
+
+    CONJUGATORS = ([MoebiusMap(1, 5, 0, 1), MoebiusMap(0.5, -0.5, 0, 1)]
+                   + draw_conjugators(42, 20))
+
+    def test_below_margin_never_fails_under_conjugation(self):
+        rep = Representation(F2, [loxodromic_with_axis(-1, 3, 1.005),
+                                  loxodromic_with_axis(2, 8, 5)])
+        params = StabilityParams(depth=2)
+        for conj in [rep] + [rep.conjugated(h) for h in self.CONJUGATORS]:
+            report = stability_margin(conj, params)
+            assert report.verdict == "inconclusive"
+            assert report.witness.spelling == "a"
+            assert report.witness.flags == ("below_margin",)
+            assert report.reason == "separable element below margin"
+
+    def test_parabolic_fails_under_conjugation(self):
+        rep, _ = build("pinched-a")
+        params = StabilityParams(depth=2)
+        for h in self.CONJUGATORS[2:]:
+            report = stability_margin(rep.conjugated(h), params)
+            assert report.verdict == "fail"
+            assert report.witness.spelling == "a"
+            assert report.witness.flags == ("non_loxodromic",)
+
+    def test_verified_schottky_below_margin_is_inconclusive(self, capsys):
+        # the ping-pong certificate proves schottky2 convex cocompact
+        from sepstab.cli import main
+        assert main(["check-stability", "schottky2", "--margin", "4"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert "ping-pong certificate: verified" in out
+        assert "witness: a [below_margin]" in out
+        assert "verdict: inconclusive" in out
+
+    def test_fuchsian_below_margin_is_inconclusive(self):
+        report = stability_margin(build("fuchsian-genus2")[0],
+                                  StabilityParams(depth=3, margin=2))
+        assert report.verdict == "inconclusive"
+        assert report.witness.spelling == "a1 b1"
+        assert report.witness.flags == ("below_margin",)
 
 
 class TestSweep:
